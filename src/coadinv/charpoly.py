@@ -10,7 +10,7 @@ tr(B_k(x) y) is the first-order coefficient of t -> p_{k+1}(x + t y).
 Closed form: B_0 = I and B_k = x^k - p_1 x^(k-1) - ... - p_k I.  Both p and
 B come out of one trace recursion, p_k = tr(x B_{k-1}) / k and
 B_k = x B_{k-1} - p_k I, which is self-checking: the recursion ends on the
-Cayley-Hamilton residue x B_{n-1} = p_n I, asserted on every call.
+Cayley-Hamilton residue x B_{n-1} = p_n I, checked on every call.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactmat import Mat, Rat, inverse, scalar
+from .exactmat import ExactnessError, Mat, Rat, inverse, scalar
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,8 @@ def char_data(x: Mat) -> CharData:
             B.append(Bk)
             acc = x * Bk
     # Cayley-Hamilton residue; a failure here means broken arithmetic.
-    assert acc == p[-1] * ident, "characteristic recursion lost exactness"
+    if acc != p[-1] * ident:
+        raise ExactnessError("characteristic recursion lost exactness")
     return CharData(n, tuple(p), tuple(B))
 
 

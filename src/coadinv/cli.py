@@ -18,9 +18,9 @@ import re
 import sys
 
 from . import invariants as inv
-from .exactmat import mat_to_json, rat_str
-from .liealg import FAMILIES, Algebra, dual_from_json
-from .verify import SUITES, SuiteConfig, run_all, run_suite
+from .exactmat import ExactnessError, mat_to_json, rat_str
+from .liealg import FAMILIES, Algebra, dual_from_json, dual_to_json
+from .verify import SUITES, SuiteConfig, run_all, run_suite, suite_range
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
@@ -128,18 +128,15 @@ def cmd_verify(args) -> int:
         spec = SUITES.get(args.suite)
         if spec is None:
             raise ValueError("unknown suite %r" % (args.suite,))
-        families = (args.algebra,) if args.algebra else spec.families[:1]
-        lo, hi = spec.default_range
-        if n_lo is not None:
-            lo = max(lo, n_lo) if args.n is None else n_lo
-        if n_hi is not None:
-            hi = min(hi, n_hi) if args.n is None else n_hi
-        lo = min(lo, hi)
+        fam = args.algebra or spec.families[0]
+        if args.n is not None:  # a single size overrides the suite's default range
+            lo = hi = args.n
+        else:
+            lo, hi = suite_range(args.suite, fam, n_lo, n_hi)
         reports = [run_suite(args.suite,
                              SuiteConfig(algebra=fam, n_lo=lo, n_hi=hi,
                                          samples=args.samples,
-                                         coeff_bound=args.bound, seed=args.seed))
-                   for fam in families]
+                                         coeff_bound=args.bound, seed=args.seed))]
     _emit([r.to_json() for r in reports], args.output)
     return 0 if all(r.passed for r in reports) else MATH_ERROR
 
@@ -154,16 +151,8 @@ def cmd_orbit(args) -> int:
     except inv.NotInOpenOrbit as exc:
         print("error: %s" % exc, file=sys.stderr)
         return MATH_ERROR
-    _emit({
-        "g": mat_to_json(elem.g),
-        "u": mat_to_json(elem.u),
-        "normal_form": {
-            "algebra": "glvv", "n": alg.n,
-            "y": mat_to_json(normal.y),
-            "wstar": mat_to_json(normal.wstar),
-            "xi": mat_to_json(normal.xi),
-        },
-    }, args.output)
+    _emit({"g": mat_to_json(elem.g), "u": mat_to_json(elem.u),
+           "normal_form": dual_to_json(alg, normal)}, args.output)
     return 0
 
 
@@ -215,6 +204,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
+    except ExactnessError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return MATH_ERROR
 
 
 def main_entry():

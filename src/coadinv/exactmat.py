@@ -19,6 +19,10 @@ from typing import Sequence
 Rat = Fraction
 
 
+class ExactnessError(ArithmeticError):
+    """An internal exact identity failed: a bug, never a property of the input."""
+
+
 def rat(value) -> Rat:
     """Coerce an int, a Fraction or a "p/q" string to an exact rational."""
     return Fraction(value)
@@ -99,9 +103,6 @@ class Mat:
     def row_tuple(self, i: int) -> tuple:
         return self._m[i]
 
-    def row_mat(self, i: int) -> "Mat":
-        return Mat([self._m[i]])
-
     def col_mat(self, j: int) -> "Mat":
         return Mat([[self._m[i][j]] for i in range(self.rows)])
 
@@ -124,9 +125,6 @@ class Mat:
             return False
         m = self._m
         return all(m[i][j] == -m[j][i] for i in range(self.rows) for j in range(i, self.cols))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self._m for v in row)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -346,8 +344,10 @@ def mat_from_json(obj) -> Mat:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError("matrix JSON needs rows, cols and entries") from exc
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise ValueError("matrix JSON entries must be a list of rows")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("matrix JSON entries do not match rows x cols")
     try:

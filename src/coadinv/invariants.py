@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpoly import bordered, char_data
-from .exactmat import Mat, Rat, det, inverse, pfaffian, scalar
-from .liealg import (Algebra, DualPointA, DualPointB, DualPointC, GroupElemA,
-                     GroupElemB, Rng, coad_B, sample_dual)
+from .exactmat import ExactnessError, Mat, Rat, det, inverse, pfaffian, scalar
+# project_traceless is re-exported: it is part of this module's interface
+from .liealg import (_RETRY_CAP, Algebra, DualPoint, GroupElem, Rng, coad,
+                     project_traceless, sample_dual)
 
 # Frozen sign conventions, resolved by verify.resolve_sign over dense
 # integer grids and locked by regression tests.  All four are forced by
@@ -30,8 +31,6 @@ F_SLICE_SIGN = 1        # determinant semi-invariant vs the slice monomial
 PSI_SLICE_SIGN = -1     # psi_k on the block slice vs a0^2 sigma_k, every (n, k)
 EXOTIC_SLICE_SIGN = -1  # exotic generator on the block slice vs a0 a_1 ... a_l
 EXOTIC_SQUARE_SIGN = -1  # exotic generator squared vs psi_ell
-
-_RETRY_CAP = 64
 
 
 class NotInOpenOrbit(ValueError):
@@ -64,21 +63,21 @@ class CanonicalPair:
 
 # -- affine covariants and the determinant semi-invariant ---------------------
 
-def phi_covariant(k: int, l: DualPointA) -> Mat:
-    """Row covariant vstar B_k(y), 0 <= k <= n-1."""
+def phi_covariant(k: int, l: DualPoint) -> Mat:
+    """Row covariant wstar B_k(y), 0 <= k <= n-1."""
     n = l.n
     if not 0 <= k <= n - 1:
         raise ValueError("covariant index out of range")
-    return l.vstar * char_data(l.y).B[k]
+    return l.wstar * char_data(l.y).B[k]
 
 
-def phi_rows(l: DualPointA) -> list:
+def phi_rows(l: DualPoint) -> list:
     """All row covariants from one characteristic recursion, top index first."""
     cd = char_data(l.y)
-    return [l.vstar * cd.B[k] for k in range(l.n - 1, -1, -1)]
+    return [l.wstar * cd.B[k] for k in range(l.n - 1, -1, -1)]
 
 
-def f_invariant(l: DualPointA) -> Rat:
+def f_invariant(l: DualPoint) -> Rat:
     """Determinant of the stacked row covariants, highest index on top.
 
     Degree n(n+1)/2.  Multiplying by det(g) undoes the coadjoint action:
@@ -88,29 +87,20 @@ def f_invariant(l: DualPointA) -> Rat:
     return det(Mat([r.row_tuple(0) for r in rows]))
 
 
-def f_krylov(l: DualPointA) -> Rat:
-    """Same value through the raw rows vstar y^(n-1), ..., vstar y, vstar.
+def f_krylov(l: DualPoint) -> Rat:
+    """Same value through the raw rows wstar y^(n-1), ..., wstar y, wstar.
 
     The change of basis between the two row families is unitriangular, so
     the determinants agree exactly; keeping both paths makes the identity
     checkable.
     """
-    rows = [l.vstar]
+    rows = [l.wstar]
     for _ in range(l.n - 1):
         rows.append(rows[-1] * l.y)
     return det(Mat([r.row_tuple(0) for r in reversed(rows)]))
 
 
-def project_traceless(l: DualPointA) -> DualPointA:
-    """Remove the trace direction: y -> y - (tr(y)/n) I.
-
-    The determinant semi-invariant does not see scalar shifts of y, so
-    this is the well-defined quotient representative."""
-    n = l.n
-    return DualPointA(l.y - (l.y.trace() / n) * Mat.identity(n), l.vstar)
-
-
-def f_bar(l: DualPointA) -> Rat:
+def f_bar(l: DualPoint) -> Rat:
     """Restriction of the determinant semi-invariant to traceless y."""
     if l.y.trace() != 0:
         raise ValueError("f_bar needs tr(y) = 0")
@@ -119,7 +109,7 @@ def f_bar(l: DualPointA) -> Rat:
 
 # -- glvv generators -----------------------------------------------------------
 
-def F_invariant(k: int, l: DualPointB) -> Rat:
+def F_invariant(k: int, l: DualPoint) -> Rat:
     """Generator wstar B_k(y) xi, 0 <= k <= n-1; degree k + 2."""
     n = l.n
     if not 0 <= k <= n - 1:
@@ -127,13 +117,13 @@ def F_invariant(k: int, l: DualPointB) -> Rat:
     return scalar(l.wstar * char_data(l.y).B[k] * l.xi)
 
 
-def F_all(l: DualPointB) -> tuple:
+def F_all(l: DualPoint) -> tuple:
     """All n generators from one characteristic recursion, index 0 first."""
     cd = char_data(l.y)
     return tuple(scalar(l.wstar * cd.B[k] * l.xi) for k in range(l.n))
 
 
-def F_bordered(k: int, l: DualPointB) -> Rat:
+def F_bordered(k: int, l: DualPoint) -> Rat:
     """Same generator through the bordered characteristic coefficients:
     p_{k+2} of [[y, xi], [wstar, 0]] minus p_{k+2}(y), with coefficients
     beyond the size of y read as zero."""
@@ -145,7 +135,7 @@ def F_bordered(k: int, l: DualPointB) -> Rat:
     return cx.coeff(k + 2) - cy.coeff(k + 2)
 
 
-def pi_projection(l: DualPointB) -> Mat:
+def pi_projection(l: DualPoint) -> Mat:
     """Fiber projection: the column whose (n-k)-th coordinate is the k-th
     generator, i.e. entries (F_{n-1}, ..., F_0) top to bottom."""
     vals = F_all(l)
@@ -154,7 +144,7 @@ def pi_projection(l: DualPointB) -> Mat:
 
 # -- orthogonal generators ------------------------------------------------------
 
-def psi_invariant(k: int, l: DualPointC) -> Rat:
+def psi_invariant(k: int, l: DualPoint) -> Rat:
     """Generator -wstar B_{2k}(y) wstar^T, valid while 2k <= n-1;
     degree 2k + 2."""
     n = l.n
@@ -163,7 +153,7 @@ def psi_invariant(k: int, l: DualPointC) -> Rat:
     return -scalar(l.wstar * char_data(l.y).B[2 * k] * l.wstar.transpose())
 
 
-def psi_all(l: DualPointC) -> tuple:
+def psi_all(l: DualPoint) -> tuple:
     """Generators psi_0..psi_ell from one characteristic recursion."""
     cd = char_data(l.y)
     wt = l.wstar.transpose()
@@ -171,7 +161,7 @@ def psi_all(l: DualPointC) -> tuple:
     return tuple(-scalar(l.wstar * cd.B[2 * k] * wt) for k in range(ell + 1))
 
 
-def psi_bordered(k: int, l: DualPointC) -> Rat:
+def psi_bordered(k: int, l: DualPoint) -> Rat:
     """Same generator through the bordered coefficients: p_{2k+2} of
     [[y, -wstar^T], [wstar, 0]] minus p_{2k+2}(y) (zero beyond size n)."""
     n = l.n
@@ -182,7 +172,7 @@ def psi_bordered(k: int, l: DualPointC) -> Rat:
     return cx.coeff(2 * k + 2) - cy.coeff(2 * k + 2)
 
 
-def exotic_phi(l: DualPointC) -> Rat:
+def exotic_phi(l: DualPoint) -> Rat:
     """Odd-size exotic generator: the Pfaffian of the bordered skew matrix
     [[y, -wstar^T], [wstar, 0]].
 
@@ -204,7 +194,8 @@ def pfaff_vector(y: Mat) -> Mat:
     n = y.rows
     if n % 2 == 0:
         raise ValueError("pfaffian vector only for odd n")
-    return Mat.col([exotic_phi(DualPointC(y, Mat.basis_row(n, i))) for i in range(n)])
+    return Mat.col([exotic_phi(DualPoint.of("iso", y, Mat.basis_row(n, i)))
+                    for i in range(n)])
 
 
 # -- parameter slices ------------------------------------------------------------
@@ -222,13 +213,13 @@ class SlicePointISL:
         return SlicePointISL(tuple(Fraction(v) for v in a_values), Fraction(b))
 
 
-def slice_isl(s: SlicePointISL) -> DualPointA:
-    """Slice point: y = a_1 E_21 + ... + a_{n-1} E_{n,n-1}, vstar = b e_n*."""
+def slice_isl(s: SlicePointISL) -> DualPoint:
+    """Slice point: y = a_1 E_21 + ... + a_{n-1} E_{n,n-1}, wstar = b e_n*."""
     n = len(s.a) + 1
     m = [[Fraction(0)] * n for _ in range(n)]
     for k, v in enumerate(s.a):
         m[k + 1][k] = v
-    return DualPointA.traceless(Mat(m), s.b * Mat.basis_row(n, n - 1))
+    return DualPoint.of("isl", Mat(m), s.b * Mat.basis_row(n, n - 1))
 
 
 def t_slice(s: SlicePointISL) -> Rat:
@@ -253,7 +244,7 @@ class SlicePointSO:
         return SlicePointSO(tuple(Fraction(v) for v in a_values), Fraction(a0))
 
 
-def slice_so(s: SlicePointSO, alg: Algebra) -> DualPointC:
+def slice_so(s: SlicePointSO, alg: Algebra) -> DualPoint:
     """Block-diagonal slice point: 2x2 rotation blocks [[0, a_i], [-a_i, 0]]
     padded by one zero row/column (n = 2 ell + 1) or two (n = 2 ell + 2),
     with covector a0 e_n*."""
@@ -267,7 +258,7 @@ def slice_so(s: SlicePointSO, alg: Algebra) -> DualPointC:
     for i, v in enumerate(s.a):
         m[2 * i][2 * i + 1] = Fraction(v)
         m[2 * i + 1][2 * i] = -Fraction(v)
-    return DualPointC(Mat(m), s.a0 * Mat.basis_row(n, n - 1))
+    return DualPoint.of(alg.family, Mat(m), s.a0 * Mat.basis_row(n, n - 1))
 
 
 def _elementary_symmetric(values, k: int) -> Rat:
@@ -297,27 +288,27 @@ def phi_slice(k: int, s: SlicePointSO, alg: Algebra) -> Rat:
 
 # -- open-orbit machinery ----------------------------------------------------------
 
-def sample_open_b(rng: Rng, n: int, bound: int) -> DualPointB:
+def sample_open_b(rng: Rng, n: int, bound: int) -> DualPoint:
     """Random glvv dual point with nonvanishing determinant semi-invariant."""
     alg = Algebra("glvv", n)
     for _ in range(_RETRY_CAP):
         l = sample_dual(alg, rng, bound)
-        if f_invariant(DualPointA(l.y, l.wstar)) != 0:
+        if f_invariant(l) != 0:
             return l
     raise RuntimeError("degenerate rng")
 
 
-def orbit_normalize(l: DualPointB):
+def orbit_normalize(l: DualPoint):
     """Normalize a point of the open set to the base pair.
 
-    Returns (elem, normal) where elem = (g, u) has rows
-    g = (wstar B_{n-1}(y); ...; wstar) and normal = coad((g, u, 0), l)
-    equals (J, e_n*, g xi).  The translation u solves the rank-one equation
-    u e_n* = J - g y g^-1, whose right side is asserted to live in the last
+    Returns (elem, normal) where elem = (g, u, 0) has rows
+    g = (wstar B_{n-1}(y); ...; wstar) and normal = coad(elem, l) equals
+    (J, e_n*, g xi).  The translation u solves the rank-one equation
+    u e_n* = J - g y g^-1, whose right side is checked to live in the last
     column only.  Raises NotInOpenOrbit when the semi-invariant vanishes.
     """
     n = l.n
-    rows = phi_rows(DualPointA(l.y, l.wstar))
+    rows = phi_rows(l)
     g = Mat([r.row_tuple(0) for r in rows])
     if det(g) == 0:
         raise NotInOpenOrbit("not in open orbit")
@@ -325,10 +316,10 @@ def orbit_normalize(l: DualPointB):
     residue = pair.J - g * l.y * inverse(g)
     for j in range(n - 1):
         for i in range(n):
-            assert residue[i, j] == 0, "rank-one solve inconsistent"
-    u = residue.col_mat(n - 1)
-    elem = GroupElemA(g, u)
-    normal = coad_B(GroupElemB(g, u, Mat.zero(1, n)), l)
-    assert normal.y == pair.J and normal.wstar == pair.enstar, \
-        "normal form did not land on the base pair"
+            if residue[i, j] != 0:
+                raise ExactnessError("rank-one solve inconsistent")
+    elem = GroupElem(g, residue.col_mat(n - 1), Mat.zero(1, n))
+    normal = coad(elem, l)
+    if normal.y != pair.J or normal.wstar != pair.enstar:
+        raise ExactnessError("normal form did not land on the base pair")
     return elem, normal

@@ -1,22 +1,30 @@
-"""The four inhomogeneous algebras as concrete coordinate spaces.
+"""The five inhomogeneous algebras as constrained views of one triple.
 
 Families (the "n" is the matrix size everywhere):
 
-    aff   gl(n) acting on column vectors; dual points are (y, vstar)
-    isl   the traceless subalgebra of aff; dual points have tr(y) = 0
-    glvv  gl(n) acting on V + V*; dual points are (y, wstar, xi)
+    aff   gl(n) acting on column vectors
+    isl   the traceless subalgebra of aff
+    glvv  gl(n) acting on V + V*
     io    so(n) acting on V, full orthogonal group upstairs
     iso   same algebra, special orthogonal group upstairs
 
-The module provides the coadjoint actions with their translation parts,
-deterministic seeded sampling of group elements and dual points, the
-commutator-form index, the minus-transpose involution of the glvv algebra
-and its bordered-matrix embedding into gl(n+1).
+Every family lives inside glvv, so there is one dual-point type, one
+group-element type and one coadjoint action.  A DualPoint is a glvv dual
+triple (y, wstar, xi) tagged with its family, whose constraints it checks
+when built: xi = 0 for aff and isl, also tr(y) = 0 for isl, and y skew with
+xi = -wstar^T for io and iso (the points fixed by the involution theta).
+A GroupElem is a glvv element (g, u, vstar): vstar = 0 for aff and isl,
+and (g, u, -u^T) with g orthogonal for io and iso.  The bracket, the
+pairing and the commutator form are those of glvv throughout.
 
-Group elements (g, u) and (g, u, vstar) abbreviate the fixed factorization
-(e, u, 0) * (e, 0, vstar) * (g, 0, 0); every composite action below flows
+Group elements abbreviate the fixed factorization
+(e, u, 0) * (e, 0, vstar) * (g, 0, 0); the action and the adjoint flow
 through it, and the product law is
 (g1, u1, v1) (g2, u2, v2) = (g1 g2, u1 + g1 u2, v1 + v2 g1^-1).
+
+The module also provides deterministic seeded sampling, the
+commutator-form index, the minus-transpose involution of the glvv algebra
+and its bordered-matrix embedding into gl(n+1).
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .exactmat import (Mat, Rat, det, inverse, mat_from_json, mat_to_json,
 
 FAMILIES = ("aff", "isl", "glvv", "io", "iso")
 
+# rejection-sampling attempts before a random stream counts as degenerate
 _RETRY_CAP = 64
 
 
@@ -73,106 +82,62 @@ def _want_shape(m: Mat, rows: int, cols: int, what: str):
 
 
 @dataclass(frozen=True)
-class DualPointA:
-    """Point (y, vstar) of the affine dual: y is n x n, vstar is 1 x n."""
-
-    y: Mat
-    vstar: Mat
-
-    def __post_init__(self):
-        if not self.y.is_square():
-            raise ValueError("y must be square")
-        _want_shape(self.vstar, 1, self.y.rows, "vstar")
-
-    @staticmethod
-    def traceless(y: Mat, vstar: Mat) -> "DualPointA":
-        p = DualPointA(y, vstar)
-        if y.trace() != 0:
-            raise ValueError("traceless point needs tr(y) = 0")
-        return p
-
-    @property
-    def n(self) -> int:
-        return self.y.rows
-
-    def __add__(self, other):
-        return DualPointA(self.y + other.y, self.vstar + other.vstar)
-
-    def __rmul__(self, c):
-        return DualPointA(c * self.y, c * self.vstar)
-
-
-@dataclass(frozen=True)
-class DualPointB:
-    """Point (y, wstar, xi) of the glvv dual."""
+class DualPoint:
+    """Point (y, wstar, xi) of the glvv dual -- y is n x n, wstar 1 x n,
+    xi n x 1 -- tagged with the family whose dual it lies in.  The
+    family's constraints are checked here, once."""
 
     y: Mat
     wstar: Mat
     xi: Mat
+    family: str = "glvv"
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError("unknown algebra family %r" % (self.family,))
         if not self.y.is_square():
             raise ValueError("y must be square")
         n = self.y.rows
         _want_shape(self.wstar, 1, n, "wstar")
         _want_shape(self.xi, n, 1, "xi")
+        fam = self.family
+        if fam in ("aff", "isl") and self.xi != Mat.zero(n, 1):
+            raise ValueError("%s point needs xi = 0" % fam)
+        if fam == "isl" and self.y.trace() != 0:
+            raise ValueError("isl point needs tr(y) = 0")
+        if fam in ("io", "iso"):
+            if not self.y.is_skew():
+                raise ValueError("y must be skew-symmetric")
+            if self.xi != -self.wstar.transpose():
+                raise ValueError("%s point needs xi = -wstar^T" % fam)
+
+    @staticmethod
+    def of(family: str, y: Mat, wstar: Mat, xi: Mat = None) -> "DualPoint":
+        """The family's point over (y, wstar); a missing xi is the family's
+        fill, -wstar^T for io/iso and zero otherwise."""
+        if xi is None:
+            xi = -wstar.transpose() if family in ("io", "iso") else Mat.zero(y.rows, 1)
+        return DualPoint(y, wstar, xi, family)
 
     @property
     def n(self) -> int:
         return self.y.rows
 
     def __add__(self, other):
-        return DualPointB(self.y + other.y, self.wstar + other.wstar, self.xi + other.xi)
+        # the constraints are linear, so a sum within one family stays in it
+        fam = self.family if other.family == self.family else "glvv"
+        return DualPoint(self.y + other.y, self.wstar + other.wstar,
+                         self.xi + other.xi, fam)
 
     def __rmul__(self, c):
-        return DualPointB(c * self.y, c * self.wstar, c * self.xi)
+        return DualPoint(c * self.y, c * self.wstar, c * self.xi, self.family)
 
 
 @dataclass(frozen=True)
-class DualPointC:
-    """Point (y, wstar) of the orthogonal dual; y must be skew."""
-
-    y: Mat
-    wstar: Mat
-
-    def __post_init__(self):
-        if not self.y.is_skew():
-            raise ValueError("y must be skew-symmetric")
-        _want_shape(self.wstar, 1, self.y.rows, "wstar")
-
-    @property
-    def n(self) -> int:
-        return self.y.rows
-
-    def __add__(self, other):
-        return DualPointC(self.y + other.y, self.wstar + other.wstar)
-
-    def __rmul__(self, c):
-        return DualPointC(c * self.y, c * self.wstar)
-
-
-@dataclass(frozen=True)
-class GroupElemA:
-    """Element (g, u) with g invertible."""
-
-    g: Mat
-    u: Mat
-
-    def __post_init__(self):
-        if not self.g.is_square():
-            raise ValueError("g must be square")
-        _want_shape(self.u, self.g.rows, 1, "u")
-        if det(self.g) == 0:
-            raise ValueError("singular")
-
-    @property
-    def n(self) -> int:
-        return self.g.rows
-
-
-@dataclass(frozen=True)
-class GroupElemB:
-    """Element (g, u, vstar) with g invertible."""
+class GroupElem:
+    """Element (g, u, vstar) of the glvv group, g invertible.  The aff and
+    isl groups are the elements with vstar = 0 (det g = 1 for isl); the
+    orthogonal groups are the elements built by orthogonal()."""
 
     g: Mat
     u: Mat
@@ -187,23 +152,26 @@ class GroupElemB:
         if det(self.g) == 0:
             raise ValueError("singular")
 
+    @staticmethod
+    def orthogonal(g: Mat, u: Mat) -> "GroupElem":
+        """The io/iso element (g, u), embedded as (g, u, -u^T); needs g^T g = I."""
+        if g.transpose() * g != Mat.identity(g.rows):
+            raise ValueError("non-orthogonal")
+        return GroupElem(g, u, -u.transpose())
+
     @property
     def n(self) -> int:
         return self.g.rows
 
 
-def compose_A(a1: GroupElemA, a2: GroupElemA) -> GroupElemA:
-    return GroupElemA(a1.g * a2.g, a1.u + a1.g * a2.u)
+def compose(b1: GroupElem, b2: GroupElem) -> GroupElem:
+    return GroupElem(b1.g * b2.g, b1.u + b1.g * b2.u,
+                     b1.vstar + b2.vstar * inverse(b1.g))
 
 
-def compose_B(b1: GroupElemB, b2: GroupElemB) -> GroupElemB:
-    return GroupElemB(b1.g * b2.g, b1.u + b1.g * b2.u,
-                      b1.vstar + b2.vstar * inverse(b1.g))
-
-
-def inverse_B(b: GroupElemB) -> GroupElemB:
+def group_inverse(b: GroupElem) -> GroupElem:
     gi = inverse(b.g)
-    return GroupElemB(gi, -(gi * b.u), -(b.vstar * b.g))
+    return GroupElem(gi, -(gi * b.u), -(b.vstar * b.g))
 
 
 # -- deterministic splittable randomness ------------------------------------
@@ -334,81 +302,76 @@ def sample_orthogonal(rng: Rng, n: int, bound: int, det_sign: int = 1) -> Mat:
     return q
 
 
-def sample_group(alg: Algebra, rng: Rng, bound: int):
+def sample_group(alg: Algebra, rng: Rng, bound: int) -> GroupElem:
     """Random group element of the family; bound caps integer parameters."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     n = alg.n
+    fam = alg.family
     u = sample_vec(rng, n, bound)
-    if alg.family == "aff":
-        return GroupElemA(sample_gl(rng, n, bound), u)
-    if alg.family == "isl":
-        return GroupElemA(sample_sl(rng, n, bound), u)
-    if alg.family == "glvv":
-        return GroupElemB(sample_gl(rng, n, bound), u, sample_covec(rng, n, bound))
-    if alg.family == "io":
-        sign = -1 if rng.coin() else 1
-        return GroupElemA(sample_orthogonal(rng, n, bound, sign), u)
-    return GroupElemA(sample_orthogonal(rng, n, bound, 1), u)
+    if fam in ("io", "iso"):
+        sign = -1 if fam == "io" and rng.coin() else 1
+        return GroupElem.orthogonal(sample_orthogonal(rng, n, bound, sign), u)
+    if fam == "glvv":
+        return GroupElem(sample_gl(rng, n, bound), u, sample_covec(rng, n, bound))
+    g = sample_sl(rng, n, bound) if fam == "isl" else sample_gl(rng, n, bound)
+    return GroupElem(g, u, Mat.zero(1, n))
 
 
-def sample_dual(alg: Algebra, rng: Rng, bound: int):
+def sample_dual(alg: Algebra, rng: Rng, bound: int) -> DualPoint:
     """Random dual point of the family with integer coordinates."""
     n = alg.n
-    if alg.family == "aff":
-        return DualPointA(sample_int_mat(rng, n, n, bound), sample_covec(rng, n, bound))
-    if alg.family == "isl":
-        y = sample_int_mat(rng, n, n, bound).to_lists()
+    fam = alg.family
+    if fam in ("io", "iso"):
+        return DualPoint.of(fam, sample_skew(rng, n, bound), sample_covec(rng, n, bound))
+    y = sample_int_mat(rng, n, n, bound)
+    if fam == "isl":
+        y = y.to_lists()
         y[n - 1][n - 1] = -sum(y[i][i] for i in range(n - 1))
-        return DualPointA.traceless(Mat(y), sample_covec(rng, n, bound))
-    if alg.family == "glvv":
-        return DualPointB(sample_int_mat(rng, n, n, bound),
-                          sample_covec(rng, n, bound), sample_vec(rng, n, bound))
-    return DualPointC(sample_skew(rng, n, bound), sample_covec(rng, n, bound))
+        y = Mat(y)
+    wstar = sample_covec(rng, n, bound)
+    xi = sample_vec(rng, n, bound) if fam == "glvv" else None
+    return DualPoint.of(fam, y, wstar, xi)
 
 
-# -- coadjoint actions --------------------------------------------------------
+# -- the coadjoint action -----------------------------------------------------
 
-def coad_A(a: GroupElemA, l: DualPointA) -> DualPointA:
-    """(g, u) . (y, vstar) = (g y g^-1 + u (vstar g^-1), vstar g^-1)."""
-    if a.n != l.n:
-        raise ValueError("size mismatch between element and point")
-    gi = inverse(a.g)
-    vg = l.vstar * gi
-    return DualPointA(a.g * l.y * gi + a.u * vg, vg)
+def project_traceless(l: DualPoint) -> DualPoint:
+    """Projection onto the isl dual: y -> y - (tr(y)/n) I.
+
+    The determinant semi-invariant does not see scalar shifts of y, so
+    this is the well-defined quotient representative; a traceless point
+    is left as it is."""
+    n = l.n
+    return DualPoint(l.y - (l.y.trace() / n) * Mat.identity(n), l.wstar, l.xi, "isl")
 
 
-def coad_B(b: GroupElemB, l: DualPointB) -> DualPointB:
+def coad(b: GroupElem, l: DualPoint) -> DualPoint:
     """Composite of the three factor actions, in the fixed factorization:
 
         (g, 0, 0):  (y, w, xi) -> (g y g^-1, w g^-1, g xi)
         (e, 0, v):  (y, w, xi) -> (y - xi v, w, xi)
         (e, u, 0):  (y, w, xi) -> (y + u w, w, xi)
+
+    The image is a point of l's family.  For isl the aff image is
+    projected onto the isl dual, which is the isl coadjoint action.  The
+    element's group is not tested, but an image that leaves the family's
+    dual (a non-orthogonal g on an io point, say) fails the point's checks.
     """
     if b.n != l.n:
         raise ValueError("size mismatch between element and point")
     gi = inverse(b.g)
-    y = b.g * l.y * gi
     w = l.wstar * gi
     xi = b.g * l.xi
-    y = y - xi * b.vstar
-    y = y + b.u * w
-    return DualPointB(y, w, xi)
+    y = b.g * l.y * gi - xi * b.vstar + b.u * w
+    if l.family == "isl":
+        return project_traceless(DualPoint(y, w, xi, "aff"))
+    return DualPoint(y, w, xi, l.family)
 
 
-def coad_C(a: GroupElemA, l: DualPointC) -> DualPointC:
-    """Orthogonal inhomogeneous action: embed the point as
-    (y, wstar, -wstar^T), act through coad_B with the element
-    (g, u, -u^T), and project back.  Requires g^T g = I."""
-    if a.n != l.n:
-        raise ValueError("size mismatch between element and point")
-    if a.g.transpose() * a.g != Mat.identity(a.n):
-        raise ValueError("non-orthogonal")
-    lb = DualPointB(l.y, l.wstar, -l.wstar.transpose())
-    be = GroupElemB(a.g, a.u, -a.u.transpose())
-    r = coad_B(be, lb)
-    assert r.xi == -r.wstar.transpose(), "orthogonal action left the embedded dual"
-    return DualPointC(r.y, r.wstar)
+# the per-family names, still imported by the benchmark harness
+GroupElemB = GroupElem
+coad_A = coad_B = coad_C = coad
 
 
 # -- triples, brackets, the involution and the embedding ---------------------
@@ -435,7 +398,7 @@ def bracket_b(t1, t2):
     return (x1 * x2 - x2 * x1, x1 * u2 - x2 * u1, -(v2 * x1) + v1 * x2)
 
 
-def pairing(l: DualPointB, t) -> Rat:
+def pairing(l: DualPoint, t) -> Rat:
     """<(y, wstar, xi), (x, u, vstar)> = tr(y x) + wstar u + vstar xi."""
     x, u, v = t
     return (l.y * x).trace() + scalar(l.wstar * u) + scalar(v * l.xi)
@@ -531,25 +494,14 @@ def _bracket_table(alg: Algebra):
     return table
 
 
-def _dual_triple(alg: Algebra, point) -> DualPointB:
-    """View any family's dual point inside the glvv dual (zero fills)."""
-    n = alg.n
-    if alg.family in ("aff", "isl"):
-        return DualPointB(point.y, point.vstar, Mat.zero(n, 1))
-    if alg.family == "glvv":
-        return point
-    return DualPointB(point.y, point.wstar, Mat.zero(n, 1))
-
-
-def commutator_form(alg: Algebra, point) -> Mat:
+def commutator_form(alg: Algebra, point: DualPoint) -> Mat:
     """Skew matrix M(l)_ij = <l, [b_i, b_j]> over the fixed basis."""
-    lb = _dual_triple(alg, point)
     table = _bracket_table(alg)
     d = len(table)
     m = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            v = pairing(lb, table[i][j - i - 1])
+            v = pairing(point, table[i][j - i - 1])
             m[i][j] = v
             m[j][i] = -v
     return Mat(m)
@@ -581,7 +533,7 @@ def ad_translation(u: Mat, vstar: Mat, t):
     return tuple(a + b + Fraction(1, 2) * c for a, b, c in zip(t, first, second))
 
 
-def Ad_B(b: GroupElemB, t):
+def Ad(b: GroupElem, t):
     """Adjoint action of (g, u, vstar) through the fixed factorization."""
     gi = inverse(b.g)
     x, uu, vv = t
@@ -595,35 +547,33 @@ def Ad_B(b: GroupElemB, t):
 def algebra_from_json(obj) -> Algebra:
     try:
         return Algebra(str(obj["algebra"]), int(obj["n"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError("point JSON needs an algebra family and a size n") from exc
 
 
-def dual_to_json(alg: Algebra, point) -> dict:
-    out = {"algebra": alg.family, "n": alg.n, "y": mat_to_json(point.y)}
-    if alg.family in ("aff", "isl"):
-        out["vstar"] = mat_to_json(point.vstar)
-    elif alg.family == "glvv":
-        out["wstar"] = mat_to_json(point.wstar)
+def _covector_key(family: str) -> str:
+    # the aff/isl covector keeps its historical JSON name
+    return "vstar" if family in ("aff", "isl") else "wstar"
+
+
+def dual_to_json(alg: Algebra, point: DualPoint) -> dict:
+    """JSON of a point; the filled xi of aff/isl/io/iso is left out."""
+    out = {"algebra": alg.family, "n": alg.n, "y": mat_to_json(point.y),
+           _covector_key(alg.family): mat_to_json(point.wstar)}
+    if alg.family == "glvv":
         out["xi"] = mat_to_json(point.xi)
-    else:
-        out["wstar"] = mat_to_json(point.wstar)
     return out
 
 
 def dual_from_json(obj):
-    """Parse a dual point; returns (Algebra, point)."""
+    """Parse a dual point; returns (Algebra, DualPoint)."""
     alg = algebra_from_json(obj)
+    fam = alg.family
     try:
         y = mat_from_json(obj["y"])
-        if alg.family in ("aff", "isl"):
-            point = DualPointA(y, mat_from_json(obj["vstar"]))
-            if alg.family == "isl" and y.trace() != 0:
-                raise ValueError("isl point needs tr(y) = 0")
-        elif alg.family == "glvv":
-            point = DualPointB(y, mat_from_json(obj["wstar"]), mat_from_json(obj["xi"]))
-        else:
-            point = DualPointC(y, mat_from_json(obj["wstar"]))
+        wstar = mat_from_json(obj[_covector_key(fam)])
+        xi = mat_from_json(obj["xi"]) if fam == "glvv" else None
+        point = DualPoint.of(fam, y, wstar, xi)
     except KeyError as exc:
         raise ValueError("point JSON is missing a component") from exc
     if point.n != alg.n:
@@ -631,7 +581,7 @@ def dual_from_json(obj):
     return alg, point
 
 
-def group_to_json(alg: Algebra, elem) -> dict:
+def group_to_json(alg: Algebra, elem: GroupElem) -> dict:
     out = {"algebra": alg.family, "n": alg.n,
            "g": mat_to_json(elem.g), "u": mat_to_json(elem.u)}
     if alg.family == "glvv":
@@ -645,9 +595,11 @@ def group_from_json(obj):
         g = mat_from_json(obj["g"])
         u = mat_from_json(obj["u"])
         if alg.family == "glvv":
-            elem = GroupElemB(g, u, mat_from_json(obj["vstar"]))
+            elem = GroupElem(g, u, mat_from_json(obj["vstar"]))
+        elif alg.family in ("io", "iso"):
+            elem = GroupElem.orthogonal(g, u)
         else:
-            elem = GroupElemA(g, u)
+            elem = GroupElem(g, u, Mat.zero(1, g.rows))
     except KeyError as exc:
         raise ValueError("group JSON is missing a component") from exc
     if elem.n != alg.n:

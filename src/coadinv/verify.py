@@ -22,13 +22,12 @@ from . import invariants as inv
 from .charpoly import (bordered_char_identities, char_data, directional_coeff,
                        interp_coeffs)
 from .exactmat import Mat, det, inverse, mat_to_json, rank, rat_str, scalar
-from .liealg import (Algebra, DualPointA, DualPointB, DualPointC, GroupElemA,
-                     GroupElemB, Rng, algebra_basis, bracket_b, coad_A,
-                     coad_B, coad_C, commutator_form, dual_to_json, embed_M,
-                     group_to_json, index_of, k_bracket, reflection,
-                     sample_dual, sample_gl, sample_group, sample_int_mat,
-                     sample_orthogonal, sample_skew, sample_triple,
-                     sample_vec, theta, triple_zero)
+from .liealg import (_RETRY_CAP, FAMILIES, Algebra, DualPoint, GroupElem, Rng,
+                     algebra_basis, bracket_b, coad, commutator_form,
+                     dual_to_json, embed_M, group_to_json, index_of, k_bracket,
+                     reflection, sample_dual, sample_gl, sample_group,
+                     sample_int_mat, sample_orthogonal, sample_skew,
+                     sample_triple, sample_vec, theta, triple_zero)
 
 
 @dataclass(frozen=True)
@@ -117,18 +116,15 @@ def _suite_semi_invariance_f(cfg: SuiteConfig, rec: _Recorder):
         for _ in range(cfg.samples):
             l = sample_dual(alg, rng, cfg.coeff_bound)
             a = sample_group(alg, rng, cfg.coeff_bound)
-            image = coad_A(a, l)
+            image = coad(a, l)
+            ctx = lambda l=l, a=a: {"point": dual_to_json(alg, l),
+                                    "elem": group_to_json(alg, a)}
             if special:
-                image = inv.project_traceless(image)
                 rec.check("f_bar constant under the special affine action", n,
-                          inv.f_bar(image), inv.f_bar(l),
-                          lambda l=l, a=a: {"point": dual_to_json(alg, l),
-                                            "elem": group_to_json(alg, a)})
+                          inv.f_bar(image), inv.f_bar(l), ctx)
             else:
                 rec.check("f(coad(a) l) * det(g) = f(l)", n,
-                          inv.f_invariant(image) * det(a.g), inv.f_invariant(l),
-                          lambda l=l, a=a: {"point": dual_to_json(alg, l),
-                                            "elem": group_to_json(alg, a)})
+                          inv.f_invariant(image) * det(a.g), inv.f_invariant(l), ctx)
 
 
 def _suite_covariance_phi(cfg: SuiteConfig, rec: _Recorder):
@@ -138,7 +134,7 @@ def _suite_covariance_phi(cfg: SuiteConfig, rec: _Recorder):
         for _ in range(cfg.samples):
             l = sample_dual(alg, rng, cfg.coeff_bound)
             a = sample_group(alg, rng, cfg.coeff_bound)
-            image = coad_A(a, l)
+            image = coad(a, l)
             gi = inverse(a.g)
             left = inv.phi_rows(image)
             right = [row * gi for row in inv.phi_rows(l)]
@@ -157,12 +153,12 @@ def _suite_invariance_F(cfg: SuiteConfig, rec: _Recorder):
             l = sample_dual(alg, rng, cfg.coeff_bound)
             b = sample_group(alg, rng, cfg.coeff_bound)
             rec.check("generators constant under the full action", n,
-                      inv.F_all(coad_B(b, l)), inv.F_all(l),
+                      inv.F_all(coad(b, l)), inv.F_all(l),
                       lambda l=l, b=b: {"point": dual_to_json(alg, l),
                                         "elem": group_to_json(alg, b)})
-            vonly = GroupElemB(Mat.identity(n), Mat.zero(n, 1), b.vstar)
+            vonly = GroupElem(Mat.identity(n), Mat.zero(n, 1), b.vstar)
             rec.check("generators constant under the covector translation", n,
-                      inv.F_all(coad_B(vonly, l)), inv.F_all(l),
+                      inv.F_all(coad(vonly, l)), inv.F_all(l),
                       lambda l=l, b=b: {"point": dual_to_json(alg, l),
                                         "vstar": mat_to_json(b.vstar)})
 
@@ -175,7 +171,7 @@ def _suite_invariance_psi(cfg: SuiteConfig, rec: _Recorder):
             l = sample_dual(alg, rng, cfg.coeff_bound)
             a = sample_group(alg, rng, cfg.coeff_bound)
             rec.check("orthogonal generators constant under the action", n,
-                      inv.psi_all(coad_C(a, l)), inv.psi_all(l),
+                      inv.psi_all(coad(a, l)), inv.psi_all(l),
                       lambda l=l, a=a: {"point": dual_to_json(alg, l),
                                         "elem": group_to_json(alg, a)})
 
@@ -191,11 +187,11 @@ def _suite_exotic_sign(cfg: SuiteConfig, rec: _Recorder):
             q = sample_orthogonal(rng, n, cfg.coeff_bound, 1)
             u = sample_vec(rng, n, cfg.coeff_bound)
             rec.check("exotic generator fixed under the special action", n,
-                      inv.exotic_phi(coad_C(GroupElemA(q, u), l)), inv.exotic_phi(l),
-                      lambda l=l: {"point": dual_to_json(alg, l)})
-            r = GroupElemA(q * reflection(n), u)
+                      inv.exotic_phi(coad(GroupElem.orthogonal(q, u), l)),
+                      inv.exotic_phi(l), lambda l=l: {"point": dual_to_json(alg, l)})
+            r = GroupElem.orthogonal(q * reflection(n), u)
             rec.check("exotic generator flips under a reflection", n,
-                      inv.exotic_phi(coad_C(r, l)), -inv.exotic_phi(l),
+                      inv.exotic_phi(coad(r, l)), -inv.exotic_phi(l),
                       lambda l=l: {"point": dual_to_json(alg, l)})
             if inv.exotic_phi(l) != 0:
                 nonzero_seen = True
@@ -216,7 +212,8 @@ def _suite_dual_path(cfg: SuiteConfig, rec: _Recorder):
                           lambda l=l: {"point": dual_to_json(alg, l)})
                 if fam == "isl":
                     c = Fraction(rng.int_between(-cfg.coeff_bound, cfg.coeff_bound))
-                    shifted = DualPointA(l.y + c * Mat.identity(n), l.vstar)
+                    # y + cI is not traceless, so the shifted point is an aff one
+                    shifted = DualPoint.of("aff", l.y + c * Mat.identity(n), l.wstar)
                     rec.check("semi-invariant blind to scalar shifts of y", n,
                               inv.f_invariant(shifted), inv.f_invariant(l),
                               lambda l=l, c=c: {"point": dual_to_json(alg, l),
@@ -239,28 +236,6 @@ def _suite_dual_path(cfg: SuiteConfig, rec: _Recorder):
                               lambda l=l: {"point": dual_to_json(alg, l)})
 
 
-def _glvv_directions(n: int):
-    dirs = []
-    for i in range(n):
-        for j in range(n):
-            dirs.append(DualPointB(Mat.unit(n, i, j), Mat.zero(1, n), Mat.zero(n, 1)))
-    for i in range(n):
-        dirs.append(DualPointB(Mat.zero(n, n), Mat.basis_row(n, i), Mat.zero(n, 1)))
-    for i in range(n):
-        dirs.append(DualPointB(Mat.zero(n, n), Mat.zero(1, n), Mat.basis_col(n, i)))
-    return dirs
-
-
-def _so_directions(n: int):
-    dirs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            dirs.append(DualPointC(Mat.unit(n, i, j) - Mat.unit(n, j, i), Mat.zero(1, n)))
-    for i in range(n):
-        dirs.append(DualPointC(Mat.zero(n, n), Mat.basis_row(n, i)))
-    return dirs
-
-
 def _jacobian_rank(point, directions, eval_vec, width: int, degree_bound: int) -> int:
     """Exact Jacobian rank of a vector-valued polynomial map at the point,
     one directional derivative per coordinate direction."""
@@ -279,9 +254,12 @@ def _suite_independence(cfg: SuiteConfig, rec: _Recorder):
     for n in range(max(cfg.n_lo, 2), cfg.n_hi + 1):
         alg = Algebra(fam, n)
         rng = Rng(cfg.seed).child("independence", fam, n)
+        # coordinate directions of the dual: the basis, transposed (the
+        # orthogonal generators read only y and wstar, so xi stays 0 there)
+        directions = [DualPoint(x, u.transpose(), v.transpose())
+                      for x, u, v in algebra_basis(alg)]
         if fam == "glvv":
             eval_vec = inv.F_all
-            directions = _glvv_directions(n)
             expected = n
         else:
             ell = alg.ell
@@ -290,7 +268,6 @@ def _suite_independence(cfg: SuiteConfig, rec: _Recorder):
                     return inv.psi_all(p)[:ell] + (inv.exotic_phi(p),)
             else:
                 eval_vec = inv.psi_all
-            directions = _so_directions(n)
             expected = ell + 1
         bound_degree = n + 1
         for _ in range(cfg.samples):
@@ -298,7 +275,7 @@ def _suite_independence(cfg: SuiteConfig, rec: _Recorder):
             # resampled so a failure means actual dependence, not bad luck
             got = None
             point = None
-            for _attempt in range(64):
+            for _attempt in range(_RETRY_CAP):
                 point = sample_dual(alg, rng, cfg.coeff_bound)
                 got = _jacobian_rank(point, directions, eval_vec, expected, bound_degree)
                 if got == expected:
@@ -362,7 +339,7 @@ def _suite_orbit_fibration(cfg: SuiteConfig, rec: _Recorder):
             l = inv.sample_open_b(rng, n, cfg.coeff_bound)
             _, normal = inv.orbit_normalize(l)
             a = sample_group(aalg, rng, cfg.coeff_bound)
-            moved = coad_B(GroupElemB(a.g, a.u, Mat.zero(1, n)), l)
+            moved = coad(a, l)
             _, normal2 = inv.orbit_normalize(moved)
             ctx = lambda l=l, a=a: {"point": dual_to_json(alg, l),
                                     "elem": group_to_json(aalg, a)}
@@ -375,10 +352,10 @@ def _suite_orbit_fibration(cfg: SuiteConfig, rec: _Recorder):
                       normal.xi, inv.pi_projection(l), ctx)
             rec.check("generators survive normalization", n,
                       inv.F_all(normal), inv.F_all(l), ctx)
-            vonly = GroupElemB(Mat.identity(n), Mat.zero(n, 1),
-                               sample_int_mat(rng, 1, n, cfg.coeff_bound))
+            vonly = GroupElem(Mat.identity(n), Mat.zero(n, 1),
+                              sample_int_mat(rng, 1, n, cfg.coeff_bound))
             rec.check("fiber projection constant along the covector translation", n,
-                      inv.pi_projection(coad_B(vonly, l)), inv.pi_projection(l), ctx)
+                      inv.pi_projection(coad(vonly, l)), inv.pi_projection(l), ctx)
 
 
 def _suite_theta(cfg: SuiteConfig, rec: _Recorder):
@@ -476,8 +453,7 @@ def _suite_sbg_generators(cfg: SuiteConfig, rec: _Recorder):
         for _ in range(cfg.samples):
             l = sample_dual(alg, rng, cfg.coeff_bound)
             g = sample_gl(rng, n, cfg.coeff_bound)
-            elem = GroupElemB(g, Mat.zero(n, 1), Mat.zero(1, n))
-            moved = coad_B(elem, l)
+            moved = coad(GroupElem(g, Mat.zero(n, 1), Mat.zero(1, n)), l)
             rec.check("coefficient functions constant under conjugation", n,
                       char_data(moved.y).p, char_data(l.y).p,
                       lambda l=l, g=g: {"point": dual_to_json(alg, l), "g": mat_to_json(g)})
@@ -590,8 +566,6 @@ class _SuiteSpec:
         return self.plan_families or self.families
 
 
-_ANY = ("aff", "isl", "glvv", "io", "iso")
-
 SUITES = {
     "semi-invariance-f": _SuiteSpec(
         _suite_semi_invariance_f,
@@ -616,7 +590,7 @@ SUITES = {
     "dual-path": _SuiteSpec(
         _suite_dual_path,
         "each generator has two independent formulas that agree exactly",
-        _ANY, (1, 5), ("aff", "isl", "glvv", "io")),
+        FAMILIES, (1, 5), ("aff", "isl", "glvv", "io")),
     "independence": _SuiteSpec(
         _suite_independence,
         "the Jacobian of the generator family reaches full rank",
@@ -624,7 +598,7 @@ SUITES = {
     "index": _SuiteSpec(
         _suite_index,
         "dim minus the generic commutator-form rank matches the frozen value",
-        _ANY, (2, 5), samples_cap=20),
+        FAMILIES, (2, 5), samples_cap=20),
     "slices": _SuiteSpec(
         _suite_slices,
         "slice restrictions match the closed slice polynomials up to frozen signs",
@@ -644,15 +618,15 @@ SUITES = {
     "cayley-hamilton": _SuiteSpec(
         _suite_cayley_hamilton,
         "x B_{n-1}(x) = p_n(x) I and det(tI - x) matches the coefficients",
-        _ANY, (1, 6), ("glvv",)),
+        FAMILIES, (1, 6), ("glvv",)),
     "gradient-Bk": _SuiteSpec(
         _suite_gradient_Bk,
         "tr(B_k(x) y) is the exact first-order coefficient of p_{k+1}(x + t y)",
-        _ANY, (1, 5), ("glvv",)),
+        FAMILIES, (1, 5), ("glvv",)),
     "skew-parity": _SuiteSpec(
         _suite_skew_parity,
         "odd coefficients vanish and odd gradients are skew on skew matrices",
-        _ANY, (1, 6), ("glvv",)),
+        FAMILIES, (1, 6), ("glvv",)),
     "sbg-generators": _SuiteSpec(
         _suite_sbg_generators,
         "coefficient functions and pairing moments are constant under conjugation",
@@ -687,18 +661,28 @@ def default_plan():
     return plan
 
 
+def suite_range(name: str, family: str, n_min=None, n_max=None) -> tuple:
+    """The suite's default n range cut to [n_min, n_max]; a request that
+    misses it entirely is refused, never clamped."""
+    lo, hi = default = SUITES[name].default_range
+    if n_min is not None:
+        lo = max(lo, n_min)
+    if n_max is not None:
+        hi = min(hi, n_max)
+    if lo > hi:
+        raise ValueError("suite %r on %s supports n in %d..%d, which misses the "
+                         "requested n_min=%s, n_max=%s" % ((name, family) + default
+                                                           + (n_min, n_max)))
+    return lo, hi
+
+
 def run_all(seed: int = 0, samples: int = 100, n_max=None, n_min=None,
             coeff_bound: int = 3):
-    """Run the full plan; per-suite default ranges, clamped by n_min/n_max."""
-    reports = []
+    """Run the full plan, each suite over its default range cut to
+    [n_min, n_max]; every range is checked before any suite runs."""
+    plan = []
     for name, fam in default_plan():
-        lo, hi = SUITES[name].default_range
-        if n_max is not None:
-            hi = min(hi, n_max)
-        if n_min is not None:
-            lo = max(lo, n_min)
-        lo = min(lo, hi)
-        cfg = SuiteConfig(algebra=fam, n_lo=lo, n_hi=hi, samples=samples,
-                          coeff_bound=coeff_bound, seed=seed)
-        reports.append(run_suite(name, cfg))
-    return reports
+        lo, hi = suite_range(name, fam, n_min, n_max)
+        plan.append((name, SuiteConfig(algebra=fam, n_lo=lo, n_hi=hi, samples=samples,
+                                       coeff_bound=coeff_bound, seed=seed)))
+    return [run_suite(name, cfg) for name, cfg in plan]

@@ -12,7 +12,7 @@ from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
                                 EXOTIC_SQUARE_SIGN, F_SLICE_SIGN, F_invariant,
                                 PSI_SLICE_SIGN, exotic_phi, psi_invariant,
                                 sample_open_b)
-from coadinv.liealg import (Algebra, DualPointB, GroupElemA, Rng,
+from coadinv.liealg import (Algebra, DualPoint, GroupElem, Rng, coad,
                             commutator_form, index_of, reflection,
                             sample_dual, sample_orthogonal, sample_vec)
 from coadinv.exactmat import rank
@@ -50,7 +50,7 @@ def test_criterion_03_canonical_evaluation():
     for n in range(1, 7):
         pair = CanonicalPair.of_size(n)
         for i in range(n):
-            l = DualPointB(pair.J, pair.enstar, Mat.basis_col(n, i))
+            l = DualPoint(pair.J, pair.enstar, Mat.basis_col(n, i))
             for k in range(n):
                 expected = 1 if n - 1 - k == i else 0
                 assert F_invariant(k, l) == expected, (n, i, k)
@@ -95,7 +95,7 @@ def test_criterion_07_odd_even_dichotomy():
         alg = Algebra("io", n)
         for _ in range(100):
             l = sample_dual(alg, rng, 3)
-            lb = DualPointB(l.y, l.wstar, -l.wstar.transpose())
+            lb = DualPoint(l.y, l.wstar, -l.wstar.transpose())
             for k in range(1, n, 2):
                 assert F_invariant(k, lb) == 0, (n, k)
     for n in (3, 5):
@@ -115,10 +115,9 @@ def test_criterion_07_odd_even_dichotomy():
             l = sample_dual(alg, rng, 3)
             q = sample_orthogonal(rng, n, 3, 1)
             u = sample_vec(rng, n, 3)
-            from coadinv.liealg import coad_C
-            assert exotic_phi(coad_C(GroupElemA(q, u), l)) == exotic_phi(l)
-            r = GroupElemA(q * reflection(n), u)
-            assert exotic_phi(coad_C(r, l)) == -exotic_phi(l)
+            assert exotic_phi(coad(GroupElem.orthogonal(q, u), l)) == exotic_phi(l)
+            r = GroupElem.orthogonal(q * reflection(n), u)
+            assert exotic_phi(coad(r, l)) == -exotic_phi(l)
     print("\nACCEPTANCE 7 PASS: odd restrictions vanish; exotic square and "
           "Pfaffian square identities; reflection flips the sign, rotations fix it")
 

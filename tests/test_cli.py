@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
+from coadinv import cli
 from coadinv.cli import main
-from coadinv.exactmat import Mat, mat_to_json, rat_str
+from coadinv.exactmat import ExactnessError, Mat, mat_to_json, rat_str
 from coadinv.invariants import (CanonicalPair, F_all, SlicePointISL, f_bar,
                                 slice_isl, t_slice)
 from coadinv.liealg import Algebra, Rng, dual_to_json, sample_dual
@@ -88,6 +91,29 @@ def test_eval_malformed_json(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("entries", [[5], ["12"], {"12": 0}, "12", 12])
+def test_eval_entries_not_a_list_of_rows(tmp_path, capsys, entries):
+    # a 1 x 2 covector fits n = 2, so a string or dict that passed the
+    # length checks would have been read as the row [1, 2]
+    obj = canonical_point_json(2, [3, 4])
+    obj["wstar"] = {"rows": 1, "cols": 2, "entries": entries}
+    path = write_point(tmp_path, obj)
+    code, out, err = run_cli(capsys, ["eval", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_exactness_failure_exits_one(tmp_path, capsys, monkeypatch):
+    def broken(point):
+        raise ExactnessError("characteristic recursion lost exactness")
+    monkeypatch.setattr(cli.inv, "F_all", broken)
+    path = write_point(tmp_path, canonical_point_json(2, [1, 2]))
+    code, _, err = run_cli(capsys, ["eval", "--input", path])
+    assert code == 1
+    assert err.startswith("error:") and "exactness" in err
+
+
 def test_eval_shape_mismatch(tmp_path, capsys):
     obj = canonical_point_json(3, [5, 7, 11])
     obj["n"] = 4
@@ -141,6 +167,19 @@ def test_verify_all_quick(capsys):
     assert all(r["passed"] for r in reports)
 
 
+def test_verify_refuses_a_range_outside_every_suite(capsys):
+    # n <= 6 everywhere: a request for n = 7 used to run smaller sizes and pass
+    code, out, err = run_cli(capsys, ["verify", "--all", "--n-min", "7", "--n-max", "7",
+                                      "--samples", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "semi-invariance-f" in err and "1..5" in err
+    code, _, err = run_cli(capsys, ["verify", "--suite", "slices", "--algebra", "isl",
+                                    "--n-min", "7", "--samples", "2"])
+    assert code == 2
+    assert "'slices' on isl supports n in 2..6" in err
+
+
 def test_verify_output_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, ["verify", "--suite", "skew-parity",
@@ -164,11 +203,11 @@ def test_orbit_already_normal(tmp_path, capsys):
 
 def test_orbit_roundtrip(tmp_path, capsys):
     from coadinv.invariants import sample_open_b, orbit_normalize
-    from coadinv.liealg import GroupElemB, coad_B, sample_group
+    from coadinv.liealg import GroupElem, coad, sample_group
     rng = Rng(93)
     l = sample_open_b(rng, 3, 3)
     a = sample_group(Algebra("aff", 3), rng, 3)
-    moved = coad_B(GroupElemB(a.g, a.u, Mat.zero(1, 3)), l)
+    moved = coad(GroupElem(a.g, a.u, Mat.zero(1, 3)), l)
     path = write_point(tmp_path, dual_to_json(Algebra("glvv", 3), moved))
     code, out, _ = run_cli(capsys, ["orbit", "--input", path])
     assert code == 0

@@ -183,6 +183,10 @@ def test_json_rejects_malformed():
         mat_from_json({"rows": 1, "cols": 1, "entries": [["x"]]})
     with pytest.raises(ValueError):
         mat_from_json([1, 2])
+    # entries must be a list of row lists; strings and dicts are not rows
+    for entries in ([5], ["12"], {"12": 0}, "1", [[1], "2"]):
+        with pytest.raises(ValueError, match="list of rows"):
+            mat_from_json({"rows": 1, "cols": 2, "entries": entries})
 
 
 def test_rat_str():

@@ -15,13 +15,10 @@ Regenerate (only when a change of behaviour is intended) with
 
 import json
 import os
-import sys
 
 from coadinv.cli import main
-from coadinv.invariants import project_traceless
-from coadinv.liealg import (FAMILIES, Algebra, Rng, coad_A, coad_B, coad_C,
-                            dual_to_json, group_to_json, sample_dual,
-                            sample_group)
+from coadinv.liealg import (FAMILIES, Algebra, Rng, coad, dual_to_json,
+                            group_to_json, sample_dual, sample_group)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -35,16 +32,6 @@ def _cli_json(argv, workdir):
     code = main(argv + ["--output", out])
     with open(out, encoding="utf-8") as fh:
         return code, json.load(fh)
-
-
-def _image(alg, elem, point):
-    if alg.family == "aff":
-        return coad_A(elem, point)
-    if alg.family == "isl":
-        return project_traceless(coad_A(elem, point))
-    if alg.family == "glvv":
-        return coad_B(elem, point)
-    return coad_C(elem, point)
 
 
 def build_verify_all(workdir) -> str:
@@ -68,7 +55,7 @@ def build_points(workdir) -> str:
             entry = {"family": fam, "n": n,
                      "point": dual_to_json(alg, point),
                      "elem": group_to_json(alg, elem),
-                     "image": dual_to_json(alg, _image(alg, elem, point))}
+                     "image": dual_to_json(alg, coad(elem, point))}
             for key in ("point", "image"):
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(entry[key], fh)
@@ -101,4 +88,3 @@ if __name__ == "__main__":
                             ("points.json", build_points)):
             with open(os.path.join(GOLDEN, name), "w", encoding="utf-8") as fh:
                 fh.write(build(tmp))
-    sys.exit(0)

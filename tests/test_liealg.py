@@ -1,15 +1,14 @@
 import pytest
 
 from coadinv.exactmat import Mat, det, inverse, rank
-from coadinv.liealg import (Ad_B, Algebra, DualPointA, DualPointB, DualPointC,
-                            GroupElemA, GroupElemB, Rng, algebra_basis,
-                            bracket_b, cayley, coad_A, coad_B, coad_C,
-                            commutator_form, compose_A, compose_B,
-                            dual_from_json, dual_to_json, embed_M,
-                            group_from_json, group_to_json, index_of,
-                            inverse_B, k_bracket, pairing, reflection,
-                            sample_dual, sample_group, sample_orthogonal,
-                            sample_skew, sample_triple, theta, triple_zero)
+from coadinv.liealg import (Ad, Algebra, DualPoint, GroupElem, Rng,
+                            algebra_basis, bracket_b, cayley, coad,
+                            commutator_form, compose, dual_from_json,
+                            dual_to_json, embed_M, group_from_json,
+                            group_inverse, group_to_json, index_of, k_bracket,
+                            pairing, sample_dual, sample_group,
+                            sample_orthogonal, sample_skew, sample_triple,
+                            theta, triple_zero)
 
 
 # -- randomness ---------------------------------------------------------------
@@ -55,17 +54,23 @@ def test_algebra_validation():
 
 def test_group_elem_rejects_singular():
     with pytest.raises(ValueError, match="singular"):
-        GroupElemA(Mat([[1, 1], [1, 1]]), Mat.zero(2, 1))
+        GroupElem(Mat([[1, 1], [1, 1]]), Mat.zero(2, 1), Mat.zero(1, 2))
 
 
 def test_dual_point_c_rejects_non_skew():
-    with pytest.raises(ValueError):
-        DualPointC(Mat([[0, 1], [1, 0]]), Mat.row([1, 2]))
+    with pytest.raises(ValueError, match="skew"):
+        DualPoint.of("io", Mat([[0, 1], [1, 0]]), Mat.row([1, 2]))
+    # the orthogonal view also pins xi = -wstar^T
+    with pytest.raises(ValueError, match="xi"):
+        DualPoint(Mat.zero(2, 2), Mat.row([1, 2]), Mat.zero(2, 1), "iso")
 
 
 def test_traceless_constructor():
-    with pytest.raises(ValueError):
-        DualPointA.traceless(Mat.identity(2), Mat.row([1, 0]))
+    with pytest.raises(ValueError, match="tr"):
+        DualPoint.of("isl", Mat.identity(2), Mat.row([1, 0]))
+    with pytest.raises(ValueError, match="xi"):
+        DualPoint(Mat.zero(2, 2), Mat.row([1, 0]), Mat.col([0, 1]), "aff")
+    assert DualPoint.of("aff", Mat.identity(2), Mat.row([1, 0])).xi == Mat.zero(2, 1)
 
 
 # -- samplers --------------------------------------------------------------------
@@ -112,13 +117,11 @@ def test_sample_dual_shapes():
 def test_identity_acts_trivially():
     rng = Rng(34)
     n = 3
-    la = sample_dual(Algebra("aff", n), rng, 3)
-    assert coad_A(GroupElemA(Mat.identity(n), Mat.zero(n, 1)), la) == la
-    lb = sample_dual(Algebra("glvv", n), rng, 3)
-    ident_b = GroupElemB(Mat.identity(n), Mat.zero(n, 1), Mat.zero(1, n))
-    assert coad_B(ident_b, lb) == lb
-    lc = sample_dual(Algebra("io", n), rng, 3)
-    assert coad_C(GroupElemA(Mat.identity(n), Mat.zero(n, 1)), lc) == lc
+    ident = GroupElem(Mat.identity(n), Mat.zero(n, 1), Mat.zero(1, n))
+    assert GroupElem.orthogonal(Mat.identity(n), Mat.zero(n, 1)) == ident
+    for fam in ("aff", "isl", "glvv", "io", "iso"):
+        l = sample_dual(Algebra(fam, n), rng, 3)
+        assert coad(ident, l) == l
 
 
 def test_translation_part_of_affine_action():
@@ -126,9 +129,10 @@ def test_translation_part_of_affine_action():
     n = 3
     l = sample_dual(Algebra("aff", n), rng, 3)
     u = Mat.col([1, -2, 3])
-    moved = coad_A(GroupElemA(Mat.identity(n), u), l)
-    assert moved.y == l.y + u * l.vstar
-    assert moved.vstar == l.vstar
+    moved = coad(GroupElem(Mat.identity(n), u, Mat.zero(1, n)), l)
+    assert moved.y == l.y + u * l.wstar
+    assert moved.wstar == l.wstar
+    assert moved.xi == Mat.zero(n, 1) and moved.family == "aff"
 
 
 def test_coad_A_group_law():
@@ -139,7 +143,8 @@ def test_coad_A_group_law():
             a1 = sample_group(alg, rng, 3)
             a2 = sample_group(alg, rng, 3)
             l = sample_dual(alg, rng, 3)
-            assert coad_A(compose_A(a1, a2), l) == coad_A(a1, coad_A(a2, l))
+            assert a1.vstar == Mat.zero(1, n)
+            assert coad(compose(a1, a2), l) == coad(a1, coad(a2, l))
 
 
 def test_coad_B_group_law():
@@ -150,7 +155,7 @@ def test_coad_B_group_law():
             b1 = sample_group(alg, rng, 3)
             b2 = sample_group(alg, rng, 3)
             l = sample_dual(alg, rng, 3)
-            assert coad_B(compose_B(b1, b2), l) == coad_B(b1, coad_B(b2, l))
+            assert coad(compose(b1, b2), l) == coad(b1, coad(b2, l))
 
 
 def test_coad_C_group_law_and_skewness():
@@ -161,16 +166,20 @@ def test_coad_C_group_law_and_skewness():
             a1 = sample_group(alg, rng, 3)
             a2 = sample_group(alg, rng, 3)
             l = sample_dual(alg, rng, 3)
-            lhs = coad_C(compose_A(a1, a2), l)
-            rhs = coad_C(a1, coad_C(a2, l))
+            lhs = coad(compose(a1, a2), l)
+            rhs = coad(a1, coad(a2, l))
             assert lhs == rhs
             assert lhs.y.is_skew()
+            assert lhs.xi == -lhs.wstar.transpose()
 
 
 def test_coad_C_rejects_non_orthogonal():
     with pytest.raises(ValueError, match="orthogonal"):
-        coad_C(GroupElemA(Mat.diag([2, 1]), Mat.zero(2, 1)),
-               DualPointC(Mat.zero(2, 2), Mat.row([1, 0])))
+        GroupElem.orthogonal(Mat.diag([2, 1]), Mat.zero(2, 1))
+    # a non-orthogonal element moves an io point out of the io dual
+    stretch = GroupElem(Mat.diag([2, 1]), Mat.zero(2, 1), Mat.zero(1, 2))
+    with pytest.raises(ValueError, match="xi"):
+        coad(stretch, DualPoint.of("io", Mat.zero(2, 2), Mat.row([1, 0])))
 
 
 def test_pairing_consistency_with_adjoint():
@@ -183,17 +192,17 @@ def test_pairing_consistency_with_adjoint():
             b = sample_group(alg, rng, 3)
             l = sample_dual(alg, rng, 3)
             x = sample_triple(rng, n, 3)
-            assert pairing(coad_B(b, l), x) == pairing(l, Ad_B(inverse_B(b), x))
+            assert pairing(coad(b, l), x) == pairing(l, Ad(group_inverse(b), x))
 
 
 def test_inverse_B():
     rng = Rng(40)
     alg = Algebra("glvv", 3)
-    ident = GroupElemB(Mat.identity(3), Mat.zero(3, 1), Mat.zero(1, 3))
+    ident = GroupElem(Mat.identity(3), Mat.zero(3, 1), Mat.zero(1, 3))
     for _ in range(10):
         b = sample_group(alg, rng, 3)
-        assert compose_B(b, inverse_B(b)) == ident
-        assert compose_B(inverse_B(b), b) == ident
+        assert compose(b, group_inverse(b)) == ident
+        assert compose(group_inverse(b), b) == ident
 
 
 # -- bracket, involution, embedding ---------------------------------------------------
@@ -324,7 +333,7 @@ def test_group_json_roundtrip():
 
 def test_dual_json_rejects_mismatch():
     alg = Algebra("glvv", 2)
-    obj = dual_to_json(alg, DualPointB(Mat.identity(2), Mat.row([1, 0]), Mat.col([0, 1])))
+    obj = dual_to_json(alg, DualPoint(Mat.identity(2), Mat.row([1, 0]), Mat.col([0, 1])))
     obj["n"] = 3
     with pytest.raises(ValueError):
         dual_from_json(obj)

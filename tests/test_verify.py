@@ -4,8 +4,9 @@ import pytest
 
 from coadinv.invariants import (EXOTIC_SLICE_SIGN, EXOTIC_SQUARE_SIGN,
                                 F_SLICE_SIGN, PSI_SLICE_SIGN)
+from coadinv import verify
 from coadinv.verify import (SUITES, SuiteConfig, default_plan, resolve_sign,
-                            run_all, run_suite)
+                            run_all, run_suite, suite_range)
 
 QUICK = dict(n_lo=1, n_hi=3, samples=6, seed=9)
 
@@ -113,3 +114,16 @@ def test_run_all_quick():
     assert all(r.passed for r in reports)
     names = {(r.suite, r.algebra) for r in reports}
     assert names == set(default_plan())
+
+
+def test_run_all_refuses_an_empty_range(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "run_suite", lambda name, cfg: calls.append(name))
+    # independence supports n in 2..5, so n_max = 1 leaves it nothing to run; the
+    # whole plan is refused before any suite starts
+    with pytest.raises(ValueError, match="'independence' on glvv supports n in 2..5"):
+        run_all(seed=9, samples=2, n_max=1)
+    assert calls == []
+    assert suite_range("index", "aff", n_min=3, n_max=9) == (3, 5)
+    run_all(seed=9, samples=2, n_max=2)
+    assert len(calls) == len(default_plan())
