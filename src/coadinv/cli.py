@@ -117,11 +117,12 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     if not args.all and not args.suite:
         raise ValueError("verify needs --suite NAME or --all")
-    n_lo = args.n_min
-    n_hi = args.n_max
-    if args.n is not None:
-        n_lo = n_hi = args.n
+    if args.all and (args.suite or args.algebra):
+        raise ValueError("--all runs the whole plan; drop --suite and --algebra")
+    if args.n is not None and (args.n_min is not None or args.n_max is not None):
+        raise ValueError("--n runs a single size; drop --n-min and --n-max")
     if args.all:
+        n_lo, n_hi = (args.n_min, args.n_max) if args.n is None else (args.n, args.n)
         reports = run_all(seed=args.seed, samples=args.samples,
                           n_max=n_hi, n_min=n_lo, coeff_bound=args.bound)
     else:
@@ -132,7 +133,7 @@ def cmd_verify(args) -> int:
         if args.n is not None:  # a single size overrides the suite's default range
             lo = hi = args.n
         else:
-            lo, hi = suite_range(args.suite, fam, n_lo, n_hi)
+            lo, hi = suite_range(args.suite, fam, args.n_min, args.n_max)
         reports = [run_suite(args.suite,
                              SuiteConfig(algebra=fam, n_lo=lo, n_hi=hi,
                                          samples=args.samples,

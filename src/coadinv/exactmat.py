@@ -8,11 +8,13 @@ shared freely across threads.
 
 JSON encoding used repo-wide:
     {"rows": r, "cols": c, "entries": [["p/q", ...], ...]}
-with rationals rendered as "p/q" strings ("p" alone when q = 1).
+with rationals rendered as "p/q" strings ("p" alone when q = 1).  Reading
+also takes JSON integers as entries; sizes must be JSON integers.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -337,20 +339,40 @@ def mat_to_json(a: Mat) -> dict:
     }
 
 
+def json_size(obj: dict, key: str) -> int:
+    """A size field of a JSON document: a JSON integer, never a bool,
+    float or string (1.9 and true are not 1)."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError("JSON %r must be an integer, got %r" % (key, value))
+    return value
+
+
+_RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _json_rat(value) -> Rat:
+    # decimal and exponent forms are refused: "1e200000" alone would be a
+    # 664,386-bit integer
+    if type(value) is int or isinstance(value, str) and _RAT_RE.fullmatch(value):
+        return Fraction(value)
+    raise ValueError("%r is not an integer or a \"p\"/\"p/q\" string" % (value,))
+
+
 def mat_from_json(obj) -> Mat:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = json_size(obj, "rows")
+        cols = json_size(obj, "cols")
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
         raise ValueError("matrix JSON needs rows, cols and entries") from exc
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise ValueError("matrix JSON entries must be a list of rows")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("matrix JSON entries do not match rows x cols")
     try:
-        return Mat([[Fraction(str(v)) for v in row] for row in entries])
+        return Mat([[_json_rat(v) for v in row] for row in entries])
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("matrix JSON has a malformed rational") from exc
+        raise ValueError("matrix JSON has a malformed rational: %s" % exc) from exc

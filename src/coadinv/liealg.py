@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import (Mat, Rat, det, inverse, mat_from_json, mat_to_json,
-                       rank, rat_str, scalar)
+from .exactmat import (Mat, Rat, det, inverse, json_size, mat_from_json,
+                       mat_to_json, rank, scalar)
 
 FAMILIES = ("aff", "isl", "glvv", "io", "iso")
 
@@ -546,8 +546,8 @@ def Ad(b: GroupElem, t):
 
 def algebra_from_json(obj) -> Algebra:
     try:
-        return Algebra(str(obj["algebra"]), int(obj["n"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return Algebra(str(obj["algebra"]), json_size(obj, "n"))
+    except (KeyError, TypeError) as exc:
         raise ValueError("point JSON needs an algebra family and a size n") from exc
 
 

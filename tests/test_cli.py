@@ -235,3 +235,75 @@ def test_orbit_rejects_wrong_family(tmp_path, capsys):
     path = write_point(tmp_path, obj)
     code, _, _ = run_cli(capsys, ["orbit", "--input", str(path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n-max", "3", "--samples", "1", "--seed", "2"],   # index: one degenerate draw
+    ["--n-max", "3", "--samples", "1", "--seed", "3"],
+    ["--n-max", "2", "--samples", "1", "--seed", "0"],   # exotic-sign: one zero value
+])
+def test_verify_all_passes_at_one_sample(capsys, argv):
+    code, out, err = run_cli(capsys, ["verify", "--all"] + argv)
+    assert code == 0, err
+    assert all(r["passed"] for r in json.loads(out))
+
+
+def test_verify_refuses_a_run_that_checks_nothing(capsys):
+    # the exotic generator lives at odd sizes only
+    code, out, err = run_cli(capsys, ["verify", "--suite", "exotic-sign", "--algebra", "iso",
+                                      "--n", "2"])
+    assert code == 2
+    assert out == ""
+    assert "'exotic-sign' on iso checks nothing at n in 2..2" in err
+
+
+def test_verify_independence_checks_size_one(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "independence", "--algebra", "glvv",
+                                    "--n", "1", "--samples", "5"])
+    assert code == 0
+    report, = json.loads(out)
+    assert report["passed"] is True and report["checks_run"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["--all", "--suite", "theta"],
+    ["--all", "--algebra", "io"],
+    ["--suite", "index", "--n", "2", "--n-min", "3"],
+    ["--suite", "index", "--n", "2", "--n-max", "3"],
+    ["--all", "--n", "2", "--n-min", "2"],
+])
+def test_verify_refuses_flags_it_would_ignore(capsys, argv):
+    code, out, err = run_cli(capsys, ["verify", "--samples", "1"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("where, value", [
+    (("n",), 1.9), (("n",), 1.0), (("n",), True), (("n",), "1"),
+    (("wstar", "rows"), True), (("wstar", "cols"), 1.0), (("wstar", "cols"), "1"),
+    (("wstar", "entries", 0, 0), "1e200000"), (("wstar", "entries", 0, 0), "0.5"),
+    (("wstar", "entries", 0, 0), 0.25), (("wstar", "entries", 0, 0), True),
+    (("wstar", "entries", 0, 0), " 1"),
+])
+def test_eval_refuses_non_integer_sizes_and_entries(tmp_path, capsys, where, value):
+    # at n = 1 each of these used to be read as a valid point: 1.9, 1.0,
+    # true and "1" as the size 1, and "1e200000" as a 664,386-bit integer
+    obj = canonical_point_json(1, [3])
+    node = obj
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    code, out, err = run_cli(capsys, ["eval", "--input", write_point(tmp_path, obj)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert ("is not an integer or" if "entries" in where else "must be an integer") in err
+
+
+def test_eval_reads_integer_entries(tmp_path, capsys):
+    obj = canonical_point_json(2, [3, 4])
+    obj["xi"]["entries"] = [[3], [-4]]
+    code, out, _ = run_cli(capsys, ["eval", "--input", write_point(tmp_path, obj)])
+    assert code == 0
+    assert [v["value"] for v in json.loads(out)] == ["-4", "3"]

@@ -59,3 +59,29 @@ def test_substituted_json_parses_or_raises_value_error(doc_pick, path_pick, valu
         parse(bad)
     except ValueError:
         pass
+
+
+# sizes must be JSON integers and entries JSON integers or "p"/"p/q"
+# strings; a decimal or exponent form would otherwise be read as a number
+NOT_A_SIZE = (st.booleans() | st.floats(allow_nan=False) | st.text(max_size=4)
+              | st.integers().map(str))
+NOT_AN_ENTRY = (st.booleans() | st.floats(allow_nan=False)
+                | st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,3}|[eE][0-9]{1,7})", fullmatch=True)
+                | st.integers().map(lambda v: " %d" % v))
+
+
+def _typed_paths(doc):
+    sizes = [p for p in _paths(doc) if p and p[-1] in ("n", "rows", "cols")]
+    entries = [p for p in _paths(doc) if "entries" in p[:-2]]
+    return sizes, entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0), st.integers(min_value=0), st.booleans(),
+       NOT_A_SIZE, NOT_AN_ENTRY)
+def test_non_integer_sizes_and_entries_are_refused(doc_pick, path_pick, at_size, size, entry):
+    parse, doc = DOCS[doc_pick % len(DOCS)]
+    sizes, entries = _typed_paths(doc)
+    paths, value = (sizes, size) if at_size else (entries, entry)
+    with pytest.raises(ValueError):
+        parse(_substitute(doc, paths[path_pick % len(paths)], value))

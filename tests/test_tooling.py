@@ -16,3 +16,34 @@ def test_no_assert_statements():
         found += ["%s:%d" % (os.path.basename(path), node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _n_range_loops(func):
+    # a for loop or comprehension whose iterable reads n_lo or n_hi
+    loops = [node.iter for node in ast.walk(func)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    return [it.lineno for it in loops for node in ast.walk(it)
+            if isinstance(node, ast.Attribute) and node.attr in ("n_lo", "n_hi")
+            or isinstance(node, ast.Name) and node.id in ("n_lo", "n_hi")]
+
+
+def _rng_constructions(func):
+    return [node.lineno for node in ast.walk(func) if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "Rng"
+                 or getattr(node.func, "attr", None) in ("Rng", "child"))]
+
+
+def test_only_run_suite_owns_the_unit_frame():
+    # one suite scaffold: run_suite alone loops over the n range and derives
+    # each unit's stream; a property body gets both from its unit
+    path = os.path.join(SRC, "verify.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    funcs = [node for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    owner = [f for f in funcs if getattr(f, "name", None) == "run_suite"]
+    assert len(owner) == 1 and _n_range_loops(owner[0]) and _rng_constructions(owner[0])
+    inside_owner = set(ast.walk(owner[0]))
+    found = ["verify.py:%d" % line for f in funcs if f not in inside_owner
+             for line in _n_range_loops(f) + _rng_constructions(f)]
+    assert found == []

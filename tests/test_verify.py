@@ -1,12 +1,16 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from coadinv.exactmat import mat_to_json
 from coadinv.invariants import (EXOTIC_SLICE_SIGN, EXOTIC_SQUARE_SIGN,
                                 F_SLICE_SIGN, PSI_SLICE_SIGN)
 from coadinv import verify
-from coadinv.verify import (SUITES, SuiteConfig, default_plan, resolve_sign,
-                            run_all, run_suite, suite_range)
+from coadinv.liealg import (Algebra, Rng, dual_from_json, dual_to_json,
+                            group_from_json, group_to_json, sample_triple)
+from coadinv.verify import (SUITES, SuiteConfig, VerifyReport, _Unit, default_plan,
+                            resolve_sign, run_all, run_suite, suite_range)
 
 QUICK = dict(n_lo=1, n_hi=3, samples=6, seed=9)
 
@@ -60,19 +64,26 @@ def test_reports_are_deterministic():
 
 def test_failure_witnesses_are_replayable():
     # force a failure by checking a deliberately wrong identity through the
-    # public recorder path: the index suite with a wrong frozen value would
-    # do, so instead simulate one directly
-    from coadinv.verify import VerifyReport, _Recorder
+    # unit that every property body sees
+    alg = Algebra("glvv", 3)
     report = VerifyReport(suite="demo", algebra="glvv", claim="demo")
-    rec = _Recorder(report)
-    from fractions import Fraction
-    rec.check("one equals two", 3, Fraction(1), Fraction(2),
-              lambda: {"inputs": "here"})
-    assert not report.passed
-    witness = report.failures[0]
-    assert witness["check"] == "one equals two"
+    unit = _Unit(alg, Rng(5), 1, 3, report, {})
+    l, a = unit.pair()
+    s = sample_triple(unit.rng, 3, 3)
+    unit.check("one equals two", Fraction(1), Fraction(2),
+               point=l, elem=a, x=l.y, t=Fraction(1, 2), s=s)
+    # inputs are encoded only on failure, so a passing check takes anything
+    unit.check("one equals one", Fraction(1), Fraction(1), inputs=object())
+    assert not report.passed and report.checks_run == 2
+    witness, = report.failures
+    assert witness["check"] == "one equals two" and witness["n"] == 3
     assert witness["lhs"] == "1" and witness["rhs"] == "2"
-    assert witness["inputs"] == {"inputs": "here"}
+    assert witness["inputs"] == {
+        "point": dual_to_json(alg, l), "elem": group_to_json(alg, a),
+        "x": mat_to_json(l.y), "t": "1/2",
+        "s": {"x": mat_to_json(s[0]), "u": mat_to_json(s[1]), "vstar": mat_to_json(s[2])}}
+    assert dual_from_json(witness["inputs"]["point"]) == (alg, l)
+    assert group_from_json(witness["inputs"]["elem"]) == (alg, a)
     assert json.dumps(report.to_json())  # serializable
 
 
