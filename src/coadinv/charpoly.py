@@ -11,15 +11,21 @@ Closed form: B_0 = I and B_k = x^k - p_1 x^(k-1) - ... - p_k I.  Both p and
 B come out of one trace recursion, p_k = tr(x B_{k-1}) / k and
 B_k = x B_{k-1} - p_k I, which is self-checking: the recursion ends on the
 Cayley-Hamilton residue x B_{n-1} = p_n I, checked on every call.
+
+For x = A / d with integer A, p_k and B_k are homogeneous of degree k, so
+the recursion runs on A alone, in integers: p_k(x) = p_k(A) / d^k and
+B_k(x) = B_k(A) / d^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, Sequence
 
-from .exactmat import ExactnessError, Mat, Rat, inverse, scalar
+from .exactmat import ExactnessError, Mat, Rat, int_mat_mul, inverse, scalar
 
 
 @dataclass(frozen=True)
@@ -43,25 +49,30 @@ class CharData:
 
 
 def char_data(x: Mat) -> CharData:
-    """Run the trace recursion on a square matrix."""
+    """Run the trace recursion on the integer numerator of a square matrix."""
     if not x.is_square():
         raise ValueError("char_data needs a square matrix")
     n = x.rows
-    ident = Mat.identity(n)
+    a, d = x.num_den()
     p = []
-    B = [ident]
-    acc = x  # x * B_{k-1}
+    B = [tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))]
+    acc = a  # A * B_{k-1}(A)
     for k in range(1, n + 1):
-        pk = acc.trace() / k
+        pk, rem = divmod(sum(acc[i][i] for i in range(n)), k)
+        if rem:
+            raise ExactnessError("trace recursion: %d does not divide tr(A B_%d)" % (k, k - 1))
         p.append(pk)
         if k <= n - 1:
-            Bk = acc - pk * ident
+            Bk = tuple(tuple([v - pk if i == j else v for j, v in enumerate(row)])
+                       for i, row in enumerate(acc))
             B.append(Bk)
-            acc = x * Bk
+            acc = int_mat_mul(a, Bk)
     # Cayley-Hamilton residue; a failure here means broken arithmetic.
-    if acc != p[-1] * ident:
+    pn = p[-1]
+    if any(v != (pn if i == j else 0) for i, row in enumerate(acc) for j, v in enumerate(row)):
         raise ExactnessError("characteristic recursion lost exactness")
-    return CharData(n, tuple(p), tuple(B))
+    return CharData(n, tuple(Fraction(pk, d ** k) for k, pk in enumerate(p, start=1)),
+                    tuple(Mat.from_num_den(Bk, d ** k) for k, Bk in enumerate(B)))
 
 
 # -- exact interpolation ----------------------------------------------------
@@ -69,42 +80,55 @@ def char_data(x: Mat) -> CharData:
 _VAND_INV_CACHE: dict = {}
 
 
-def _vandermonde_inverse(d: int):
-    rows = _VAND_INV_CACHE.get(d)
-    if rows is None:
-        v = Mat([[Fraction(t) ** j for j in range(d + 1)] for t in range(d + 1)])
-        rows = inverse(v).to_lists()
-        _VAND_INV_CACHE[d] = rows
-    return rows
+def _vandermonde_inverse(deg: int):
+    """Inverse of the Vandermonde matrix at the nodes t = 0..deg, as
+    integer rows over one common denominator."""
+    entry = _VAND_INV_CACHE.get(deg)
+    if entry is None:
+        v = Mat([[t ** j for j in range(deg + 1)] for t in range(deg + 1)])
+        entry = inverse(v).num_den()
+        _VAND_INV_CACHE[deg] = entry
+    return entry
+
+
+def _over_common(values: Sequence[Rat]):
+    """Integer numerators of the values over their least common denominator."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def interp_coeffs(values: Sequence[Rat]) -> tuple:
     """Monomial coefficients c_0..c_D of the polynomial taking the given
     values at the integer nodes t = 0, 1, ..., D (D = len(values) - 1)."""
-    d = len(values) - 1
-    if d < 0:
+    deg = len(values) - 1
+    if deg < 0:
         raise ValueError("need at least one value")
-    inv = _vandermonde_inverse(d)
-    return tuple(sum((r * v for r, v in zip(row, values)), Fraction(0)) for row in inv)
+    rows, e = _vandermonde_inverse(deg)
+    nums, den = _over_common(values)
+    return tuple(Fraction(sum(map(mul, row, nums)), e * den) for row in rows)
 
 
 def directional_coeff(F: Callable, base, direction, order: int, degree_bound: int) -> Rat:
     """Exact coefficient of t**order in t -> F(base + t * direction).
 
-    Evaluates at t = 0..degree_bound and solves the Vandermonde system
+    Evaluates at t = 0..degree_bound + 1 and solves the Vandermonde system
     exactly, so the answer is an identity, not an approximation.  The bound
-    must be at least the true degree of the restriction; a bound that is
-    too small silently corrupts the result, so callers pass a documented
-    worst case (deg p_k = k; downstream generators document theirs).
-    base and direction only need + and scalar *.
+    must be at least the true degree of the restriction; callers pass a
+    documented worst case (deg p_k = k; downstream generators document
+    theirs).  The one node past the bound is a check: the interpolant's
+    coefficient of t**(degree_bound + 1) must vanish, otherwise the bound
+    was too small and ExactnessError is raised.  base and direction only
+    need + and scalar *.
     """
     if order < 0 or order > degree_bound:
         raise ValueError("order must lie in 0..degree_bound")
     values = [F(base) if t == 0 else F(base + Fraction(t) * direction)
-              for t in range(degree_bound + 1)]
-    inv = _vandermonde_inverse(degree_bound)
-    row = inv[order]
-    return sum((r * v for r, v in zip(row, values)), Fraction(0))
+              for t in range(degree_bound + 2)]
+    rows, e = _vandermonde_inverse(degree_bound + 1)
+    nums, den = _over_common(values)
+    if sum(map(mul, rows[-1], nums)):
+        raise ExactnessError("restriction has degree above the bound %d" % degree_bound)
+    return Fraction(sum(map(mul, rows[order], nums)), e * den)
 
 
 # -- bordered matrices -------------------------------------------------------
@@ -118,9 +142,7 @@ def bordered(y: Mat, v: Mat, wstar: Mat, a) -> Mat:
         raise ValueError("bordered needs an n x 1 column")
     if wstar.rows != 1 or wstar.cols != n:
         raise ValueError("bordered needs a 1 x n row")
-    rows = [list(y.row_tuple(i)) + [v[i, 0]] for i in range(n)]
-    rows.append(list(wstar.row_tuple(0)) + [Fraction(a)])
-    return Mat(rows)
+    return Mat.block([[y, v], [wstar, Mat([[a]])]])
 
 
 def bordered_char_identities(y: Mat, v: Mat, wstar: Mat, a):

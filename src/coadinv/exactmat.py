@@ -1,10 +1,17 @@
 """Exact rational scalars and dense rational matrices.
 
 Everything downstream evaluates polynomials at rational points, so this is
-the only module where arithmetic happens: every entry is a
-fractions.Fraction and every operation is exact.  There is no floating
-point anywhere.  Matrices are immutable and hashable, so values can be
-shared freely across threads.
+the only module where matrix arithmetic happens.  Every value is an exact
+rational; there is no floating point anywhere.  Matrices are immutable and
+hashable, so values can be shared freely across threads.
+
+A matrix is stored the way FLINT stores an fmpq_mat: integer rows A over
+one positive common denominator d, in lowest terms (gcd(d, all entries of
+A) = 1).  The form is canonical, so equality and hashing compare (A, d)
+directly, and all arithmetic is integer arithmetic: a product is one
+integer matmul over d_a d_b, and the elimination kernels run fraction-free
+(Bareiss) on A with exact division by the previous pivot.  Entries read
+back through the accessors are fractions.Fraction values.
 
 JSON encoding used repo-wide:
     {"rows": r, "cols": c, "entries": [["p/q", ...], ...]}
@@ -16,6 +23,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Sequence
 
 Rat = Fraction
@@ -36,31 +45,73 @@ def rat_str(value: Rat) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
+def _frac(v: int, d: int) -> Rat:
+    return Fraction(v) if d == 1 else Fraction(v, d)
+
+
 class Mat:
-    """Dense rows x cols matrix of exact rationals, stored row-major.
+    """Dense rows x cols matrix of exact rationals: integer rows over one
+    positive denominator, in lowest terms.
 
     Instances are immutable; arithmetic returns new matrices.  Scalar
     multiplication accepts int or Fraction on either side.
     """
 
-    __slots__ = ("rows", "cols", "_m")
+    __slots__ = ("rows", "cols", "_a", "_d")
 
     def __init__(self, entries: Sequence[Sequence]):
-        m = tuple(tuple(Fraction(v) for v in row) for row in entries)
+        m = [[v if type(v) is int else Fraction(v) for v in row] for row in entries]
         if not m or not m[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(m[0])
         if any(len(row) != width for row in m):
             raise ValueError("ragged rows")
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        d = lcm(*[v.denominator for row in m for v in row])
         self.rows = len(m)
         self.cols = width
-        self._m = m
+        self._a = tuple(tuple([v.numerator * (d // v.denominator) for v in row])
+                        for row in m)
+        self._d = d
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def from_num_den(a: Sequence[Sequence[int]], d: int) -> "Mat":
+        """The matrix A / d for integer rows A and a nonzero integer d."""
+        a = tuple(tuple(row) for row in a)
+        if not a or not a[0]:
+            raise ValueError("matrix needs at least one row and one column")
+        if any(len(row) != len(a[0]) for row in a):
+            raise ValueError("ragged rows")
+        if d == 0:
+            raise ZeroDivisionError("denominator is zero")
+        return _normal(len(a), len(a[0]), a, d)
+
+    @staticmethod
+    def block(grid: Sequence[Sequence["Mat"]]) -> "Mat":
+        """The matrix assembled from a grid of blocks: each band of grid is
+        a row of blocks of one height, and every band has the same width."""
+        blocks = [b for band in grid for b in band]
+        if not blocks:
+            raise ValueError("block needs at least one block")
+        d = lcm(*[b._d for b in blocks])
+        rows = []
+        for band in grid:
+            if not band or any(b.rows != band[0].rows for b in band):
+                raise ValueError("blocks of one band need one height")
+            scaled = [(b._a, d // b._d) for b in band]
+            for i in range(band[0].rows):
+                rows.append(tuple([v * s for a, s in scaled for v in a[i]]))
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("bands of blocks need one width")
+        return _normal(len(rows), len(rows[0]), tuple(rows), d)
+
+    @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
-        return Mat([[0] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix needs at least one row and one column")
+        return _make(rows, cols, ((0,) * cols,) * rows, 1)
 
     @staticmethod
     def identity(n: int) -> "Mat":
@@ -98,26 +149,40 @@ class Mat:
 
     # -- basic accessors ---------------------------------------------------
 
+    def num_den(self) -> tuple:
+        """(A, d): the integer rows and the positive common denominator,
+        with gcd(d, all entries of A) = 1."""
+        return self._a, self._d
+
+    @property
+    def _m(self) -> tuple:
+        # read-only Fraction rows, built on demand and never kept
+        d = self._d
+        return tuple(tuple(_frac(v, d) for v in row) for row in self._a)
+
     def __getitem__(self, ij) -> Rat:
         i, j = ij
-        return self._m[i][j]
+        return _frac(self._a[i][j], self._d)
 
     def row_tuple(self, i: int) -> tuple:
-        return self._m[i]
+        d = self._d
+        return tuple(_frac(v, d) for v in self._a[i])
 
     def col_mat(self, j: int) -> "Mat":
-        return Mat([[self._m[i][j]] for i in range(self.rows)])
+        return _normal(self.rows, 1, tuple((row[j],) for row in self._a), self._d)
 
     def to_lists(self) -> list:
-        return [list(row) for row in self._m]
+        d = self._d
+        return [[_frac(v, d) for v in row] for row in self._a]
 
     def transpose(self) -> "Mat":
-        return Mat([[self._m[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return _make(self.cols, self.rows, tuple(zip(*self._a)), self._d)
 
     def trace(self) -> Rat:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self._m[i][i] for i in range(self.rows)), Fraction(0))
+        a = self._a
+        return _frac(sum(a[i][i] for i in range(self.rows)), self._d)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -125,42 +190,56 @@ class Mat:
     def is_skew(self) -> bool:
         if not self.is_square():
             return False
-        m = self._m
-        return all(m[i][j] == -m[j][i] for i in range(self.rows) for j in range(i, self.cols))
+        a = self._a
+        return all(a[i][j] == -a[j][i] for i in range(self.rows) for j in range(i, self.cols))
 
     # -- arithmetic --------------------------------------------------------
+
+    def _combine(self, other, op, what: str) -> "Mat":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch in %s: %dx%d vs %dx%d"
+                             % (what, self.rows, self.cols, other.rows, other.cols))
+        da, db = self._d, other._d
+        if da == db:
+            rows = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self._a, other._a))
+        else:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            rows = tuple(tuple([op(x * sa, y * sb) for x, y in zip(r1, r2)])
+                         for r1, r2 in zip(self._a, other._a))
+            da *= sa
+        return _normal(self.rows, self.cols, rows, da)
 
     def __add__(self, other) -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in add: %dx%d vs %dx%d"
-                             % (self.rows, self.cols, other.rows, other.cols))
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._m, other._m)])
+        return self._combine(other, add, "add")
 
     def __sub__(self, other) -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in sub: %dx%d vs %dx%d"
-                             % (self.rows, self.cols, other.rows, other.cols))
-        return Mat([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._m, other._m)])
+        return self._combine(other, sub, "sub")
 
     def __neg__(self) -> "Mat":
-        return Mat([[-v for v in row] for row in self._m])
+        return _make(self.rows, self.cols,
+                     tuple(tuple([-v for v in row]) for row in self._a), self._d)
+
+    def _scaled(self, c) -> "Mat":
+        num, den = c.numerator, c.denominator
+        return _normal(self.rows, self.cols,
+                       tuple(tuple([num * v for v in row]) for row in self._a),
+                       den * self._d)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             return mat_mul(self, other)
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Mat([[c * v for v in row] for row in self._m])
+            return self._scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Mat([[c * v for v in row] for row in self._m])
+            return self._scaled(other)
         return NotImplemented
 
     # -- identity ----------------------------------------------------------
@@ -168,24 +247,56 @@ class Mat:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._m == other._m
+        return (self.rows == other.rows and self.cols == other.cols
+                and self._d == other._d and self._a == other._a)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._m))
+        return hash((self.rows, self.cols, self._d, self._a))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(rat_str(v) for v in row) for row in self._m)
         return "Mat[%dx%d: %s]" % (self.rows, self.cols, body)
 
 
+def _make(rows: int, cols: int, a: tuple, d: int) -> Mat:
+    """A matrix from rows already in canonical form, unchecked."""
+    m = object.__new__(Mat)
+    m.rows = rows
+    m.cols = cols
+    m._a = a
+    m._d = d
+    return m
+
+
+def _normal(rows: int, cols: int, a: tuple, d: int) -> Mat:
+    """A matrix from integer rows over a nonzero d, brought to lowest terms."""
+    if d < 0:
+        a = tuple(tuple([-v for v in row]) for row in a)
+        d = -d
+    if d != 1:
+        g = d
+        for row in a:
+            g = gcd(g, *row)
+            if g == 1:
+                break
+        else:
+            a = tuple(tuple([v // g for v in row]) for row in a)
+            d //= g
+    return _make(rows, cols, a, d)
+
+
+def int_mat_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two integer matrices given as tuples of rows."""
+    bt = tuple(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Exact matrix product."""
+    """Exact matrix product: (A_a A_b) / (d_a d_b), reduced once."""
     if a.cols != b.rows:
         raise ValueError("dimension mismatch in mul: %dx%d by %dx%d"
                          % (a.rows, a.cols, b.rows, b.cols))
-    bt = b.transpose()
-    return Mat([[sum((x * y for x, y in zip(row, col)), Fraction(0))
-                 for col in bt._m] for row in a._m])
+    return _normal(a.rows, b.cols, int_mat_mul(a._a, b._a), a._d * b._d)
 
 
 def scalar(a: Mat) -> Rat:
@@ -196,13 +307,14 @@ def scalar(a: Mat) -> Rat:
 
 
 def det(a: Mat) -> Rat:
-    """Exact determinant, fraction-free Bareiss elimination with pivoting."""
+    """Exact determinant det(A) / d^n, with det(A) by fraction-free Bareiss
+    elimination (row pivoting, exact division by the previous pivot)."""
     if not a.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = a.rows
-    m = a.to_lists()
+    m = [list(row) for row in a._a]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for r in range(k + 1, n):
@@ -212,40 +324,40 @@ def det(a: Mat) -> Rat:
                     break
             else:
                 return Fraction(0)
-        pivot = m[k][k]
+        row_k = m[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
             row_i = m[i]
-            row_k = m[k]
+            mik = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) / prev
-            row_i[k] = Fraction(0)
+                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
         prev = pivot
-    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+    return Fraction(sign * m[n - 1][n - 1], a._d ** n)
 
 
 def rank(a: Mat) -> int:
-    """Exact rank over the rationals (Gaussian elimination)."""
-    m = a.to_lists()
+    """Exact rank over the rationals: rank(A), by fraction-free Bareiss
+    elimination to row echelon form (exact division by the previous
+    pivot keeps every entry a minor of A)."""
+    m = [list(row) for row in a._a]
     nr, nc = a.rows, a.cols
     r = 0
+    prev = 1
     for c in range(nc):
-        pivot_row = None
         for i in range(r, nr):
             if m[i][c] != 0:
-                pivot_row = i
+                m[r], m[i] = m[i], m[r]
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
+        row_r = m[r]
+        pivot = row_r[c]
         for i in range(r + 1, nr):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                row_i = m[i]
-                row_r = m[r]
-                for j in range(c, nc):
-                    row_i[j] -= f * row_r[j]
+            row_i = m[i]
+            f = row_i[c]
+            for j in range(c + 1, nc):
+                row_i[j] = (row_i[j] * pivot - f * row_r[j]) // prev
+        prev = pivot
         r += 1
         if r == nr:
             break
@@ -253,40 +365,50 @@ def rank(a: Mat) -> int:
 
 
 def inverse(a: Mat) -> Mat:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
+    """Exact inverse; raises on singular input.
+
+    Fraction-free Gauss-Jordan on [A | I]: each step updates every other
+    row as (p row_i - f row_pivot) / p_prev, exactly.  It ends on [p I | R]
+    with A^-1 = R / p, so (A / d)^-1 = d R / p.
+    """
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = a.rows
-    m = a.to_lists()
-    inv = Mat.identity(n).to_lists()
+    m = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(a._a)]
+    prev = 1
     for c in range(n):
-        pivot_row = None
         for i in range(c, n):
             if m[i][c] != 0:
-                pivot_row = i
+                m[c], m[i] = m[i], m[c]
                 break
-        if pivot_row is None:
+        else:
             raise ValueError("singular")
-        m[c], m[pivot_row] = m[pivot_row], m[c]
-        inv[c], inv[pivot_row] = inv[pivot_row], inv[c]
-        pv = m[c][c]
-        m[c] = [v / pv for v in m[c]]
-        inv[c] = [v / pv for v in inv[c]]
+        row_c = m[c]
+        pivot = row_c[c]
         for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[c])]
-                inv[i] = [v - f * w for v, w in zip(inv[i], inv[c])]
-    return Mat(inv)
+            if i != c:
+                row_i = m[i]
+                f = row_i[c]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row_i, row_c)]
+        prev = pivot
+    d = a._d
+    return _normal(n, n, tuple(tuple([d * v for v in row[n:]]) for row in m), prev)
 
 
 def pfaffian(a: Mat) -> Rat:
-    """Exact Pfaffian of an even skew-symmetric matrix.
+    """Exact Pfaffian of an even skew-symmetric matrix: Pf(A) / d^(n/2).
 
     Convention: Pf([[0, a], [-a, 0]]) = a, so pfaffian(a)**2 == det(a).
-    Computed by congruence elimination (adding multiples of rows together
-    with the matching columns preserves the Pfaffian; swapping a row/column
-    pair flips its sign).
+    Pf(A) comes from fraction-free elimination, the Pfaffian analogue of
+    Bareiss: after the pivot block (i, i+1) every remaining entry (j, l)
+    becomes the Pfaffian of the principal submatrix on the pivot indices
+    so far plus {j, l}, updated by the four-index Pfaffian identity
+
+        Pf_{S+ijkl} Pf_S = Pf_{S+ij} Pf_{S+kl} - Pf_{S+ik} Pf_{S+jl}
+                           + Pf_{S+il} Pf_{S+jk},
+
+    so the division by the previous pivot is exact.  Swapping a
+    row/column pair flips the sign.
     """
     if not a.is_square():
         raise ValueError("pfaffian of a non-square matrix")
@@ -295,47 +417,46 @@ def pfaffian(a: Mat) -> Rat:
         raise ValueError("pfaffian needs even size, got %d" % n)
     if not a.is_skew():
         raise ValueError("pfaffian of a non-skew matrix")
-    m = a.to_lists()
-    result = Fraction(1)
+    m = [list(row) for row in a._a]
+    sign = 1
+    prev = 1
     for i in range(0, n, 2):
-        k = None
-        for j in range(i + 1, n):
-            if m[i][j] != 0:
-                k = j
+        for k in range(i + 1, n):
+            if m[i][k] != 0:
                 break
-        if k is None:
+        else:
             return Fraction(0)
         if k != i + 1:
-            for r in range(n):
-                m[r][k], m[r][i + 1] = m[r][i + 1], m[r][k]
+            for row in m:
+                row[k], row[i + 1] = row[i + 1], row[k]
             m[k], m[i + 1] = m[i + 1], m[k]
-            result = -result
-        pivot = m[i][i + 1]
-        result *= pivot
+            sign = -sign
+        ri, rj = m[i], m[i + 1]
+        pivot = ri[i + 1]
         for j in range(i + 2, n):
-            # clear m[i+1][j] with row/col i, then m[i][j] with row/col i+1
-            c = m[i + 1][j] / pivot
-            if c != 0:
-                for r in range(n):
-                    m[r][j] += c * m[r][i]
-                for s in range(n):
-                    m[j][s] += c * m[i][s]
-            d = m[i][j] / pivot
-            if d != 0:
-                for r in range(n):
-                    m[r][j] -= d * m[r][i + 1]
-                for s in range(n):
-                    m[j][s] -= d * m[i + 1][s]
-    return result
+            rowj = m[j]
+            for l in range(j + 1, n):
+                v = (pivot * rowj[l] - ri[j] * rj[l] + ri[l] * rj[j]) // prev
+                rowj[l] = v
+                m[l][j] = -v
+        prev = pivot
+    return Fraction(sign * prev, a._d ** (n // 2))
 
 
 # -- JSON ------------------------------------------------------------------
 
+def _entry_str(v: int, d: int) -> str:
+    """rat_str of v / d."""
+    g = gcd(v, d)
+    return str(v // g) if g == d else "%d/%d" % (v // g, d // g)
+
+
 def mat_to_json(a: Mat) -> dict:
+    d = a._d
     return {
         "rows": a.rows,
         "cols": a.cols,
-        "entries": [[rat_str(v) for v in a.row_tuple(i)] for i in range(a.rows)],
+        "entries": [[_entry_str(v, d) for v in row] for row in a._a],
     }
 
 
@@ -351,11 +472,17 @@ def json_size(obj: dict, key: str) -> int:
 _RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _json_rat(value) -> Rat:
+def _json_num_den(value) -> tuple:
     # decimal and exponent forms are refused: "1e200000" alone would be a
     # 664,386-bit integer
-    if type(value) is int or isinstance(value, str) and _RAT_RE.fullmatch(value):
-        return Fraction(value)
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, str) and _RAT_RE.fullmatch(value):
+        num, _, den = value.partition("/")
+        den = int(den) if den else 1
+        if den == 0:
+            raise ValueError("zero denominator in %r" % (value,))
+        return int(num), den
     raise ValueError("%r is not an integer or a \"p\"/\"p/q\" string" % (value,))
 
 
@@ -372,7 +499,12 @@ def mat_from_json(obj) -> Mat:
         raise ValueError("matrix JSON entries must be a list of rows")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("matrix JSON entries do not match rows x cols")
+    if rows < 1 or cols < 1:
+        raise ValueError("matrix needs at least one row and one column")
     try:
-        return Mat([[_json_rat(v) for v in row] for row in entries])
-    except (ValueError, ZeroDivisionError) as exc:
+        parsed = [[_json_num_den(v) for v in row] for row in entries]
+    except ValueError as exc:
         raise ValueError("matrix JSON has a malformed rational: %s" % exc) from exc
+    d = lcm(*[den for row in parsed for _, den in row])
+    return _normal(rows, cols, tuple(tuple([num * (d // den) for num, den in row])
+                                     for row in parsed), d)

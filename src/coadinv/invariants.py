@@ -84,7 +84,7 @@ def f_invariant(l: DualPoint) -> Rat:
     f(coad(g,u) l) * det(g) = f(l).
     """
     rows = phi_rows(l)
-    return det(Mat([r.row_tuple(0) for r in rows]))
+    return det(Mat.block([[r] for r in rows]))
 
 
 def f_krylov(l: DualPoint) -> Rat:
@@ -97,7 +97,7 @@ def f_krylov(l: DualPoint) -> Rat:
     rows = [l.wstar]
     for _ in range(l.n - 1):
         rows.append(rows[-1] * l.y)
-    return det(Mat([r.row_tuple(0) for r in reversed(rows)]))
+    return det(Mat.block([[r] for r in reversed(rows)]))
 
 
 def f_bar(l: DualPoint) -> Rat:
@@ -309,7 +309,7 @@ def orbit_normalize(l: DualPoint):
     """
     n = l.n
     rows = phi_rows(l)
-    g = Mat([r.row_tuple(0) for r in rows])
+    g = Mat.block([[r] for r in rows])
     if det(g) == 0:
         raise NotInOpenOrbit("not in open orbit")
     pair = CanonicalPair.of_size(n)

@@ -417,10 +417,7 @@ def theta(t):
 def embed_M(t) -> Mat:
     """Bordered-matrix embedding (x, u, vstar) -> [[x, u], [vstar, 0]]."""
     x, u, v = t
-    n = x.rows
-    rows = [list(x.row_tuple(i)) + [u[i, 0]] for i in range(n)]
-    rows.append(list(v.row_tuple(0)) + [Fraction(0)])
-    return Mat(rows)
+    return Mat.block([[x, u], [v, Mat.zero(1, 1)]])
 
 
 def _border_part(p: Mat) -> Mat:

@@ -46,6 +46,9 @@ class SuiteConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        # at bound 0 every sample is a zero matrix and each check holds vacuously
+        if self.coeff_bound < 1:
+            raise ValueError("bound must be >= 1")
         if not 1 <= self.n_lo <= self.n_hi <= 8:
             raise ValueError("n range must lie within 1..8")
 
@@ -509,6 +512,8 @@ class _SuiteSpec:
     # point-driven suites cap the sample count (a handful of exact Jacobian
     # or rank evaluations already decides the claim); 0 means uncapped
     samples_cap: int = 0
+    # the suite checks something only at odd n
+    odd_only: bool = False
 
     def plan(self) -> tuple:
         return self.plan_families or self.families
@@ -534,7 +539,7 @@ SUITES = {
     "exotic-sign": _SuiteSpec(
         _suite_exotic_sign,
         "the odd-size exotic generator is rotation-invariant and flips under reflections",
-        ("io", "iso"), (1, 5)),
+        ("io", "iso"), (1, 5), odd_only=True),
     "dual-path": _SuiteSpec(
         _suite_dual_path,
         "each generator has two independent formulas that agree exactly",
@@ -623,8 +628,10 @@ def default_plan():
 
 def suite_range(name: str, family: str, n_min=None, n_max=None) -> tuple:
     """The suite's default n range cut to [n_min, n_max]; a request that
-    misses it entirely is refused, never clamped."""
-    lo, hi = default = SUITES[name].default_range
+    misses it entirely, or holds no size the suite checks, is refused,
+    never clamped."""
+    spec = SUITES[name]
+    lo, hi = default = spec.default_range
     if n_min is not None:
         lo = max(lo, n_min)
     if n_max is not None:
@@ -633,6 +640,9 @@ def suite_range(name: str, family: str, n_min=None, n_max=None) -> tuple:
         raise ValueError("suite %r on %s supports n in %d..%d, which misses the "
                          "requested n_min=%s, n_max=%s" % ((name, family) + default
                                                            + (n_min, n_max)))
+    if spec.odd_only and lo == hi and lo % 2 == 0:
+        raise ValueError("suite %r on %s checks odd n only, and n in %d..%d has none"
+                         % (name, family, lo, hi))
     return lo, hi
 
 

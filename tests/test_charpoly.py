@@ -4,7 +4,7 @@ import pytest
 
 from coadinv.charpoly import (bordered, bordered_char_identities, char_data,
                               directional_coeff, interp_coeffs)
-from coadinv.exactmat import Mat, det, rank, scalar
+from coadinv.exactmat import ExactnessError, Mat, det, rank, scalar
 from coadinv.liealg import Rng
 
 
@@ -159,6 +159,15 @@ def test_oversized_bound_is_harmless():
     got = directional_coeff(lambda m: char_data(m).coeff(1),
                             Mat.zero(3, 3), Mat.identity(3), 1, 6)
     assert got == 3
+
+
+def test_directional_refuses_a_bound_below_the_degree():
+    # p_2 of [[1, 2 + t], [3 + t, 4]] is 2 + 5t + t^2: with bound 1 the two
+    # nodes alone would give the secant slope 6, not the coefficient 5
+    x, y = Mat([[1, 2], [3, 4]]), Mat([[0, 1], [1, 0]])
+    with pytest.raises(ExactnessError, match="degree above the bound 1"):
+        directional_coeff(lambda m: char_data(m).coeff(2), x, y, 1, 1)
+    assert directional_coeff(lambda m: char_data(m).coeff(2), x, y, 1, 2) == 5
 
 
 def test_directional_rejects_bad_order():

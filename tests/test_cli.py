@@ -257,6 +257,24 @@ def test_verify_refuses_a_run_that_checks_nothing(capsys):
     assert "'exotic-sign' on iso checks nothing at n in 2..2" in err
 
 
+@pytest.mark.parametrize("suite", ["skew-parity", "cayley-hamilton", "theta"])
+def test_verify_refuses_bound_zero(capsys, suite):
+    # every sample would be a zero matrix, on which each check holds vacuously
+    code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--bound", "0",
+                                      "--samples", "3", "--n-max", "3"])
+    assert code == 2
+    assert out == ""
+    assert "bound must be >= 1" in err
+
+
+def test_verify_refuses_a_range_without_odd_sizes(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--all", "--n-min", "2", "--n-max", "2",
+                                      "--samples", "1"])
+    assert code == 2
+    assert out == ""
+    assert "'exotic-sign' on io checks odd n only, and n in 2..2 has none" in err
+
+
 def test_verify_independence_checks_size_one(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--suite", "independence", "--algebra", "glvv",
                                     "--n", "1", "--samples", "5"])

@@ -3,6 +3,8 @@
 verify_all.json is the report list of
 `coadinv verify --all --samples 4 --n-max 4 --seed 1` with the timing
 field removed; it pins every suite's check count, notes and witnesses.
+verify_all_s20.json is the same for `coadinv verify --all --samples 20
+--seed 1` over every suite's full default range (4365 checks).
 
 points.json holds, for every family and n = 1..5, the point and group
 element drawn from Rng(1).child(family, n), the coadjoint image, and
@@ -34,13 +36,20 @@ def _cli_json(argv, workdir):
         return code, json.load(fh)
 
 
-def build_verify_all(workdir) -> str:
-    code, reports = _cli_json(["verify", "--all", "--samples", "4", "--n-max", "4",
-                               "--seed", "1"], workdir)
+def _verify_all(workdir, argv) -> str:
+    code, reports = _cli_json(["verify", "--all", "--seed", "1"] + argv, workdir)
     assert code == 0
     for r in reports:
         del r["elapsed_ms"]
     return _dumps(reports)
+
+
+def build_verify_all(workdir) -> str:
+    return _verify_all(workdir, ["--samples", "4", "--n-max", "4"])
+
+
+def build_verify_all_s20(workdir) -> str:
+    return _verify_all(workdir, ["--samples", "20"])
 
 
 def build_points(workdir) -> str:
@@ -76,6 +85,10 @@ def test_golden_verify_all(tmp_path):
     assert build_verify_all(str(tmp_path)) == _golden("verify_all.json")
 
 
+def test_golden_verify_all_s20(tmp_path):
+    assert build_verify_all_s20(str(tmp_path)) == _golden("verify_all_s20.json")
+
+
 def test_golden_points(tmp_path):
     assert build_points(str(tmp_path)) == _golden("points.json")
 
@@ -85,6 +98,7 @@ if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, build in (("verify_all.json", build_verify_all),
+                            ("verify_all_s20.json", build_verify_all_s20),
                             ("points.json", build_points)):
             with open(os.path.join(GOLDEN, name), "w", encoding="utf-8") as fh:
                 fh.write(build(tmp))

@@ -47,3 +47,20 @@ def test_only_run_suite_owns_the_unit_frame():
     found = ["verify.py:%d" % line for f in funcs if f not in inside_owner
              for line in _n_range_loops(f) + _rng_constructions(f)]
     assert found == []
+
+
+def test_only_exactmat_reads_matrix_storage():
+    # one representation: the integer rows and common denominator of a Mat
+    # (and its Fraction row view) are read inside exactmat alone; other
+    # modules go through num_den() and the Fraction accessors
+    private = {"_a", "_d", "_m"}
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "exactmat.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in private]
+    assert found == []

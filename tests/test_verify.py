@@ -51,6 +51,8 @@ def test_config_validation():
         SuiteConfig(n_lo=3, n_hi=2)
     with pytest.raises(ValueError):
         SuiteConfig(n_hi=9)
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        SuiteConfig(coeff_bound=0)
 
 
 def test_reports_are_deterministic():
@@ -135,6 +137,11 @@ def test_run_all_refuses_an_empty_range(monkeypatch):
     with pytest.raises(ValueError, match="'independence' on glvv supports n in 2..5"):
         run_all(seed=9, samples=2, n_max=1)
     assert calls == []
+    # exotic-sign checks odd n only: n = 2 alone is refused before any suite runs
+    with pytest.raises(ValueError, match="'exotic-sign' on io checks odd n only"):
+        run_all(seed=9, samples=2, n_min=2, n_max=2)
+    assert calls == []
     assert suite_range("index", "aff", n_min=3, n_max=9) == (3, 5)
+    assert suite_range("exotic-sign", "iso", n_min=2, n_max=3) == (2, 3)
     run_all(seed=9, samples=2, n_max=2)
     assert len(calls) == len(default_plan())
