@@ -145,27 +145,29 @@ def bordered(y: Mat, v: Mat, wstar: Mat, a) -> Mat:
     return Mat.block([[y, v], [wstar, Mat([[a]])]])
 
 
-def bordered_char_identities(y: Mat, v: Mat, wstar: Mat, a):
-    """Check all characteristic coefficients of X = [[y, v], [wstar, a]]
-    against the closed forms in terms of y:
+def bordered_gradients(y: Mat, v: Mat, wstar: Mat, a=0) -> tuple:
+    """The pairings wstar B_k(y) v, k = 0..n-1, from one recursion on
+    X = [[y, v], [wstar, a]] and one on y, never reading B_k(y):
 
-        p_1(X)     = p_1(y) + a
-        p_{k+2}(X) = p_{k+2}(y) - a p_{k+1}(y) + wstar B_k(y) v   (0 <= k <= n-2)
-        p_{n+1}(X) = -a p_n(y) + wstar B_{n-1}(y) v
+        p_{k+2}(X) = p_{k+2}(y) - a p_{k+1}(y) + wstar B_k(y) v
 
-    Returns (True, None) on success, otherwise (False, (j, lhs, rhs)) where
-    j is the index of the first failing coefficient of X.
-    """
-    n = y.rows
+    with p_{n+1}(y) read as zero."""
     cx = char_data(bordered(y, v, wstar, a))
     cy = char_data(y)
-    a = Fraction(a)
-    pairs = [(1, cx.coeff(1), cy.coeff(1) + a)]
-    for k in range(n - 1):
-        rhs = cy.coeff(k + 2) - a * cy.coeff(k + 1) + scalar(wstar * cy.B[k] * v)
-        pairs.append((k + 2, cx.coeff(k + 2), rhs))
-    pairs.append((n + 1, cx.coeff(n + 1), -a * cy.coeff(n) + scalar(wstar * cy.B[n - 1] * v)))
-    for j, lhs, rhs in pairs:
+    return tuple(cx.coeff(k + 2) - cy.coeff(k + 2) + a * cy.coeff(k + 1)
+                 for k in range(y.rows))
+
+
+def bordered_char_identities(y: Mat, v: Mat, wstar: Mat, a):
+    """Check the coefficients p_2..p_{n+1} of X = [[y, v], [wstar, a]]:
+    each bordered_gradients value must equal wstar B_k(y) v.
+
+    Returns (True, None) on success, otherwise (False, (j, lhs, rhs)) where
+    j = k + 2 is the index of the first failing coefficient of X.
+    """
+    cy = char_data(y)
+    for k, lhs in enumerate(bordered_gradients(y, v, wstar, a)):
+        rhs = scalar(wstar * cy.B[k] * v)
         if lhs != rhs:
-            return False, (j, lhs, rhs)
+            return False, (k + 2, lhs, rhs)
     return True, None

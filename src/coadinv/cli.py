@@ -32,15 +32,18 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError("cannot read JSON input: %s" % exc) from exc
 
 
 def _emit(obj, output):
     text = json.dumps(obj, indent=2)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError("cannot write %s: %s" % (output, exc)) from exc
     else:
         print(text)
 
@@ -104,7 +107,7 @@ def cmd_eval(args) -> int:
     if args.algebra and args.algebra != alg.family:
         raise ValueError("--algebra %s does not match the input point (%s)"
                          % (args.algebra, alg.family))
-    if args.n and args.n != alg.n:
+    if args.n is not None and args.n != alg.n:
         raise ValueError("--n %d does not match the input point (n=%d)" % (args.n, alg.n))
     if args.which == "all":
         result = _eval_all(alg, point)

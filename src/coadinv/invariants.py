@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charpoly import bordered, char_data
+from .charpoly import bordered, bordered_gradients, char_data
 from .exactmat import ExactnessError, Mat, Rat, det, inverse, pfaffian, scalar
 # project_traceless is re-exported: it is part of this module's interface
 from .liealg import (_RETRY_CAP, Algebra, DualPoint, GroupElem, Rng, coad,
@@ -63,18 +63,22 @@ class CanonicalPair:
 
 # -- affine covariants and the determinant semi-invariant ---------------------
 
-def phi_covariant(k: int, l: DualPoint) -> Mat:
-    """Row covariant wstar B_k(y), 0 <= k <= n-1."""
-    n = l.n
-    if not 0 <= k <= n - 1:
-        raise ValueError("covariant index out of range")
-    return l.wstar * char_data(l.y).B[k]
-
+def _entry(values, k: int, what: str = "generator"):
+    """Entry k of an all-index tuple: the one range check of every
+    single-index generator and covariant."""
+    if not 0 <= k < len(values):
+        raise ValueError("%s index out of range" % what)
+    return values[k]
 
 def phi_rows(l: DualPoint) -> list:
     """All row covariants from one characteristic recursion, top index first."""
     cd = char_data(l.y)
     return [l.wstar * cd.B[k] for k in range(l.n - 1, -1, -1)]
+
+
+def phi_covariant(k: int, l: DualPoint) -> Mat:
+    """Row covariant wstar B_k(y), 0 <= k <= n-1: a view of phi_rows."""
+    return _entry(phi_rows(l)[::-1], k, "covariant")
 
 
 def f_invariant(l: DualPoint) -> Rat:
@@ -87,6 +91,14 @@ def f_invariant(l: DualPoint) -> Rat:
     return det(Mat.block([[r] for r in rows]))
 
 
+def krylov_rows(l: DualPoint) -> tuple:
+    """The raw rows wstar, wstar y, ..., wstar y^(n-1)."""
+    rows = [l.wstar]
+    for _ in range(l.n - 1):
+        rows.append(rows[-1] * l.y)
+    return tuple(rows)
+
+
 def f_krylov(l: DualPoint) -> Rat:
     """Same value through the raw rows wstar y^(n-1), ..., wstar y, wstar.
 
@@ -94,10 +106,7 @@ def f_krylov(l: DualPoint) -> Rat:
     the determinants agree exactly; keeping both paths makes the identity
     checkable.
     """
-    rows = [l.wstar]
-    for _ in range(l.n - 1):
-        rows.append(rows[-1] * l.y)
-    return det(Mat.block([[r] for r in reversed(rows)]))
+    return det(Mat.block([[r] for r in reversed(krylov_rows(l))]))
 
 
 def f_bar(l: DualPoint) -> Rat:
@@ -109,30 +118,27 @@ def f_bar(l: DualPoint) -> Rat:
 
 # -- glvv generators -----------------------------------------------------------
 
-def F_invariant(k: int, l: DualPoint) -> Rat:
-    """Generator wstar B_k(y) xi, 0 <= k <= n-1; degree k + 2."""
-    n = l.n
-    if not 0 <= k <= n - 1:
-        raise ValueError("generator index out of range")
-    return scalar(l.wstar * char_data(l.y).B[k] * l.xi)
-
-
 def F_all(l: DualPoint) -> tuple:
-    """All n generators from one characteristic recursion, index 0 first."""
+    """All n generators wstar B_k(y) xi from one characteristic recursion,
+    index 0 first; F_k has degree k + 2."""
     cd = char_data(l.y)
     return tuple(scalar(l.wstar * cd.B[k] * l.xi) for k in range(l.n))
 
 
+def F_bordered_all(l: DualPoint) -> tuple:
+    """The same generators through the bordered coefficients: p_{k+2} of
+    [[y, xi], [wstar, 0]] minus p_{k+2}(y); never reads B_k(y)."""
+    return bordered_gradients(l.y, l.xi, l.wstar)
+
+
+def F_invariant(k: int, l: DualPoint) -> Rat:
+    """Generator F_k, 0 <= k <= n-1: a view of F_all."""
+    return _entry(F_all(l), k)
+
+
 def F_bordered(k: int, l: DualPoint) -> Rat:
-    """Same generator through the bordered characteristic coefficients:
-    p_{k+2} of [[y, xi], [wstar, 0]] minus p_{k+2}(y), with coefficients
-    beyond the size of y read as zero."""
-    n = l.n
-    if not 0 <= k <= n - 1:
-        raise ValueError("generator index out of range")
-    cx = char_data(bordered(l.y, l.xi, l.wstar, 0))
-    cy = char_data(l.y)
-    return cx.coeff(k + 2) - cy.coeff(k + 2)
+    """Generator F_k through the bordered path: a view of F_bordered_all."""
+    return _entry(F_bordered_all(l), k)
 
 
 def pi_projection(l: DualPoint) -> Mat:
@@ -144,32 +150,29 @@ def pi_projection(l: DualPoint) -> Mat:
 
 # -- orthogonal generators ------------------------------------------------------
 
-def psi_invariant(k: int, l: DualPoint) -> Rat:
-    """Generator -wstar B_{2k}(y) wstar^T, valid while 2k <= n-1;
-    degree 2k + 2."""
-    n = l.n
-    if k < 0 or 2 * k > n - 1:
-        raise ValueError("generator index out of range")
-    return -scalar(l.wstar * char_data(l.y).B[2 * k] * l.wstar.transpose())
-
-
 def psi_all(l: DualPoint) -> tuple:
-    """Generators psi_0..psi_ell from one characteristic recursion."""
+    """Generators psi_k = -wstar B_{2k}(y) wstar^T, k = 0..ell (2k <= n-1),
+    from one characteristic recursion; psi_k has degree 2k + 2."""
     cd = char_data(l.y)
     wt = l.wstar.transpose()
     ell = (l.n - 1) // 2
     return tuple(-scalar(l.wstar * cd.B[2 * k] * wt) for k in range(ell + 1))
 
 
+def psi_bordered_all(l: DualPoint) -> tuple:
+    """The same generators through the bordered coefficients: p_{2k+2} of
+    [[y, -wstar^T], [wstar, 0]] minus p_{2k+2}(y); never reads B_k(y)."""
+    return bordered_gradients(l.y, -l.wstar.transpose(), l.wstar)[::2]
+
+
+def psi_invariant(k: int, l: DualPoint) -> Rat:
+    """Generator psi_k, 0 <= 2k <= n-1: a view of psi_all."""
+    return _entry(psi_all(l), k)
+
+
 def psi_bordered(k: int, l: DualPoint) -> Rat:
-    """Same generator through the bordered coefficients: p_{2k+2} of
-    [[y, -wstar^T], [wstar, 0]] minus p_{2k+2}(y) (zero beyond size n)."""
-    n = l.n
-    if k < 0 or 2 * k > n - 1:
-        raise ValueError("generator index out of range")
-    cx = char_data(bordered(l.y, -l.wstar.transpose(), l.wstar, 0))
-    cy = char_data(l.y)
-    return cx.coeff(2 * k + 2) - cy.coeff(2 * k + 2)
+    """Generator psi_k, bordered path: a view of psi_bordered_all."""
+    return _entry(psi_bordered_all(l), k)
 
 
 def exotic_phi(l: DualPoint) -> Rat:

@@ -232,14 +232,6 @@ def sample_int_mat(rng: Rng, rows: int, cols: int, bound: int) -> Mat:
                 for _ in range(rows)])
 
 
-def sample_vec(rng: Rng, n: int, bound: int) -> Mat:
-    return Mat([[rng.int_between(-bound, bound)] for _ in range(n)])
-
-
-def sample_covec(rng: Rng, n: int, bound: int) -> Mat:
-    return Mat([[rng.int_between(-bound, bound) for _ in range(n)]])
-
-
 def sample_skew(rng: Rng, n: int, bound: int) -> Mat:
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -308,12 +300,12 @@ def sample_group(alg: Algebra, rng: Rng, bound: int) -> GroupElem:
         raise ValueError("bound must be >= 1")
     n = alg.n
     fam = alg.family
-    u = sample_vec(rng, n, bound)
+    u = sample_int_mat(rng, n, 1, bound)
     if fam in ("io", "iso"):
         sign = -1 if fam == "io" and rng.coin() else 1
         return GroupElem.orthogonal(sample_orthogonal(rng, n, bound, sign), u)
     if fam == "glvv":
-        return GroupElem(sample_gl(rng, n, bound), u, sample_covec(rng, n, bound))
+        return GroupElem(sample_gl(rng, n, bound), u, sample_int_mat(rng, 1, n, bound))
     g = sample_sl(rng, n, bound) if fam == "isl" else sample_gl(rng, n, bound)
     return GroupElem(g, u, Mat.zero(1, n))
 
@@ -323,14 +315,14 @@ def sample_dual(alg: Algebra, rng: Rng, bound: int) -> DualPoint:
     n = alg.n
     fam = alg.family
     if fam in ("io", "iso"):
-        return DualPoint.of(fam, sample_skew(rng, n, bound), sample_covec(rng, n, bound))
+        return DualPoint.of(fam, sample_skew(rng, n, bound), sample_int_mat(rng, 1, n, bound))
     y = sample_int_mat(rng, n, n, bound)
     if fam == "isl":
         y = y.to_lists()
         y[n - 1][n - 1] = -sum(y[i][i] for i in range(n - 1))
         y = Mat(y)
-    wstar = sample_covec(rng, n, bound)
-    xi = sample_vec(rng, n, bound) if fam == "glvv" else None
+    wstar = sample_int_mat(rng, 1, n, bound)
+    xi = sample_int_mat(rng, n, 1, bound) if fam == "glvv" else None
     return DualPoint.of(fam, y, wstar, xi)
 
 
@@ -381,8 +373,8 @@ def triple_zero(n: int):
 
 
 def sample_triple(rng: Rng, n: int, bound: int):
-    return (sample_int_mat(rng, n, n, bound), sample_vec(rng, n, bound),
-            sample_covec(rng, n, bound))
+    return (sample_int_mat(rng, n, n, bound), sample_int_mat(rng, n, 1, bound),
+            sample_int_mat(rng, 1, n, bound))
 
 
 def bracket_b(t1, t2):

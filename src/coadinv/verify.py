@@ -31,7 +31,7 @@ from .liealg import (_RETRY_CAP, FAMILIES, Algebra, DualPoint, GroupElem, Rng,
                      dual_to_json, embed_M, group_to_json, index_of, k_bracket,
                      reflection, sample_dual, sample_gl, sample_group,
                      sample_int_mat, sample_orthogonal, sample_skew,
-                     sample_triple, sample_vec, theta, triple_zero)
+                     sample_triple, theta, triple_zero)
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def _suite_exotic_sign(unit: _Unit):
     while draws < unit.samples or not seen and draws < unit.samples + _RETRY_CAP:
         l = sample_dual(unit.alg, unit.rng, unit.bound)
         q = sample_orthogonal(unit.rng, n, unit.bound, 1)
-        u = sample_vec(unit.rng, n, unit.bound)
+        u = sample_int_mat(unit.rng, n, 1, unit.bound)
         phi = inv.exotic_phi(l)
         unit.check("exotic generator fixed under the special action",
                    inv.exotic_phi(coad(GroupElem.orthogonal(q, u), l)), phi, point=l)
@@ -226,17 +226,19 @@ def _suite_dual_path(unit: _Unit):
                 unit.check("semi-invariant blind to scalar shifts of y",
                            inv.f_invariant(shifted), inv.f_invariant(l), point=l, shift=c)
         elif fam == "glvv":
+            grads, bord = inv.F_all(l), inv.F_bordered_all(l)
             for k in range(n):
                 unit.check("generator via gradients vs bordered coefficients (k=%d)" % k,
-                           inv.F_invariant(k, l), inv.F_bordered(k, l), point=l)
+                           grads[k], bord[k], point=l)
             a = unit.coeff()
             ok, witness = bordered_char_identities(l.y, l.xi, l.wstar, a)
             unit.check("bordered coefficient identities hold (corner %s)" % rat_str(a),
                        (ok, witness), (True, None), point=l, corner=a)
         else:
+            grads, bord = inv.psi_all(l), inv.psi_bordered_all(l)
             for k in range((n - 1) // 2 + 1):
                 unit.check("orthogonal generator via gradients vs bordered (k=%d)" % k,
-                           inv.psi_invariant(k, l), inv.psi_bordered(k, l), point=l)
+                           grads[k], bord[k], point=l)
 
 
 def _jacobian_rank(point, directions, eval_vec, width: int, degree_bound: int) -> int:
@@ -425,11 +427,7 @@ def _suite_sbg_generators(unit: _Unit):
 
 def _moments(p: DualPoint) -> tuple:
     """The pairing moments wstar y^j xi for j = 0..n-1."""
-    out, yj = [], Mat.identity(p.n)
-    for _ in range(p.n):
-        out.append(scalar(p.wstar * yj * p.xi))
-        yj = yj * p.y
-    return tuple(out)
+    return tuple(scalar(r * p.xi) for r in inv.krylov_rows(p))
 
 
 # -- the sign oracle -------------------------------------------------------------

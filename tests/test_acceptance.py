@@ -14,7 +14,7 @@ from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
                                 sample_open_b)
 from coadinv.liealg import (Algebra, DualPoint, GroupElem, Rng, coad,
                             commutator_form, index_of, reflection,
-                            sample_dual, sample_orthogonal, sample_vec)
+                            sample_dual, sample_int_mat, sample_orthogonal)
 from coadinv.exactmat import rank
 from coadinv.verify import SuiteConfig, resolve_sign, run_suite
 
@@ -114,7 +114,7 @@ def test_criterion_07_odd_even_dichotomy():
         for _ in range(100):
             l = sample_dual(alg, rng, 3)
             q = sample_orthogonal(rng, n, 3, 1)
-            u = sample_vec(rng, n, 3)
+            u = sample_int_mat(rng, n, 1, 3)
             assert exotic_phi(coad(GroupElem.orthogonal(q, u), l)) == exotic_phi(l)
             r = GroupElem.orthogonal(q * reflection(n), u)
             assert exotic_phi(coad(r, l)) == -exotic_phi(l)

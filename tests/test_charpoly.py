@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from coadinv.charpoly import (bordered, bordered_char_identities, char_data,
-                              directional_coeff, interp_coeffs)
+from coadinv import charpoly
+from coadinv.charpoly import (bordered, bordered_char_identities,
+                              bordered_gradients, char_data, directional_coeff,
+                              interp_coeffs)
 from coadinv.exactmat import ExactnessError, Mat, det, rank, scalar
 from coadinv.liealg import Rng
 
@@ -271,6 +273,28 @@ def test_bordered_zero_corner_gives_generators():
             for k in range(n):
                 direct = scalar(w * cy.B[k] * xi)
                 assert cx.coeff(k + 2) - cy.coeff(k + 2) == direct
+
+
+def test_bordered_gradients_are_the_pairings():
+    # every corner a, and n = 1 where the only step is the top coefficient
+    rng = Rng(30)
+    for n in range(1, 7):
+        for _ in range(10):
+            y = rand_mat(rng, n)
+            v = Mat([[rng.int_between(-3, 3)] for _ in range(n)])
+            w = Mat([[rng.int_between(-3, 3) for _ in range(n)]])
+            a = F(rng.int_between(-3, 3), rng.int_between(1, 3))
+            cy = char_data(y)
+            assert bordered_gradients(y, v, w, a) == tuple(
+                scalar(w * cy.B[k] * v) for k in range(n))
+
+
+def test_bordered_identities_report_the_first_failing_coefficient(monkeypatch):
+    y, v, w = Mat([[1, 2], [3, 4]]), Mat.col([1, 1]), Mat.row([1, -1])
+    good = bordered_gradients(y, v, w, 2)
+    monkeypatch.setattr(charpoly, "bordered_gradients",
+                        lambda *args: (good[0], good[1] + 1))
+    assert bordered_char_identities(y, v, w, 2) == (False, (3, good[1] + 1, good[1]))
 
 
 def test_bordered_canonical_pair_reads_off_coordinates():

@@ -134,6 +134,43 @@ def test_eval_unknown_which(tmp_path, capsys):
     assert code == 2
 
 
+def test_eval_refuses_n_zero(tmp_path, capsys):
+    # --n 0 is a size like any other: it must not be read as "not given"
+    path = write_point(tmp_path, canonical_point_json(2, [1, 2]))
+    code, out, err = run_cli(capsys, ["eval", "--n", "0", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--n 0" in err
+
+
+def test_eval_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run_cli(capsys, ["eval", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read JSON input")
+
+
+def test_eval_unwritable_output(tmp_path, capsys):
+    path = write_point(tmp_path, canonical_point_json(2, [1, 2]))
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, ["eval", "--input", path, "--output", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write %s" % target)
+    assert not target.exists()
+
+
+def test_verify_unwritable_output(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, ["verify", "--suite", "skew-parity", "--n-max", "2",
+                                      "--samples", "2", "--output", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write %s" % target)
+
+
 def test_unknown_flag(capsys):
     code, _, _ = run_cli(capsys, ["eval", "--frobnicate", "x"])
     assert code == 2

@@ -6,17 +6,18 @@ from coadinv.exactmat import Mat, det, inverse, pfaffian
 from coadinv.charpoly import bordered
 from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
                                 EXOTIC_SQUARE_SIGN, F_SLICE_SIGN, F_all,
-                                F_bordered, F_invariant, NotInOpenOrbit,
-                                PSI_SLICE_SIGN, SlicePointISL, SlicePointSO,
-                                exotic_phi, f_bar, f_invariant, f_krylov,
-                                lower_shift, orbit_normalize, pfaff_vector,
-                                phi_covariant, phi_slice, pi_projection,
-                                project_traceless, psi_all, psi_bordered,
+                                F_bordered, F_bordered_all, F_invariant,
+                                NotInOpenOrbit, PSI_SLICE_SIGN, SlicePointISL,
+                                SlicePointSO, exotic_phi, f_bar, f_invariant,
+                                f_krylov, krylov_rows, lower_shift,
+                                orbit_normalize, pfaff_vector, phi_covariant,
+                                phi_slice, pi_projection, project_traceless,
+                                psi_all, psi_bordered, psi_bordered_all,
                                 psi_invariant, sample_open_b, slice_isl,
                                 slice_so, t_slice)
 from coadinv.liealg import (Algebra, DualPoint, GroupElem, Rng, coad,
                             reflection, sample_dual, sample_group,
-                            sample_orthogonal, sample_skew, sample_vec)
+                            sample_int_mat, sample_orthogonal, sample_skew)
 
 
 def canonical_b(n, xi_entries):
@@ -43,6 +44,14 @@ def test_f_krylov_agrees():
         for _ in range(20):
             l = sample_dual(alg, rng, 3)
             assert f_invariant(l) == f_krylov(l)
+
+
+def test_krylov_rows_at_canonical_pair():
+    # e_n* J^j = e_{n-j}*: the raw rows walk the basis up from the bottom
+    for n in range(1, 6):
+        pair = CanonicalPair.of_size(n)
+        l = DualPoint.of("aff", pair.J, pair.enstar)
+        assert krylov_rows(l) == tuple(Mat.basis_row(n, n - 1 - j) for j in range(n))
 
 
 def test_f_semi_invariance():
@@ -136,13 +145,16 @@ def test_F_zero_is_the_pairing():
 
 
 def test_F_bordered_path():
+    # n = 1 is the case where the bordered loop is only the top coefficient
     rng = Rng(68)
-    for n in range(1, 6):
+    for n in range(1, 7):
         alg = Algebra("glvv", n)
         for _ in range(20):
             l = sample_dual(alg, rng, 3)
             for k in range(n):
                 assert F_invariant(k, l) == F_bordered(k, l)
+            assert F_all(l) == F_bordered_all(l)
+            assert len(F_all(l)) == n
 
 
 def test_F_invariance_under_full_action():
@@ -157,8 +169,12 @@ def test_F_invariance_under_full_action():
 
 def test_F_rejects_bad_index():
     l = canonical_b(2, [1, 0])
-    with pytest.raises(ValueError):
-        F_invariant(2, l)
+    for k in (-1, 2):
+        for view in (F_invariant, F_bordered):
+            with pytest.raises(ValueError, match="generator index out of range"):
+                view(k, l)
+        with pytest.raises(ValueError, match="covariant index out of range"):
+            phi_covariant(k, l)
 
 
 # -- orthogonal generators -------------------------------------------------------------
@@ -171,8 +187,11 @@ def test_psi_zero_formula():
 def test_psi_index_range():
     l = DualPoint.of("io", sample_skew(Rng(70), 4, 3), Mat.row([1, 0, 0, 0]))
     psi_invariant(1, l)  # 2k = 2 <= 3, fine
-    with pytest.raises(ValueError):
-        psi_invariant(2, l)  # 2k = 4 > n-1
+    assert psi_bordered(1, l) == psi_invariant(1, l)
+    for view in (psi_invariant, psi_bordered):
+        for k in (-1, 2):  # 2k = 4 > n-1
+            with pytest.raises(ValueError, match="generator index out of range"):
+                view(k, l)
 
 
 def test_restriction_of_odd_generators_vanishes():
@@ -192,12 +211,14 @@ def test_restriction_of_odd_generators_vanishes():
 
 def test_psi_bordered_path():
     rng = Rng(72)
-    for n in range(1, 6):
+    for n in range(1, 7):
         alg = Algebra("io", n)
         for _ in range(20):
             l = sample_dual(alg, rng, 3)
             for k in range((n - 1) // 2 + 1):
                 assert psi_invariant(k, l) == psi_bordered(k, l)
+            assert psi_all(l) == psi_bordered_all(l)
+            assert len(psi_all(l)) == (n - 1) // 2 + 1
 
 
 def test_psi_invariance():
@@ -250,7 +271,7 @@ def test_exotic_character():
         alg = Algebra("iso", n)
         for _ in range(15):
             l = sample_dual(alg, rng, 3)
-            u = sample_vec(rng, n, 3)
+            u = sample_int_mat(rng, n, 1, 3)
             q = sample_orthogonal(rng, n, 3, 1)
             assert exotic_phi(coad(GroupElem.orthogonal(q, u), l)) == exotic_phi(l)
             r = GroupElem.orthogonal(q * reflection(n), u)

@@ -64,3 +64,29 @@ def test_only_exactmat_reads_matrix_storage():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in private]
     assert found == []
+
+
+def _called(node, name):
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None))
+
+
+def _call_sites(module, accept):
+    # the top-level definition holding each accepted call, once per call
+    path = os.path.join(SRC, module)
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    return sorted(getattr(top, "name", "<module>") for top in tree.body
+                  for node in ast.walk(top) if accept(node))
+
+
+def test_one_recursion_per_generator_family():
+    # the gradient side of every glvv/orthogonal generator and covariant
+    # comes from one characteristic recursion in one of three all-index
+    # functions; the single-index forms are views of them
+    assert _call_sites("invariants.py", lambda node: _called(node, "char_data")) \
+        == ["F_all", "phi_rows", "psi_all"]
+    # the bordered side is derived once, for every index
+    assert _call_sites("charpoly.py", lambda node: _called(node, "char_data")
+                       and bool(node.args) and _called(node.args[0], "bordered")) \
+        == ["bordered_gradients"]
