@@ -145,15 +145,16 @@ def bordered(y: Mat, v: Mat, wstar: Mat, a) -> Mat:
     return Mat.block([[y, v], [wstar, Mat([[a]])]])
 
 
-def bordered_gradients(y: Mat, v: Mat, wstar: Mat, a=0) -> tuple:
+def bordered_gradients(y: Mat, v: Mat, wstar: Mat, a=0, cy: CharData = None) -> tuple:
     """The pairings wstar B_k(y) v, k = 0..n-1, from one recursion on
-    X = [[y, v], [wstar, a]] and one on y, never reading B_k(y):
+    X = [[y, v], [wstar, a]] and one on y (or the caller's cy, the
+    char_data of y), never reading B_k(y):
 
         p_{k+2}(X) = p_{k+2}(y) - a p_{k+1}(y) + wstar B_k(y) v
 
     with p_{n+1}(y) read as zero."""
     cx = char_data(bordered(y, v, wstar, a))
-    cy = char_data(y)
+    cy = char_data(y) if cy is None else cy
     return tuple(cx.coeff(k + 2) - cy.coeff(k + 2) + a * cy.coeff(k + 1)
                  for k in range(y.rows))
 
@@ -166,7 +167,7 @@ def bordered_char_identities(y: Mat, v: Mat, wstar: Mat, a):
     j = k + 2 is the index of the first failing coefficient of X.
     """
     cy = char_data(y)
-    for k, lhs in enumerate(bordered_gradients(y, v, wstar, a)):
+    for k, lhs in enumerate(bordered_gradients(y, v, wstar, a, cy)):
         rhs = scalar(wstar * cy.B[k] * v)
         if lhs != rhs:
             return False, (k + 2, lhs, rhs)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -46,6 +47,18 @@ def _emit(obj, output):
             raise ValueError("cannot write %s: %s" % (output, exc)) from exc
     else:
         print(text)
+
+
+def _check_writable(output):
+    """Refuse an unwritable output before any work: appending nothing
+    leaves an existing target as it was, and a new one is removed again."""
+    existed = os.path.exists(output)
+    try:
+        open(output, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (output, exc)) from exc
+    if not existed:
+        os.remove(output)
 
 
 def _value_entry(name: str, value, k=None) -> dict:
@@ -124,6 +137,8 @@ def cmd_verify(args) -> int:
         raise ValueError("--all runs the whole plan; drop --suite and --algebra")
     if args.n is not None and (args.n_min is not None or args.n_max is not None):
         raise ValueError("--n runs a single size; drop --n-min and --n-max")
+    if args.output:
+        _check_writable(args.output)
     if args.all:
         n_lo, n_hi = (args.n_min, args.n_max) if args.n is None else (args.n, args.n)
         reports = run_all(seed=args.seed, samples=args.samples,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .charpoly import bordered, bordered_gradients, char_data
 from .exactmat import ExactnessError, Mat, Rat, det, inverse, pfaffian, scalar
@@ -43,10 +44,7 @@ class NotInOpenOrbit(ValueError):
 def lower_shift(n: int) -> Mat:
     """The principal nilpotent J with ones on the first subdiagonal, so the
     row action shifts basis covectors down by one index."""
-    m = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        m[i][i - 1] = 1
-    return Mat(m)
+    return Mat([[int(i == j + 1) for j in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -227,11 +225,7 @@ def slice_isl(s: SlicePointISL) -> DualPoint:
 
 def t_slice(s: SlicePointISL) -> Rat:
     """Closed slice polynomial (prod_k a_k^k) b^n."""
-    n = len(s.a) + 1
-    out = Fraction(s.b) ** n
-    for k, v in enumerate(s.a, start=1):
-        out *= Fraction(v) ** k
-    return out
+    return Fraction(s.b) ** (len(s.a) + 1) * prod(Fraction(v) ** k for k, v in enumerate(s.a, 1))
 
 
 @dataclass(frozen=True)
@@ -282,10 +276,7 @@ def phi_slice(k: int, s: SlicePointSO, alg: Algebra) -> Rat:
         raise ValueError("slice polynomial index out of range")
     squares = [Fraction(v) ** 2 for v in s.a]
     if k == ell and alg.n % 2 == 1:
-        out = Fraction(s.a0)
-        for v in s.a:
-            out *= Fraction(v)
-        return out
+        return Fraction(s.a0) * prod(Fraction(v) for v in s.a)
     return Fraction(s.a0) ** 2 * _elementary_symmetric(squares, k)
 
 

@@ -29,11 +29,13 @@ and its bordered-matrix embedding into gl(n+1).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .exactmat import (Mat, Rat, det, inverse, json_size, mat_from_json,
-                       mat_to_json, rank, scalar)
+from .exactmat import (ExactnessError, Mat, Rat, det, inverse, json_size,
+                       mat_from_json, mat_to_json, rank, scalar)
 
 FAMILIES = ("aff", "isl", "glvv", "io", "iso")
 
@@ -64,13 +66,8 @@ class Algebra:
     @property
     def dim(self) -> int:
         n = self.n
-        if self.family == "aff":
-            return n * n + n
-        if self.family == "isl":
-            return n * n - 1 + n
-        if self.family == "glvv":
-            return n * n + 2 * n
-        return n * (n - 1) // 2 + n
+        gl = {"aff": n * n, "isl": n * n - 1, "glvv": n * n + n}
+        return gl.get(self.family, n * (n - 1) // 2) + n
 
 
 # -- dual points and group elements -----------------------------------------
@@ -233,11 +230,10 @@ def sample_int_mat(rng: Rng, rows: int, cols: int, bound: int) -> Mat:
 
 
 def sample_skew(rng: Rng, n: int, bound: int) -> Mat:
-    m = [[Fraction(0)] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = Fraction(rng.int_between(-bound, bound))
-            m[i][j] = v
+            m[i][j] = v = rng.int_between(-bound, bound)
             m[j][i] = -v
     return Mat(m)
 
@@ -412,25 +408,14 @@ def embed_M(t) -> Mat:
     return Mat.block([[x, u], [v, Mat.zero(1, 1)]])
 
 
-def _border_part(p: Mat) -> Mat:
-    """Off-diagonal-block part of an (n+1) x (n+1) matrix: the last column
-    above the corner plus the last row left of the corner."""
-    m = p.rows
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m - 1):
-        out[i][m - 1] = p[i, m - 1]
-        out[m - 1][i] = p[m - 1, i]
-    return Mat(out)
-
-
 def k_bracket(p: Mat, q: Mat) -> Mat:
     """Contracted bracket on gl(n+1) split into block-diagonal and border
-    parts: the full commutator minus the border-border commutator (so the
-    border part brackets to zero)."""
+    parts (the last column and row off the corner): the full commutator
+    minus the border-border commutator, so the border brackets to zero."""
     if p.rows != q.rows or not p.is_square() or not q.is_square():
         raise ValueError("k_bracket needs equal square matrices")
-    p1 = _border_part(p)
-    q1 = _border_part(q)
+    core, edge = Mat.diag([1] * (p.rows - 1) + [0]), Mat.unit(p.rows, p.rows - 1, p.rows - 1)
+    p1, q1 = (core * x * edge + edge * x * core for x in (p, q))
     return (p * q - q * p) - (p1 * q1 - q1 * p1)
 
 
@@ -441,59 +426,71 @@ def algebra_basis(alg: Algebra):
     order; traceless units plus consecutive-diagonal differences for isl;
     E_ij - E_ji, i < j, lexicographic for the orthogonal families), then
     the V part e_1..e_n, then the V* part for glvv."""
-    n = alg.n
-    out = []
+    n, unit = alg.n, Mat.unit
+    col, row, sq = Mat.zero(n, 1), Mat.zero(1, n), Mat.zero(n, n)
     if alg.family in ("aff", "glvv"):
-        for i in range(n):
-            for j in range(n):
-                out.append((Mat.unit(n, i, j), Mat.zero(n, 1), Mat.zero(1, n)))
+        xs = [unit(n, i, j) for i in range(n) for j in range(n)]
     elif alg.family == "isl":
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    out.append((Mat.unit(n, i, j), Mat.zero(n, 1), Mat.zero(1, n)))
-        for i in range(n - 1):
-            h = Mat.unit(n, i, i) - Mat.unit(n, i + 1, i + 1)
-            out.append((h, Mat.zero(n, 1), Mat.zero(1, n)))
+        xs = ([unit(n, i, j) for i in range(n) for j in range(n) if i != j]
+              + [unit(n, i, i) - unit(n, i + 1, i + 1) for i in range(n - 1)])
     else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append((Mat.unit(n, i, j) - Mat.unit(n, j, i),
-                            Mat.zero(n, 1), Mat.zero(1, n)))
-    for i in range(n):
-        out.append((Mat.zero(n, n), Mat.basis_col(n, i), Mat.zero(1, n)))
+        xs = [unit(n, i, j) - unit(n, j, i) for i in range(n) for j in range(i + 1, n)]
+    out = [(x, col, row) for x in xs] + [(sq, Mat.basis_col(n, i), row) for i in range(n)]
     if alg.family == "glvv":
-        for i in range(n):
-            out.append((Mat.zero(n, n), Mat.zero(n, 1), Mat.basis_row(n, i)))
+        out += [(sq, col, Mat.basis_row(n, i)) for i in range(n)]
     return out
 
 
-_BRACKET_TABLE_CACHE: dict = {}
+@cache
+def _structure_table(alg: Algebra) -> tuple:
+    """(dim, entries): each nonzero <l, [b_i, b_j]>, i < j, as (i, j, terms)
+    with integer (coordinate, coefficient) terms, built once per family
+    and size.
 
-
-def _bracket_table(alg: Algebra):
-    key = (alg.family, alg.n)
-    table = _BRACKET_TABLE_CACHE.get(key)
-    if table is None:
-        basis = algebra_basis(alg)
-        d = len(basis)
-        table = [[bracket_b(basis[i], basis[j]) for j in range(i + 1, d)]
-                 for i in range(d)]
-        _BRACKET_TABLE_CACHE[key] = table
-    return table
+    Through embed_M, glvv is gl(n+1) with e_k = E_kn, e^k = E_nk (0-based)
+    and V, V* commuting, so its constants are [E_ij, E_kl] = d_jk E_il -
+    d_li E_kj unless both units lie on the border; this gives
+    [E_ij, e_k] = d_jk e_i and [E_ij, e^k] = -d_ki e^j.  A point pairs as
+    tr(L X) with L = embed_M((y, xi, wstar)), so E_ab reads L[b][a]."""
+    n, m = alg.n, alg.n + 1
+    units = []
+    for t in algebra_basis(alg):
+        a, d = embed_M(t).num_den()
+        if d != 1:
+            raise ExactnessError("algebra basis entries must be integers")
+        units.append([(i, j, c) for i, row in enumerate(a) for j, c in enumerate(row) if c])
+    entries = []
+    for p, up in enumerate(units):
+        for q in range(p + 1, len(units)):
+            acc = Counter()
+            for i, j, cp in up:
+                for k, l, cq in units[q]:
+                    if n in (i, j) and n in (k, l):
+                        continue  # V and V* commute
+                    if j == k:
+                        acc[l * m + i] += cp * cq
+                    if l == i:
+                        acc[j * m + k] -= cp * cq
+            terms = tuple((c, v) for c, v in acc.items() if v)
+            if terms:
+                entries.append((p, q, terms))
+    return len(units), tuple(entries)
 
 
 def commutator_form(alg: Algebra, point: DualPoint) -> Mat:
-    """Skew matrix M(l)_ij = <l, [b_i, b_j]> over the fixed basis."""
-    table = _bracket_table(alg)
-    d = len(table)
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = pairing(point, table[i][j - i - 1])
-            m[i][j] = v
-            m[j][i] = -v
-    return Mat(m)
+    """Skew matrix M(l)_ij = <l, [b_i, b_j]> over the fixed basis: each
+    entry is an integer sum over the structure table, gathered from the
+    coordinates of l over one denominator."""
+    if point.n != alg.n:
+        raise ValueError("size mismatch between algebra and point")
+    d, entries = _structure_table(alg)
+    a, den = embed_M((point.y, point.xi, point.wstar)).num_den()
+    coords = [v for row in a for v in row]
+    m = [[0] * d for _ in range(d)]
+    for i, j, terms in entries:
+        m[i][j] = s = sum([v * coords[c] for c, v in terms])
+        m[j][i] = -s
+    return Mat.from_num_den(m, den)
 
 
 def index_of(alg: Algebra, samples: int, rng: Rng, bound: int = 3) -> int:

@@ -617,11 +617,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> VerifyReport:
 
 def default_plan():
     """The canonical (suite, family) pairs covered by a full run."""
-    plan = []
-    for name, spec in SUITES.items():
-        for fam in spec.plan():
-            plan.append((name, fam))
-    return plan
+    return [(name, fam) for name, spec in SUITES.items() for fam in spec.plan()]
 
 
 def suite_range(name: str, family: str, n_min=None, n_max=None) -> tuple:

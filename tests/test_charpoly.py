@@ -2,12 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from coadinv import charpoly
+from coadinv import charpoly, invariants
 from coadinv.charpoly import (bordered, bordered_char_identities,
                               bordered_gradients, char_data, directional_coeff,
                               interp_coeffs)
 from coadinv.exactmat import ExactnessError, Mat, det, rank, scalar
-from coadinv.liealg import Rng
+from coadinv.liealg import Algebra, Rng, sample_dual
 
 
 def rand_mat(rng, n, bound=3):
@@ -285,8 +285,27 @@ def test_bordered_gradients_are_the_pairings():
             w = Mat([[rng.int_between(-3, 3) for _ in range(n)]])
             a = F(rng.int_between(-3, 3), rng.int_between(1, 3))
             cy = char_data(y)
-            assert bordered_gradients(y, v, w, a) == tuple(
-                scalar(w * cy.B[k] * v) for k in range(n))
+            expected = tuple(scalar(w * cy.B[k] * v) for k in range(n))
+            assert bordered_gradients(y, v, w, a) == expected
+            assert bordered_gradients(y, v, w, a, cy) == expected
+
+
+def test_glvv_dual_path_sample_runs_five_recursions(monkeypatch):
+    # F_all reads y; F_bordered_all reads X and y; bordered_char_identities
+    # reads y once and hands it to bordered_gradients, which adds X
+    sizes = []
+    real = charpoly.char_data
+
+    def counted(x):
+        sizes.append(x.rows)
+        return real(x)
+
+    for module in (charpoly, invariants):
+        monkeypatch.setattr(module, "char_data", counted)
+    l = sample_dual(Algebra("glvv", 4), Rng(31), 3)
+    assert invariants.F_all(l) == invariants.F_bordered_all(l)
+    assert bordered_char_identities(l.y, l.xi, l.wstar, F(2)) == (True, None)
+    assert sorted(sizes) == [4, 4, 4, 5, 5]
 
 
 def test_bordered_identities_report_the_first_failing_coefficient(monkeypatch):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coadinv import cli
+from coadinv import cli, verify
 from coadinv.cli import main
 from coadinv.exactmat import ExactnessError, Mat, mat_to_json, rat_str
 from coadinv.invariants import (CanonicalPair, F_all, SlicePointISL, f_bar,
@@ -162,13 +162,55 @@ def test_eval_unwritable_output(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_verify_unwritable_output(tmp_path, capsys):
+def count_suite_runs(monkeypatch):
+    runs = []
+    real = verify.run_suite
+
+    def counted(*args, **kwargs):
+        runs.append(args[0])
+        return real(*args, **kwargs)
+
+    # cli calls run_suite for --suite, run_all calls it for --all
+    monkeypatch.setattr(cli, "run_suite", counted)
+    monkeypatch.setattr(verify, "run_suite", counted)
+    return runs
+
+
+def test_verify_unwritable_output(tmp_path, capsys, monkeypatch):
+    runs = count_suite_runs(monkeypatch)
     target = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(capsys, ["verify", "--suite", "skew-parity", "--n-max", "2",
                                       "--samples", "2", "--output", str(target)])
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write %s" % target)
+    # refused before any suite runs, on either path
+    code, _, err = run_cli(capsys, ["verify", "--all", "--n-max", "2", "--samples", "1",
+                                    "--output", str(target)])
+    assert code == 2
+    assert err.startswith("error: cannot write %s" % target)
+    assert runs == []
+
+
+def test_verify_refused_run_leaves_the_output_alone(tmp_path, capsys, monkeypatch):
+    runs = count_suite_runs(monkeypatch)
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    fresh = tmp_path / "fresh.json"
+    for target in (kept, fresh):
+        # n = 2 alone holds no odd size for exotic-sign: refused before running
+        code, _, err = run_cli(capsys, ["verify", "--all", "--n-min", "2", "--n-max", "2",
+                                        "--output", str(target)])
+        assert code == 2
+        assert "odd n only" in err
+    assert kept.read_text() == "earlier report\n"
+    assert not fresh.exists()
+    assert runs == []
+    code, _, _ = run_cli(capsys, ["verify", "--suite", "skew-parity", "--n", "2",
+                                  "--samples", "1", "--output", str(kept)])
+    assert code == 0
+    assert json.loads(kept.read_text())[0]["suite"] == "skew-parity"
+    assert runs == ["skew-parity"]
 
 
 def test_unknown_flag(capsys):

@@ -1,7 +1,9 @@
+from math import gcd
+
 import pytest
 
 from coadinv.exactmat import Mat, det, inverse, rank
-from coadinv.liealg import (Ad, Algebra, DualPoint, GroupElem, Rng,
+from coadinv.liealg import (FAMILIES, Ad, Algebra, DualPoint, GroupElem, Rng,
                             algebra_basis, bracket_b, cayley, coad,
                             commutator_form, compose, dual_from_json,
                             dual_to_json, embed_M, group_from_json,
@@ -309,6 +311,42 @@ def test_commutator_form_is_skew():
     m = commutator_form(alg, l)
     assert m.is_skew()
     assert m.rows == alg.dim
+
+
+def test_commutator_form_rejects_a_size_mismatch():
+    # the table's coordinates are those of an n-point; another size would
+    # be read at the wrong positions
+    for n, m in ((2, 3), (3, 2)):
+        point = sample_dual(Algebra("glvv", m), Rng(50), 3)
+        with pytest.raises(ValueError):
+            commutator_form(Algebra("glvv", n), point)
+
+
+def pairing_oracle_form(alg, l):
+    """M(l) entry by entry as pairing(l, bracket_b(b_i, b_j)), over matrix
+    products and Fractions."""
+    basis = algebra_basis(alg)
+    return Mat([[pairing(l, bracket_b(bi, bj)) for bj in basis] for bi in basis])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_commutator_form_matches_the_pairing_oracle(family):
+    mixed = False
+    for n in range(1, 6):
+        alg = Algebra(family, n)
+        rng = Rng(49).child(family, n)
+        for _ in range(2):
+            l = sample_dual(alg, rng, 3)
+            # the image's y, wstar and xi carry g^-1 denominators
+            image = coad(sample_group(alg, rng, 3), l)
+            for point in (l, image):
+                got = commutator_form(alg, point)
+                assert got == pairing_oracle_form(alg, point)
+                a, d = got.num_den()
+                assert d > 0 and gcd(d, *[v for row in a for v in row]) == 1
+                dens = {m.num_den()[1] for m in (point.y, point.wstar, point.xi)}
+                mixed = mixed or len(dens) > 1
+    assert mixed
 
 
 # -- JSON ----------------------------------------------------------------------------
