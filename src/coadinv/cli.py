@@ -98,8 +98,8 @@ def _eval_one(alg: Algebra, point, which: str) -> dict:
             raise ValueError("invariant 'fbar' lives on the isl dual")
         return _value_entry("fbar", inv.f_bar(point))
     if which == "phi":
-        if alg.family not in ("io", "iso"):
-            raise ValueError("invariant 'phi' lives on the orthogonal dual")
+        if alg.family != "iso":
+            raise ValueError("invariant 'phi' lives on the iso dual")
         return _value_entry("phi", inv.exotic_phi(point))
     m = _WHICH_RE.match(which)
     if not m:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .charpoly import bordered, bordered_gradients, char_data
 from .exactmat import ExactnessError, Mat, Rat, det, inverse, pfaffian, scalar
@@ -201,61 +201,46 @@ def pfaff_vector(y: Mat) -> Mat:
 
 # -- parameter slices ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlicePointISL:
-    """Slice parameters: subdiagonal entries a_1..a_{n-1} and the covector
-    coefficient b."""
-
-    a: tuple
-    b: Rat
-
-    @staticmethod
-    def of(a_values, b) -> "SlicePointISL":
-        return SlicePointISL(tuple(Fraction(v) for v in a_values), Fraction(b))
+def _sparse(rows: int, cols: int, entries: dict) -> Mat:
+    """The rows x cols matrix with the given {(i, j): value} entries and
+    zeros elsewhere, built over the entries' common denominator."""
+    vals = {ij: Fraction(v) for ij, v in entries.items()}
+    d = lcm(*[v.denominator for v in vals.values()])
+    a = [[0] * cols for _ in range(rows)]
+    for (i, j), v in vals.items():
+        a[i][j] = int(v * d)
+    return Mat.from_num_den(a, d)
 
 
-def slice_isl(s: SlicePointISL) -> DualPoint:
-    """Slice point: y = a_1 E_21 + ... + a_{n-1} E_{n,n-1}, wstar = b e_n*."""
-    n = len(s.a) + 1
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for k, v in enumerate(s.a):
-        m[k + 1][k] = v
-    return DualPoint.of("isl", Mat(m), s.b * Mat.basis_row(n, n - 1))
+def slice_isl(a, b) -> DualPoint:
+    """Slice point of the subdiagonal entries a = (a_1, ..., a_{n-1}) and
+    the covector coefficient b: y = a_1 E_21 + ... + a_{n-1} E_{n,n-1},
+    wstar = b e_n*."""
+    n = len(a) + 1
+    y = _sparse(n, n, {(k + 1, k): v for k, v in enumerate(a)})
+    return DualPoint.of("isl", y, _sparse(1, n, {(0, n - 1): b}))
 
 
-def t_slice(s: SlicePointISL) -> Rat:
+def t_slice(a, b) -> Rat:
     """Closed slice polynomial (prod_k a_k^k) b^n."""
-    return Fraction(s.b) ** (len(s.a) + 1) * prod(Fraction(v) ** k for k, v in enumerate(s.a, 1))
+    return Fraction(b) ** (len(a) + 1) * prod(v ** k for k, v in enumerate(a, 1))
 
 
-@dataclass(frozen=True)
-class SlicePointSO:
-    """Slice parameters for the orthogonal families: block coefficients
-    a_1..a_ell and the covector coefficient a0."""
-
-    a: tuple
-    a0: Rat
-
-    @staticmethod
-    def of(a_values, a0) -> "SlicePointSO":
-        return SlicePointSO(tuple(Fraction(v) for v in a_values), Fraction(a0))
-
-
-def slice_so(s: SlicePointSO, alg: Algebra) -> DualPoint:
-    """Block-diagonal slice point: 2x2 rotation blocks [[0, a_i], [-a_i, 0]]
-    padded by one zero row/column (n = 2 ell + 1) or two (n = 2 ell + 2),
-    with covector a0 e_n*."""
+def slice_so(a, a0, alg: Algebra) -> DualPoint:
+    """Block-diagonal slice point of the block coefficients
+    a = (a_1, ..., a_ell) and the covector coefficient a0: 2x2 rotation
+    blocks [[0, a_i], [-a_i, 0]] padded by one zero row/column
+    (n = 2 ell + 1) or two (n = 2 ell + 2), with covector a0 e_n*."""
     if alg.family not in ("io", "iso"):
         raise ValueError("orthogonal slice needs an io/iso algebra")
-    ell = alg.ell
-    if len(s.a) != ell:
-        raise ValueError("slice needs %d block parameters, got %d" % (ell, len(s.a)))
+    if len(a) != alg.ell:
+        raise ValueError("slice needs %d block parameters, got %d" % (alg.ell, len(a)))
     n = alg.n
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i, v in enumerate(s.a):
-        m[2 * i][2 * i + 1] = Fraction(v)
-        m[2 * i + 1][2 * i] = -Fraction(v)
-    return DualPoint.of(alg.family, Mat(m), s.a0 * Mat.basis_row(n, n - 1))
+    blocks = {}
+    for i, v in enumerate(a):
+        blocks[2 * i, 2 * i + 1] = v
+        blocks[2 * i + 1, 2 * i] = -v
+    return DualPoint.of(alg.family, _sparse(n, n, blocks), _sparse(1, n, {(0, n - 1): a0}))
 
 
 def _elementary_symmetric(values, k: int) -> Rat:
@@ -267,17 +252,17 @@ def _elementary_symmetric(values, k: int) -> Rat:
     return out[k]
 
 
-def phi_slice(k: int, s: SlicePointSO, alg: Algebra) -> Rat:
-    """Closed slice polynomials: a0^2 sigma_k(a_1^2, ..., a_ell^2) for
-    k < ell and for the top index at even n; a0 a_1 ... a_ell for the top
-    index at odd n."""
-    ell = alg.ell
-    if not 0 <= k <= ell:
+def phi_slice(k: int, a, a0) -> Rat:
+    """Closed slice polynomial a0^2 sigma_k(a_1^2, ..., a_ell^2), 0 <= k <= ell;
+    at k = ell it is exotic_slice(a, a0)^2."""
+    if not 0 <= k <= len(a):
         raise ValueError("slice polynomial index out of range")
-    squares = [Fraction(v) ** 2 for v in s.a]
-    if k == ell and alg.n % 2 == 1:
-        return Fraction(s.a0) * prod(Fraction(v) for v in s.a)
-    return Fraction(s.a0) ** 2 * _elementary_symmetric(squares, k)
+    return Fraction(a0) ** 2 * _elementary_symmetric([v * v for v in a], k)
+
+
+def exotic_slice(a, a0) -> Rat:
+    """Closed slice polynomial of the exotic generator: a0 a_1 ... a_ell."""
+    return Fraction(a0) * prod(a)
 
 
 # -- open-orbit machinery ----------------------------------------------------------

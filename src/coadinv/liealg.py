@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from .charpoly import bordered
 from .exactmat import (ExactnessError, Mat, Rat, det, inverse, json_size,
                        mat_from_json, mat_to_json, rank, scalar)
 
@@ -405,7 +406,7 @@ def theta(t):
 def embed_M(t) -> Mat:
     """Bordered-matrix embedding (x, u, vstar) -> [[x, u], [vstar, 0]]."""
     x, u, v = t
-    return Mat.block([[x, u], [v, Mat.zero(1, 1)]])
+    return bordered(x, u, v, 0)
 
 
 def k_bracket(p: Mat, q: Mat) -> Mat:

@@ -449,42 +449,34 @@ def resolve_sign(pair: str, n: int, k=None) -> int:
         raise ValueError("sign resolution supported for n in 1..6")
 
     if pair == "f-vs-t":
-        def sides(params):
-            s = inv.SlicePointISL.of(params[:-1], params[-1])
-            return inv.f_bar(inv.slice_isl(s)), inv.t_slice(s)
+        def sides(a, b):
+            return inv.f_bar(inv.slice_isl(a, b)), inv.t_slice(a, b)
         m = n
     elif pair == "psi-vs-phi":
         alg = Algebra("io", n)
         if k is None or not 0 <= k <= alg.ell:
             raise ValueError("psi-vs-phi needs a generator index k")
-        # at odd sizes the top generator restricts to the square of the
-        # slice polynomial (the unsquared comparison is the exotic pair)
-        square_top = n % 2 == 1 and k == alg.ell
-        def sides(params, k=k, alg=alg, square_top=square_top):
-            s = inv.SlicePointSO.of(params[:-1], params[-1])
-            rhs = inv.phi_slice(k, s, alg)
-            if square_top:
-                rhs = rhs * rhs
-            return inv.psi_invariant(k, inv.slice_so(s, alg)), rhs
+        def sides(a, a0):
+            return inv.psi_invariant(k, inv.slice_so(a, a0, alg)), inv.phi_slice(k, a, a0)
         m = alg.ell + 1
     elif pair in ("exotic-vs-slice", "exotic-sq-vs-psi"):
         if n % 2 == 0:
             raise ValueError("exotic comparisons need odd n")
         alg = Algebra("iso", n)
-        squared = pair == "exotic-sq-vs-psi"
-        def sides(params, alg=alg, squared=squared):
-            s = inv.SlicePointSO.of(params[:-1], params[-1])
-            point = inv.slice_so(s, alg)
-            if squared:
+        if pair == "exotic-sq-vs-psi":
+            def sides(a, a0):
+                point = inv.slice_so(a, a0, alg)
                 return inv.exotic_phi(point) ** 2, inv.psi_invariant(alg.ell, point)
-            return inv.exotic_phi(point), inv.phi_slice(alg.ell, s, alg)
+        else:
+            def sides(a, a0):
+                return inv.exotic_phi(inv.slice_so(a, a0, alg)), inv.exotic_slice(a, a0)
         m = alg.ell + 1
     else:
         raise ValueError("unknown sign pair %r" % (pair,))
 
     signs = set()
     for params in _param_grid(m):
-        lhs, rhs = sides(params)
+        lhs, rhs = sides(params[:-1], params[-1])
         if lhs == rhs == 0:
             continue
         if lhs != rhs and lhs != -rhs:
@@ -505,16 +497,11 @@ class _SuiteSpec:
     claim: str
     families: tuple
     default_range: tuple
-    # families exercised by a full run; defaults to every supported one
-    plan_families: tuple = ()
     # point-driven suites cap the sample count (a handful of exact Jacobian
     # or rank evaluations already decides the claim); 0 means uncapped
     samples_cap: int = 0
     # the suite checks something only at odd n
     odd_only: bool = False
-
-    def plan(self) -> tuple:
-        return self.plan_families or self.families
 
 
 SUITES = {
@@ -541,7 +528,7 @@ SUITES = {
     "dual-path": _SuiteSpec(
         _suite_dual_path,
         "each generator has two independent formulas that agree exactly",
-        FAMILIES, (1, 5), ("aff", "isl", "glvv", "io")),
+        ("aff", "isl", "glvv", "io"), (1, 5)),
     "independence": _SuiteSpec(
         _suite_independence,
         "the Jacobian of the generator family reaches full rank",
@@ -569,15 +556,15 @@ SUITES = {
     "cayley-hamilton": _SuiteSpec(
         _suite_cayley_hamilton,
         "x B_{n-1}(x) = p_n(x) I and det(tI - x) matches the coefficients",
-        FAMILIES, (1, 6), ("glvv",)),
+        ("glvv",), (1, 6)),
     "gradient-Bk": _SuiteSpec(
         _suite_gradient_Bk,
         "tr(B_k(x) y) is the exact first-order coefficient of p_{k+1}(x + t y)",
-        FAMILIES, (1, 5), ("glvv",)),
+        ("glvv",), (1, 5)),
     "skew-parity": _SuiteSpec(
         _suite_skew_parity,
         "odd coefficients vanish and odd gradients are skew on skew matrices",
-        FAMILIES, (1, 6), ("glvv",)),
+        ("glvv",), (1, 6)),
     "sbg-generators": _SuiteSpec(
         _suite_sbg_generators,
         "coefficient functions and pairing moments are constant under conjugation",
@@ -589,7 +576,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> VerifyReport:
     """Run the suite's property body once per unit n = cfg.n_lo..cfg.n_hi.
 
     Each unit draws from Rng(seed).child(name, family, n), or from
-    Rng(seed).child(name, n) when the suite's plan has one family; this
+    Rng(seed).child(name, n) when the suite has one family; this
     key is what keeps a report reproducible.  A run that checks nothing
     is refused."""
     spec = SUITES.get(name)
@@ -599,7 +586,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> VerifyReport:
     if fam not in spec.families:
         raise ValueError("suite %r does not support algebra %r" % (name, fam))
     samples = min(cfg.samples, spec.samples_cap or cfg.samples)
-    key = (name, fam) if len(spec.plan()) > 1 else (name,)
+    key = (name, fam) if len(spec.families) > 1 else (name,)
     report = VerifyReport(suite=name, algebra=fam, claim=spec.claim)
     once = {}
     start = time.perf_counter()
@@ -617,7 +604,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> VerifyReport:
 
 def default_plan():
     """The canonical (suite, family) pairs covered by a full run."""
-    return [(name, fam) for name, spec in SUITES.items() for fam in spec.plan()]
+    return [(name, fam) for name, spec in SUITES.items() for fam in spec.families]
 
 
 def suite_range(name: str, family: str, n_min=None, n_max=None) -> tuple:

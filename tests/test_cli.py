@@ -5,9 +5,9 @@ import pytest
 from coadinv import cli, verify
 from coadinv.cli import main
 from coadinv.exactmat import ExactnessError, Mat, mat_to_json, rat_str
-from coadinv.invariants import (CanonicalPair, F_all, SlicePointISL, f_bar,
-                                slice_isl, t_slice)
-from coadinv.liealg import Algebra, Rng, dual_to_json, sample_dual
+from coadinv.invariants import (CanonicalPair, F_all, exotic_phi, f_bar, slice_isl,
+                                t_slice)
+from coadinv.liealg import Algebra, DualPoint, Rng, dual_to_json, sample_dual
 
 
 def write_point(tmp_path, obj, name="point.json"):
@@ -63,13 +63,12 @@ def test_eval_single_invariant(tmp_path, capsys):
 
 
 def test_eval_isl_slice(tmp_path, capsys):
-    s = SlicePointISL.of([2, 3], 1)
-    l = slice_isl(s)
+    l = slice_isl((2, 3), 1)
     path = write_point(tmp_path, dual_to_json(Algebra("isl", 3), l))
     code, out, _ = run_cli(capsys, ["eval", "--algebra", "isl", "--input", path])
     assert code == 0
     assert json.loads(out) == [{"invariant": "fbar", "value": rat_str(f_bar(l))}]
-    assert f_bar(l) == t_slice(s)
+    assert f_bar(l) == t_slice((2, 3), 1)
 
 
 def test_eval_orthogonal_generators(tmp_path, capsys):
@@ -81,6 +80,21 @@ def test_eval_orthogonal_generators(tmp_path, capsys):
     assert code == 0
     names = [(v["invariant"], v.get("k")) for v in json.loads(out)]
     assert names == [("psi", 0), ("phi", None)]
+
+
+def test_eval_phi_only_on_iso(tmp_path, capsys):
+    # phi flips sign under a reflection, so it is no invariant of io
+    l = sample_dual(Algebra("io", 3), Rng(94), 3)
+    path = write_point(tmp_path, dual_to_json(Algebra("io", 3), l))
+    code, out, err = run_cli(capsys, ["eval", "--which", "phi", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "invariant 'phi' lives on the iso dual" in err
+    iso = DualPoint.of("iso", l.y, l.wstar)
+    path = write_point(tmp_path, dual_to_json(Algebra("iso", 3), iso), "iso.json")
+    code, out, _ = run_cli(capsys, ["eval", "--which", "phi", "--input", path])
+    assert code == 0
+    assert json.loads(out) == {"invariant": "phi", "value": rat_str(exotic_phi(iso))}
 
 
 def test_eval_malformed_json(tmp_path, capsys):
@@ -374,6 +388,20 @@ def test_verify_refuses_flags_it_would_ignore(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("suite, algebra", [
+    ("cayley-hamilton", "io"), ("gradient-Bk", "aff"), ("skew-parity", "isl"),
+    ("dual-path", "iso"),
+])
+def test_verify_refuses_a_family_the_suite_does_not_run(capsys, suite, algebra):
+    # the three matrix suites never read the family, and dual-path on iso
+    # would repeat io's checks: a family that changes nothing is refused
+    code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--algebra", algebra,
+                                      "--samples", "1", "--n-max", "2"])
+    assert code == 2
+    assert out == ""
+    assert "does not support algebra %r" % algebra in err
 
 
 @pytest.mark.parametrize("where, value", [

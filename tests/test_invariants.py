@@ -7,8 +7,8 @@ from coadinv.charpoly import bordered
 from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
                                 EXOTIC_SQUARE_SIGN, F_SLICE_SIGN, F_all,
                                 F_bordered, F_bordered_all, F_invariant,
-                                NotInOpenOrbit, PSI_SLICE_SIGN, SlicePointISL,
-                                SlicePointSO, exotic_phi, f_bar, f_invariant,
+                                NotInOpenOrbit, PSI_SLICE_SIGN, exotic_phi,
+                                exotic_slice, f_bar, f_invariant,
                                 f_krylov, krylov_rows, lower_shift,
                                 orbit_normalize, pfaff_vector, phi_covariant,
                                 phi_slice, pi_projection, project_traceless,
@@ -18,6 +18,7 @@ from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
 from coadinv.liealg import (Algebra, DualPoint, GroupElem, Rng, coad,
                             reflection, sample_dual, sample_group,
                             sample_int_mat, sample_orthogonal, sample_skew)
+from coadinv.verify import _param_grid
 
 
 def canonical_b(n, xi_entries):
@@ -240,7 +241,7 @@ def test_exotic_one_dimensional():
 
 def test_exotic_three_dimensional_block():
     a1, a = F(2), F(5)
-    l = slice_so(SlicePointSO.of([a1], a), Algebra("iso", 3))
+    l = slice_so((a1,), a, Algebra("iso", 3))
     # frozen by the expansion oracle for the 4x4 bordered Pfaffian
     assert exotic_phi(l) == -a * a1
     y = bordered(l.y, -l.wstar.transpose(), l.wstar, 0)
@@ -299,56 +300,61 @@ def test_pfaff_vector_rejects_even():
 # -- slices ------------------------------------------------------------------------------
 
 def test_t_slice_values():
-    assert t_slice(SlicePointISL.of([1, 1], 1)) == 1
-    assert t_slice(SlicePointISL.of([F(3)], F(2))) == 3 * 4
-    assert t_slice(SlicePointISL.of([2, 3], 1)) == 2 * 9
+    assert t_slice((1, 1), 1) == 1
+    assert t_slice((F(3),), F(2)) == 3 * 4
+    assert t_slice((2, 3), 1) == 2 * 9
 
 
 def test_isl_slice_matches_t():
     for n in range(1, 5):
         for a1 in (-2, 1, 2):
             for b in (-2, -1, 1, 2):
-                s = SlicePointISL.of([a1] * (n - 1), b)
-                assert f_bar(slice_isl(s)) == F_SLICE_SIGN * t_slice(s)
+                a = (a1,) * (n - 1)
+                assert f_bar(slice_isl(a, b)) == F_SLICE_SIGN * t_slice(a, b)
 
 
 def test_so_slice_shapes_and_values():
     alg = Algebra("io", 5)
-    s = SlicePointSO.of([2, 3], 7)
-    l = slice_so(s, alg)
+    l = slice_so((2, 3), 7, alg)
     assert l.y.is_skew()
     assert l.wstar == 7 * Mat.basis_row(5, 4)
-    assert phi_slice(0, s, alg) == 49
-    assert phi_slice(1, s, alg) == 49 * (4 + 9)
-    assert phi_slice(2, s, alg) == 7 * 2 * 3  # odd top index: the product form
-    even = Algebra("io", 6)
-    assert phi_slice(2, s, even) == 49 * 36
+    assert phi_slice(0, (2, 3), 7) == 49
+    assert phi_slice(1, (2, 3), 7) == 49 * (4 + 9)
+    assert exotic_slice((2, 3), 7) == 7 * 2 * 3
+    # the top index is the square of the product form at every n
+    assert phi_slice(2, (2, 3), 7) == 49 * 36
 
 
 def test_psi_slice_sign():
     for n in range(2, 6):
         alg = Algebra("io", n)
         ell = alg.ell
-        s = SlicePointSO.of([2] * ell, 3)
-        l = slice_so(s, alg)
-        for k in range(ell + (0 if n % 2 else 1)):
-            if n % 2 == 1 and k == ell:
-                continue
-            assert psi_invariant(k, l) == PSI_SLICE_SIGN * phi_slice(k, s, alg)
+        a = (2,) * ell
+        l = slice_so(a, 3, alg)
+        for k in range(ell + 1):
+            assert psi_invariant(k, l) == PSI_SLICE_SIGN * phi_slice(k, a, 3)
 
 
 def test_exotic_slice_sign():
     for n in (1, 3, 5):
         alg = Algebra("iso", n)
-        s = SlicePointSO.of([2] * alg.ell, 3)
-        assert exotic_phi(slice_so(s, alg)) == EXOTIC_SLICE_SIGN * phi_slice(alg.ell, s, alg)
+        a = (2,) * alg.ell
+        assert exotic_phi(slice_so(a, 3, alg)) == EXOTIC_SLICE_SIGN * exotic_slice(a, 3)
+
+
+def test_top_slice_polynomial_is_the_square_of_the_exotic_one():
+    for n in (1, 3, 5, 7):
+        ell = (n - 1) // 2
+        for params in _param_grid(ell + 1):
+            a, a0 = params[:-1], params[-1]
+            assert phi_slice(ell, a, a0) == exotic_slice(a, a0) ** 2
 
 
 def test_slice_so_validates():
     with pytest.raises(ValueError):
-        slice_so(SlicePointSO.of([1], 1), Algebra("glvv", 3))
+        slice_so((1,), 1, Algebra("glvv", 3))
     with pytest.raises(ValueError):
-        slice_so(SlicePointSO.of([1, 2], 1), Algebra("io", 3))
+        slice_so((1, 2), 1, Algebra("io", 3))
 
 
 # -- orbit machinery ------------------------------------------------------------------------
