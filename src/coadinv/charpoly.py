@@ -19,26 +19,26 @@ B_k(x) = B_k(A) / d^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Callable, Sequence
 
-from .exactmat import ExactnessError, Mat, Rat, int_mat_mul, inverse, scalar
+from .exactmat import (ExactnessError, Mat, Rat, Record, _normal, int_mat_mul, inverse,
+                       scalar)
 
 
-@dataclass(frozen=True)
-class CharData:
+class CharData(Record):
     """Coefficients p_1..p_n and gradients B_0..B_{n-1} of one matrix.
 
     p[k-1] holds p_k; B[k] holds B_k.  coeff(k) additionally returns 0 for
     k > n, the convention the bordered identities rely on.
     """
 
-    n: int
-    p: tuple
-    B: tuple
+    __slots__ = ("n", "p", "B")
+
+    def __init__(self, n: int, p: tuple, B: tuple):
+        self._set(n, p, B)
 
     def coeff(self, k: int) -> Rat:
         if k < 1:
@@ -71,8 +71,9 @@ def char_data(x: Mat) -> CharData:
     pn = p[-1]
     if any(v != (pn if i == j else 0) for i, row in enumerate(acc) for j, v in enumerate(row)):
         raise ExactnessError("characteristic recursion lost exactness")
+    # the rows of each B_k are fresh n-wide tuples: reduced, never copied
     return CharData(n, tuple(Fraction(pk, d ** k) for k, pk in enumerate(p, start=1)),
-                    tuple(Mat.from_num_den(Bk, d ** k) for k, Bk in enumerate(B)))
+                    tuple(_normal(n, n, Bk, d ** k) for k, Bk in enumerate(B)))
 
 
 # -- exact interpolation ----------------------------------------------------

@@ -21,7 +21,6 @@ import sys
 from . import invariants as inv
 from .exactmat import ExactnessError, mat_to_json, rat_str
 from .liealg import FAMILIES, Algebra, dual_from_json, dual_to_json
-from .verify import SUITES, SuiteConfig, run_all, run_suite, suite_range
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
@@ -131,6 +130,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here, not at the top, so that eval and orbit never load the suites
+    from .verify import SUITES, SuiteConfig, run_all, run_suite, suite_range
     if not args.all and not args.suite:
         raise ValueError("verify needs --suite NAME or --all")
     if args.all and (args.suite or args.algebra):

@@ -22,10 +22,11 @@ also takes JSON integers as entries; sizes must be JSON integers.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Sequence
 
 Rat = Fraction
 
@@ -40,9 +41,7 @@ def rat(value) -> Rat:
 
 
 def rat_str(value: Rat) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+    return _entry_str(value.numerator, value.denominator)
 
 
 def _frac(v: int, d: int) -> Rat:
@@ -445,10 +444,20 @@ def pfaffian(a: Mat) -> Rat:
 
 # -- JSON ------------------------------------------------------------------
 
+def _int_str(v: int) -> str:
+    """Decimal digits of v, however long: str() refuses integers past the
+    interpreter's digit limit, which stays in force for parsing, and the
+    decimal module renders those exactly."""
+    try:
+        return str(v)
+    except ValueError:
+        return str(Decimal(v))
+
+
 def _entry_str(v: int, d: int) -> str:
     """rat_str of v / d."""
     g = gcd(v, d)
-    return str(v // g) if g == d else "%d/%d" % (v // g, d // g)
+    return _int_str(v // g) if g == d else _int_str(v // g) + "/" + _int_str(d // g)
 
 
 def mat_to_json(a: Mat) -> dict:
@@ -508,3 +517,41 @@ def mat_from_json(obj) -> Mat:
     d = lcm(*[den for row in parsed for _, den in row])
     return _normal(rows, cols, tuple(tuple([num * (d // den) for num, den in row])
                                      for row in parsed), d)
+
+
+# -- immutable records ------------------------------------------------------
+
+class Record:
+    """Base of the immutable value types: a subclass names its fields in
+    __slots__ and sets them once, in __init__, through _set.  Records are
+    equal by type and fields, hash and print by their fields, refuse
+    assignment, and pickle and copy through their constructor."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __reduce__(self):
+        return type(self), self._fields()

@@ -14,12 +14,11 @@ grid oracle in the verify module and locked by regression tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
 from .charpoly import bordered, bordered_gradients, char_data
-from .exactmat import ExactnessError, Mat, Rat, det, inverse, pfaffian, scalar
+from .exactmat import ExactnessError, Mat, Rat, Record, det, inverse, pfaffian, scalar
 # project_traceless is re-exported: it is part of this module's interface
 from .liealg import (_RETRY_CAP, Algebra, DualPoint, GroupElem, Rng, coad,
                      project_traceless, sample_dual)
@@ -47,12 +46,13 @@ def lower_shift(n: int) -> Mat:
     return Mat([[int(i == j + 1) for j in range(n)] for i in range(n)])
 
 
-@dataclass(frozen=True)
-class CanonicalPair:
+class CanonicalPair(Record):
     """The base point (J, e_n*) of the open affine orbit."""
 
-    J: Mat
-    enstar: Mat
+    __slots__ = ("J", "enstar")
+
+    def __init__(self, J: Mat, enstar: Mat):
+        self._set(J, enstar)
 
     @staticmethod
     def of_size(n: int) -> "CanonicalPair":

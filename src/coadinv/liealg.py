@@ -30,12 +30,11 @@ and its bordered-matrix embedding into gl(n+1).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .charpoly import bordered
-from .exactmat import (ExactnessError, Mat, Rat, det, inverse, json_size,
+from .exactmat import (ExactnessError, Mat, Rat, Record, det, inverse, json_size,
                        mat_from_json, mat_to_json, rank, scalar)
 
 FAMILIES = ("aff", "isl", "glvv", "io", "iso")
@@ -44,18 +43,17 @@ FAMILIES = ("aff", "isl", "glvv", "io", "iso")
 _RETRY_CAP = 64
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     """One of the supported families at a fixed size n."""
 
-    family: str
-    n: int
+    __slots__ = ("family", "n")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError("unknown algebra family %r" % (self.family,))
-        if self.n < 1:
+    def __init__(self, family: str, n: int):
+        if family not in FAMILIES:
+            raise ValueError("unknown algebra family %r" % (family,))
+        if n < 1:
             raise ValueError("algebra size must be >= 1")
+        self._set(family, n)
 
     @property
     def ell(self) -> int:
@@ -79,35 +77,31 @@ def _want_shape(m: Mat, rows: int, cols: int, what: str):
                          % (what, rows, cols, m.rows, m.cols))
 
 
-@dataclass(frozen=True)
-class DualPoint:
+class DualPoint(Record):
     """Point (y, wstar, xi) of the glvv dual -- y is n x n, wstar 1 x n,
     xi n x 1 -- tagged with the family whose dual it lies in.  The
     family's constraints are checked here, once."""
 
-    y: Mat
-    wstar: Mat
-    xi: Mat
-    family: str = "glvv"
+    __slots__ = ("y", "wstar", "xi", "family")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError("unknown algebra family %r" % (self.family,))
-        if not self.y.is_square():
+    def __init__(self, y: Mat, wstar: Mat, xi: Mat, family: str = "glvv"):
+        if family not in FAMILIES:
+            raise ValueError("unknown algebra family %r" % (family,))
+        if not y.is_square():
             raise ValueError("y must be square")
-        n = self.y.rows
-        _want_shape(self.wstar, 1, n, "wstar")
-        _want_shape(self.xi, n, 1, "xi")
-        fam = self.family
-        if fam in ("aff", "isl") and self.xi != Mat.zero(n, 1):
-            raise ValueError("%s point needs xi = 0" % fam)
-        if fam == "isl" and self.y.trace() != 0:
+        n = y.rows
+        _want_shape(wstar, 1, n, "wstar")
+        _want_shape(xi, n, 1, "xi")
+        if family in ("aff", "isl") and xi != Mat.zero(n, 1):
+            raise ValueError("%s point needs xi = 0" % family)
+        if family == "isl" and y.trace() != 0:
             raise ValueError("isl point needs tr(y) = 0")
-        if fam in ("io", "iso"):
-            if not self.y.is_skew():
+        if family in ("io", "iso"):
+            if not y.is_skew():
                 raise ValueError("y must be skew-symmetric")
-            if self.xi != -self.wstar.transpose():
-                raise ValueError("%s point needs xi = -wstar^T" % fam)
+            if xi != -wstar.transpose():
+                raise ValueError("%s point needs xi = -wstar^T" % family)
+        self._set(y, wstar, xi, family)
 
     @staticmethod
     def of(family: str, y: Mat, wstar: Mat, xi: Mat = None) -> "DualPoint":
@@ -131,24 +125,22 @@ class DualPoint:
         return DualPoint(c * self.y, c * self.wstar, c * self.xi, self.family)
 
 
-@dataclass(frozen=True)
-class GroupElem:
+class GroupElem(Record):
     """Element (g, u, vstar) of the glvv group, g invertible.  The aff and
     isl groups are the elements with vstar = 0 (det g = 1 for isl); the
     orthogonal groups are the elements built by orthogonal()."""
 
-    g: Mat
-    u: Mat
-    vstar: Mat
+    __slots__ = ("g", "u", "vstar")
 
-    def __post_init__(self):
-        if not self.g.is_square():
+    def __init__(self, g: Mat, u: Mat, vstar: Mat):
+        if not g.is_square():
             raise ValueError("g must be square")
-        n = self.g.rows
-        _want_shape(self.u, n, 1, "u")
-        _want_shape(self.vstar, 1, n, "vstar")
-        if det(self.g) == 0:
+        n = g.rows
+        _want_shape(u, n, 1, "u")
+        _want_shape(vstar, 1, n, "vstar")
+        if det(g) == 0:
             raise ValueError("singular")
+        self._set(g, u, vstar)
 
     @staticmethod
     def orthogonal(g: Mat, u: Mat) -> "GroupElem":
@@ -202,6 +194,8 @@ class Rng:
         if hi < lo:
             raise ValueError("empty range")
         span = hi - lo + 1
+        if span > 1 << 64:  # one 64-bit draw cannot cover it
+            raise ValueError("range wider than 2^64")
         limit = (1 << 64) - ((1 << 64) % span)
         while True:
             u = self.next_u64()

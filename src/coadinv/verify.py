@@ -49,6 +49,8 @@ class SuiteConfig:
         # at bound 0 every sample is a zero matrix and each check holds vacuously
         if self.coeff_bound < 1:
             raise ValueError("bound must be >= 1")
+        if self.coeff_bound > 2 ** 63 - 1:  # [-bound, bound] must fit one 64-bit draw
+            raise ValueError("bound must be <= 2^63 - 1")
         if not 1 <= self.n_lo <= self.n_hi <= 8:
             raise ValueError("n range must lie within 1..8")
 
@@ -245,9 +247,10 @@ def _jacobian_rank(point, directions, eval_vec, width: int, degree_bound: int) -
     """Exact Jacobian rank of a vector-valued polynomial map at the point,
     one directional derivative per coordinate direction."""
     cols = []
+    at_point = eval_vec(point)
     for d in directions:
-        values = [eval_vec(point if t == 0 else point + Fraction(t) * d)
-                  for t in range(degree_bound + 1)]
+        values = [at_point] + [eval_vec(point + Fraction(t) * d)
+                               for t in range(1, degree_bound + 1)]
         cols.append([interp_coeffs([row[i] for row in values])[1]
                      for i in range(width)])
     jac = Mat([[cols[j][i] for j in range(len(cols))] for i in range(width)])

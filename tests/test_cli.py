@@ -1,13 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import coadinv
 from coadinv import cli, verify
 from coadinv.cli import main
 from coadinv.exactmat import ExactnessError, Mat, mat_to_json, rat_str
-from coadinv.invariants import (CanonicalPair, F_all, exotic_phi, f_bar, slice_isl,
-                                t_slice)
+from coadinv.invariants import (CanonicalPair, F_all, exotic_phi, f_bar, f_invariant,
+                                orbit_normalize, slice_isl, t_slice)
 from coadinv.liealg import Algebra, DualPoint, Rng, dual_to_json, sample_dual
+
+SRC_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def run_module(argv, timeout=120):
+    """coadinv.cli run as its own process, on this source tree."""
+    path = os.pathsep.join(filter(None, [SRC_ROOT, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable] + argv, capture_output=True, text=True,
+                          timeout=timeout, env=dict(os.environ, PYTHONPATH=path))
 
 
 def write_point(tmp_path, obj, name="point.json"):
@@ -184,8 +198,8 @@ def count_suite_runs(monkeypatch):
         runs.append(args[0])
         return real(*args, **kwargs)
 
-    # cli calls run_suite for --suite, run_all calls it for --all
-    monkeypatch.setattr(cli, "run_suite", counted)
+    # cli reads verify.run_suite at each call for --suite, run_all calls it
+    # for --all
     monkeypatch.setattr(verify, "run_suite", counted)
     return runs
 
@@ -432,3 +446,152 @@ def test_eval_reads_integer_entries(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["eval", "--input", write_point(tmp_path, obj)])
     assert code == 0
     assert [v["value"] for v in json.loads(out)] == ["-4", "3"]
+
+
+# -- a lean cold start ---------------------------------------------------------
+
+PACKAGE_NAMES = [
+    "Algebra", "CanonicalPair", "CharData", "DualPoint", "EXOTIC_SLICE_SIGN",
+    "EXOTIC_SQUARE_SIGN", "ExactnessError", "FAMILIES", "F_SLICE_SIGN", "F_all",
+    "F_bordered", "F_bordered_all", "F_invariant", "GroupElem", "Mat", "NotInOpenOrbit",
+    "PSI_SLICE_SIGN", "Rat", "Rng", "SUITES", "SuiteConfig", "VerifyReport", "bordered",
+    "bordered_char_identities", "bordered_gradients", "bracket_b", "char_data", "charpoly",
+    "coad", "commutator_form", "compose", "det", "directional_coeff", "dual_from_json",
+    "dual_to_json", "embed_M", "exactmat", "exotic_phi", "exotic_slice", "f_bar",
+    "f_invariant", "f_krylov", "group_from_json", "group_to_json", "index_of",
+    "interp_coeffs", "invariants", "inverse", "k_bracket", "krylov_rows", "liealg",
+    "lower_shift", "mat_from_json", "mat_mul", "mat_to_json", "orbit_normalize",
+    "pfaff_vector", "pfaffian", "phi_covariant", "phi_rows", "phi_slice", "pi_projection",
+    "project_traceless", "psi_all", "psi_bordered", "psi_bordered_all", "psi_invariant",
+    "rank", "rat", "rat_str", "resolve_sign", "run_all", "run_suite", "sample_dual",
+    "sample_group", "sample_open_b", "slice_isl", "slice_so", "suite_range", "t_slice",
+    "theta", "verify",
+]
+
+LEAN_PROBE = """
+import json, sys
+import coadinv.cli
+heavy = ("dataclasses", "inspect", "coadinv.verify")
+seen = {"import": [m for m in heavy if m in sys.modules]}
+for argv in json.loads(sys.argv[1]):
+    code = coadinv.cli.main(argv)
+    seen[argv[0]] = [m for m in heavy if m in sys.modules] + ["exit %d" % code] * bool(code)
+import coadinv
+suites = coadinv.SUITES
+seen["SUITES"] = [m for m in heavy if m in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_eval_and_orbit_load_neither_dataclasses_nor_the_suites(tmp_path):
+    point = write_point(tmp_path, canonical_point_json(3, [5, 7, 11]))
+    runs = [["eval", "--input", point, "--output", str(tmp_path / "eval.json")],
+            ["orbit", "--input", point, "--output", str(tmp_path / "orbit.json")]]
+    proc = run_module(["-c", LEAN_PROBE, json.dumps(runs)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": [], "eval": [], "orbit": [],
+        # the suite names load verify, and with it dataclasses, on first access
+        "SUITES": ["dataclasses", "inspect", "coadinv.verify"]}
+    assert json.loads((tmp_path / "eval.json").read_text())[0]["value"] == "11"
+
+
+def test_package_names_are_unchanged():
+    from coadinv import SUITES, run_all
+    assert run_all is verify.run_all and SUITES is verify.SUITES
+    assert sorted(coadinv.__all__) == PACKAGE_NAMES
+    assert all(hasattr(coadinv, name) for name in PACKAGE_NAMES)
+    with pytest.raises(AttributeError, match="no attribute 'run_everything'"):
+        coadinv.run_everything
+
+
+# -- inputs at the edges of the integer range ----------------------------------
+
+def test_verify_refuses_a_bound_past_63_bits(capsys, monkeypatch):
+    # a bound of 2^63 asks for 2^64 + 1 values from a 64-bit draw: this run
+    # used to loop forever
+    proc = run_module(["-m", "coadinv.cli", "verify", "--suite", "theta", "--n", "2",
+                       "--samples", "1", "--bound", str(2 ** 63)], timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: bound must be <= 2^63 - 1")
+    runs = count_suite_runs(monkeypatch)
+    code, out, err = run_cli(capsys, ["verify", "--all", "--n-max", "2", "--samples", "1",
+                                      "--bound", str(2 ** 63)])
+    assert (code, out, runs) == (2, "", [])
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "theta", "--n", "2", "--samples",
+                                    "1", "--bound", str(2 ** 63 - 1)])
+    assert code == 0
+    assert runs == ["theta"] and json.loads(out)[0]["passed"]
+
+
+def digits(text: str) -> int:
+    """The integer a decimal string names, read in chunks far below the
+    interpreter's digit limit."""
+    sign, text = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def rational(text: str) -> Fraction:
+    num, _, den = text.partition("/")
+    return Fraction(digits(num), digits(den or "1"))
+
+
+def long_integer(ndigits: int, tail: int) -> tuple:
+    """A decimal string of ndigits digits, as built by hand, and its value."""
+    text = "1" + str(tail).zfill(ndigits - 1)
+    return text, 10 ** (ndigits - 1) + tail
+
+
+def test_eval_prints_values_past_the_digit_limit(tmp_path, capsys):
+    # f is the product of the diagonal's differences: about 4500 digits
+    a_text, a = long_integer(1500, 3)
+    b_text, b = "3" + a_text[1:], a + 2 * 10 ** 1499
+    obj = {"algebra": "aff", "n": 3,
+           "y": {"rows": 3, "cols": 3,
+                 "entries": [[a_text, 0, 0], [0, b_text, 0], [0, 0, "-" + a_text]]},
+           "vstar": mat_to_json(Mat.row([1, 1, 1]))}
+    code, out, err = run_cli(capsys, ["eval", "--input", write_point(tmp_path, obj)])
+    assert code == 0, err
+    [entry] = json.loads(out)
+    value = digits(entry["value"])
+    assert len(entry["value"]) > 4300
+    point = DualPoint(Mat.diag([a, b, -a]), Mat.row([1, 1, 1]), Mat.zero(3, 1), "aff")
+    assert value == f_invariant(point)
+
+
+def test_orbit_prints_matrices_past_the_digit_limit(tmp_path, capsys):
+    # g = (wstar B_1(y); wstar) has 4000-digit entries, so the normal
+    # form's xi = g xi has about 6000
+    a_text, a = long_integer(2000, 1)
+    b_text, b = long_integer(2000, 2)
+    obj = {"algebra": "glvv", "n": 2,
+           "y": {"rows": 2, "cols": 2, "entries": [[a_text, 0], [0, b_text]]},
+           "wstar": {"rows": 1, "cols": 2, "entries": [[a_text, 1]]},
+           "xi": {"rows": 2, "cols": 1, "entries": [[a_text], [b_text]]}}
+    code, out, err = run_cli(capsys, ["orbit", "--input", write_point(tmp_path, obj)])
+    assert code == 0, err
+    result = json.loads(out)
+    elem, normal = orbit_normalize(DualPoint(Mat.diag([a, b]), Mat.row([a, 1]),
+                                             Mat.col([a, b])))
+    for got, want in ((result["g"], elem.g), (result["u"], elem.u),
+                      (result["normal_form"]["xi"], normal.xi)):
+        assert [[rational(e) for e in row] for row in got["entries"]] == want.to_lists()
+    assert max(len(e) for row in result["normal_form"]["xi"]["entries"] for e in row) > 4300
+
+
+@pytest.mark.parametrize("entry", ['"1%s"' % ("0" * 4300), "1%s" % ("0" * 4300)])
+def test_eval_refuses_an_entry_past_the_digit_limit(tmp_path, capsys, entry):
+    # rendering writes any length, parsing keeps the interpreter's limit
+    path = tmp_path / "point.json"
+    path.write_text('{"algebra": "aff", "n": 1, "y": {"rows": 1, "cols": 1, '
+                    '"entries": [[%s]]}, "vstar": {"rows": 1, "cols": 1, '
+                    '"entries": [["1"]]}}' % entry)
+    code, out, err = run_cli(capsys, ["eval", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "4300" in err
+

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -192,3 +193,30 @@ def test_json_rejects_malformed():
 def test_rat_str():
     assert rat_str(F(3)) == "3"
     assert rat_str(F(-3, 4)) == "-3/4"
+
+
+def digits(text: str) -> int:
+    """The integer a decimal string names, read in chunks far below the
+    interpreter's digit limit, so the check does not lean on str()."""
+    sign, text = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def test_rendering_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    big = 7 ** 12000 + 1  # 10,141 digits
+    for value in (F(big), F(-big, 3), F(3, big)):
+        num, _, den = rat_str(value).partition("/")
+        assert F(digits(num), digits(den or "1")) == value
+    a = Mat([[F(big, 2), 1], [0, -big]])
+    entries = mat_to_json(a)["entries"]
+    assert [[F(*map(digits, e.split("/"))) if "/" in e else digits(e) for e in row]
+            for row in entries] == a.to_lists()
+    # the process-wide limit stays in force, and so does parsing under it
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError, match="malformed rational"):
+        mat_from_json({"rows": 1, "cols": 1, "entries": [[rat_str(F(big))]]})

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from math import gcd
 
 import pytest
@@ -38,6 +41,25 @@ def test_rng_range():
     rng = Rng(5)
     vals = {rng.int_between(0, 2) for _ in range(200)}
     assert vals == {0, 1, 2}
+
+
+def test_rng_refuses_a_range_wider_than_one_draw():
+    # past 2^64 values the rejection limit is 0 and no draw would ever
+    # return, so the call runs in a child process that a hang cannot outlive
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from coadinv.liealg import Rng\n"
+                               "Rng(1).int_between(-2 ** 63, 2 ** 63)"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith("ValueError: range wider than 2^64")
+    # the widest accepted range is one raw draw, as before
+    raw, rng = Rng(1), Rng(1)
+    assert [rng.int_between(0, 2 ** 64 - 1) for _ in range(4)] == \
+        [raw.next_u64() for _ in range(4)]
+    rng = Rng(2)
+    assert abs(rng.int_between(-(2 ** 63 - 1), 2 ** 63 - 1)) < 2 ** 63
 
 
 # -- types ---------------------------------------------------------------------

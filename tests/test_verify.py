@@ -53,6 +53,10 @@ def test_config_validation():
         SuiteConfig(n_hi=9)
     with pytest.raises(ValueError, match="bound must be >= 1"):
         SuiteConfig(coeff_bound=0)
+    # [-bound, bound] must fit one 64-bit draw
+    with pytest.raises(ValueError, match="bound must be <= 2\\^63 - 1"):
+        SuiteConfig(coeff_bound=2 ** 63)
+    assert SuiteConfig(coeff_bound=2 ** 63 - 1).coeff_bound == 2 ** 63 - 1
 
 
 def test_reports_are_deterministic():
