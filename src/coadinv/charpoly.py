@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import mul
 
@@ -78,24 +79,12 @@ def char_data(x: Mat) -> CharData:
 
 # -- exact interpolation ----------------------------------------------------
 
-_VAND_INV_CACHE: dict = {}
-
-
+@cache
 def _vandermonde_inverse(deg: int):
     """Inverse of the Vandermonde matrix at the nodes t = 0..deg, as
     integer rows over one common denominator."""
-    entry = _VAND_INV_CACHE.get(deg)
-    if entry is None:
-        v = Mat([[t ** j for j in range(deg + 1)] for t in range(deg + 1)])
-        entry = inverse(v).num_den()
-        _VAND_INV_CACHE[deg] = entry
-    return entry
-
-
-def _over_common(values: Sequence[Rat]):
-    """Integer numerators of the values over their least common denominator."""
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+    v = Mat([[t ** j for j in range(deg + 1)] for t in range(deg + 1)])
+    return inverse(v).num_den()
 
 
 def interp_coeffs(values: Sequence[Rat]) -> tuple:
@@ -105,7 +94,8 @@ def interp_coeffs(values: Sequence[Rat]) -> tuple:
     if deg < 0:
         raise ValueError("need at least one value")
     rows, e = _vandermonde_inverse(deg)
-    nums, den = _over_common(values)
+    den = lcm(*[v.denominator for v in values])
+    nums = [v.numerator * (den // v.denominator) for v in values]
     return tuple(Fraction(sum(map(mul, row, nums)), e * den) for row in rows)
 
 
@@ -123,13 +113,11 @@ def directional_coeff(F: Callable, base, direction, order: int, degree_bound: in
     """
     if order < 0 or order > degree_bound:
         raise ValueError("order must lie in 0..degree_bound")
-    values = [F(base) if t == 0 else F(base + Fraction(t) * direction)
-              for t in range(degree_bound + 2)]
-    rows, e = _vandermonde_inverse(degree_bound + 1)
-    nums, den = _over_common(values)
-    if sum(map(mul, rows[-1], nums)):
+    coeffs = interp_coeffs([F(base) if t == 0 else F(base + Fraction(t) * direction)
+                            for t in range(degree_bound + 2)])
+    if coeffs[-1]:
         raise ExactnessError("restriction has degree above the bound %d" % degree_bound)
-    return Fraction(sum(map(mul, rows[order], nums)), e * den)
+    return coeffs[order]
 
 
 # -- bordered matrices -------------------------------------------------------

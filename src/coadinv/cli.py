@@ -20,7 +20,7 @@ import sys
 
 from . import invariants as inv
 from .exactmat import ExactnessError, mat_to_json, rat_str
-from .liealg import FAMILIES, Algebra, dual_from_json, dual_to_json
+from .liealg import FAMILIES, dual_from_json, dual_to_json
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
@@ -68,49 +68,30 @@ def _value_entry(name: str, value, k=None) -> dict:
     return out
 
 
-def _eval_all(alg: Algebra, point) -> list:
-    if alg.family == "aff":
-        return [_value_entry("f", inv.f_invariant(point))]
-    if alg.family == "isl":
-        return [_value_entry("fbar", inv.f_bar(point))]
-    if alg.family == "glvv":
-        return [_value_entry("F", v, k) for k, v in enumerate(inv.F_all(point))]
-    ell = alg.ell
-    psis = inv.psi_all(point)
-    if alg.family == "io" or alg.n % 2 == 0:
-        return [_value_entry("psi", v, k) for k, v in enumerate(psis)]
-    out = [_value_entry("psi", psis[k], k) for k in range(ell)]
-    out.append(_value_entry("phi", inv.exotic_phi(point)))
-    return out
+# single ids: name -> (the families whose dual it lives on, that dual's
+# name, evaluator); the indexed ids F and psi take the index first
+_SINGLE_IDS = {
+    "f": (("aff",), "aff", inv.f_invariant),
+    "fbar": (("isl",), "isl", inv.f_bar),
+    "phi": (("iso",), "iso", inv.exotic_phi),
+    "F": (("glvv",), "glvv", inv.F_invariant),
+    "psi": (("io", "iso"), "orthogonal", inv.psi_invariant),
+}
+_WHICH_RE = re.compile(r"(?P<name>f|fbar|phi)|(?P<indexed>F|psi)(?P<k>[0-9]+)")
 
 
-_WHICH_RE = re.compile(r"^(F|psi)(\d+)$")
-
-
-def _eval_one(alg: Algebra, point, which: str) -> dict:
-    if which == "f":
-        if alg.family != "aff":
-            raise ValueError("invariant 'f' lives on the aff dual")
-        return _value_entry("f", inv.f_invariant(point))
-    if which == "fbar":
-        if alg.family != "isl":
-            raise ValueError("invariant 'fbar' lives on the isl dual")
-        return _value_entry("fbar", inv.f_bar(point))
-    if which == "phi":
-        if alg.family != "iso":
-            raise ValueError("invariant 'phi' lives on the iso dual")
-        return _value_entry("phi", inv.exotic_phi(point))
-    m = _WHICH_RE.match(which)
+def _eval_one(point, which: str) -> dict:
+    m = _WHICH_RE.fullmatch(which)
     if not m:
         raise ValueError("unknown invariant id %r" % (which,))
-    name, k = m.group(1), int(m.group(2))
-    if name == "F":
-        if alg.family != "glvv":
-            raise ValueError("invariant 'F' lives on the glvv dual")
-        return _value_entry("F", inv.F_invariant(k, point), k)
-    if alg.family not in ("io", "iso"):
-        raise ValueError("invariant 'psi' lives on the orthogonal dual")
-    return _value_entry("psi", inv.psi_invariant(k, point), k)
+    name = m.group("name") or m.group("indexed")
+    families, dual, evaluate = _SINGLE_IDS[name]
+    if point.family not in families:
+        raise ValueError("invariant %r lives on the %s dual" % (name, dual))
+    if m.group("k") is None:
+        return _value_entry(name, evaluate(point))
+    k = int(m.group("k"))
+    return _value_entry(name, evaluate(k, point), k)
 
 
 def cmd_eval(args) -> int:
@@ -122,9 +103,9 @@ def cmd_eval(args) -> int:
     if args.n is not None and args.n != alg.n:
         raise ValueError("--n %d does not match the input point (n=%d)" % (args.n, alg.n))
     if args.which == "all":
-        result = _eval_all(alg, point)
+        result = [_value_entry(name, v, k) for name, k, v in inv.generators(point)]
     else:
-        result = _eval_one(alg, point, args.which)
+        result = _eval_one(point, args.which)
     _emit(result, args.output)
     return 0
 

@@ -36,12 +36,23 @@ class ExactnessError(ArithmeticError):
 
 
 def rat(value) -> Rat:
-    """Coerce an int, a Fraction or a "p/q" string to an exact rational."""
-    return Fraction(value)
+    """Coerce an int, a Fraction or a "p"/"p/q" string to an exact rational;
+    floats, decimal and exponent strings and all else are refused."""
+    if isinstance(value, str):
+        return Fraction(*_json_num_den(value))
+    return Fraction(_exact(value))
 
 
 def rat_str(value: Rat) -> str:
     return _entry_str(value.numerator, value.denominator)
+
+
+def _exact(v):
+    """An int or Fraction as it is; a float, a string or any other type
+    would bring inexact or unbounded input into the kernel."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    raise TypeError("exact entries are int or Fraction, got %r" % (v,))
 
 
 def _frac(v: int, d: int) -> Rat:
@@ -52,14 +63,15 @@ class Mat:
     """Dense rows x cols matrix of exact rationals: integer rows over one
     positive denominator, in lowest terms.
 
-    Instances are immutable; arithmetic returns new matrices.  Scalar
+    Instances are immutable; arithmetic returns new matrices.  Entries are
+    int or Fraction, anything else raises TypeError.  Scalar
     multiplication accepts int or Fraction on either side.
     """
 
     __slots__ = ("rows", "cols", "_a", "_d")
 
     def __init__(self, entries: Sequence[Sequence]):
-        m = [[v if type(v) is int else Fraction(v) for v in row] for row in entries]
+        m = [[v if type(v) is int else _exact(v) for v in row] for row in entries]
         if not m or not m[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(m[0])

@@ -185,6 +185,27 @@ def exotic_phi(l: DualPoint) -> Rat:
     return pfaffian(bordered(l.y, -l.wstar.transpose(), l.wstar, 0))
 
 
+def generators(l: DualPoint) -> list:
+    """The generator table of the point's family, evaluated at the point:
+    [(name, k, value), ...] with k = None for f, fbar and phi.
+
+    aff has f, isl fbar, glvv F_0..F_{n-1} and io psi_0..psi_ell.  iso
+    has psi_0..psi_ell at even n; at odd n phi takes the place of psi_ell,
+    which is EXOTIC_SQUARE_SIGN phi^2 there.  phi flips sign under a
+    reflection, so it is no generator of io."""
+    fam = l.family
+    if fam == "aff":
+        return [("f", None, f_invariant(l))]
+    if fam == "isl":
+        return [("fbar", None, f_bar(l))]
+    if fam == "glvv":
+        return [("F", k, v) for k, v in enumerate(F_all(l))]
+    psis = [("psi", k, v) for k, v in enumerate(psi_all(l))]
+    if fam == "iso" and l.n % 2 == 1:
+        return psis[:-1] + [("phi", None, exotic_phi(l))]
+    return psis
+
+
 def pfaff_vector(y: Mat) -> Mat:
     """The column pf(y) of an odd skew matrix, defined by
     wstar pf(y) = exotic_phi(y, wstar) for every covector; computed by

@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import invariants as inv
 from .charpoly import (bordered_char_identities, char_data, directional_coeff,
                        interp_coeffs)
-from .exactmat import Mat, det, inverse, mat_to_json, rank, rat_str, scalar
+from .exactmat import ExactnessError, Mat, det, inverse, mat_to_json, rank, rat_str, scalar
 from .liealg import (_RETRY_CAP, FAMILIES, Algebra, DualPoint, GroupElem, Rng,
                      algebra_basis, bracket_b, coad, commutator_form,
                      dual_to_json, embed_M, group_to_json, index_of, k_bracket,
@@ -243,40 +243,36 @@ def _suite_dual_path(unit: _Unit):
                            grads[k], bord[k], point=l)
 
 
-def _jacobian_rank(point, directions, eval_vec, width: int, degree_bound: int) -> int:
-    """Exact Jacobian rank of a vector-valued polynomial map at the point,
-    one directional derivative per coordinate direction."""
-    cols = []
-    at_point = eval_vec(point)
+def _jacobian_rank(point, directions, degree_bound: int) -> int:
+    """Exact Jacobian rank of the generator table at the point, one
+    directional derivative per coordinate direction."""
+    def values(p):
+        return [value for _, _, value in inv.generators(p)]
+    at_point = values(point)
+    rows = []
     for d in directions:
-        values = [at_point] + [eval_vec(point + Fraction(t) * d)
-                               for t in range(1, degree_bound + 1)]
-        cols.append([interp_coeffs([row[i] for row in values])[1]
-                     for i in range(width)])
-    jac = Mat([[cols[j][i] for j in range(len(cols))] for i in range(width)])
-    return rank(jac)
+        samples = [at_point] + [values(point + Fraction(t) * d)
+                                for t in range(1, degree_bound + 1)]
+        rows.append([interp_coeffs([s[i] for s in samples])[1]
+                     for i in range(len(at_point))])
+    # one row per direction: the transposed Jacobian, of the same rank
+    return rank(Mat(rows))
 
 
 def _suite_independence(unit: _Unit):
     alg, n = unit.alg, unit.n
-    # coordinate directions of the dual: the basis, transposed (the
-    # orthogonal generators read only y and wstar, so xi stays 0 there)
-    directions = [DualPoint(x, u.transpose(), v.transpose())
+    # coordinate directions of the family's dual: its basis, transposed, as
+    # points of the family, so that point + t d stays on it
+    directions = [DualPoint.of(alg.family, x, u.transpose(),
+                               v.transpose() if alg.family == "glvv" else None)
                   for x, u, v in algebra_basis(alg)]
     expected = n if alg.family == "glvv" else alg.ell + 1
-    if alg.family == "glvv":
-        eval_vec = inv.F_all
-    elif n % 2 == 1:  # the exotic generator stands in for the top orthogonal one
-        def eval_vec(p):
-            return inv.psi_all(p)[:expected - 1] + (inv.exotic_phi(p),)
-    else:
-        eval_vec = inv.psi_all
     for _ in range(unit.samples):
         # the full-rank locus is dense; degenerate sample points are
         # resampled so a failure means actual dependence, not bad luck
         for _attempt in range(_RETRY_CAP):
             point = sample_dual(alg, unit.rng, unit.bound)
-            got = _jacobian_rank(point, directions, eval_vec, expected, n + 1)
+            got = _jacobian_rank(point, directions, n + 1)
             if got == expected:
                 break
         unit.check("Jacobian of the generator family has rank %d" % expected,
@@ -446,8 +442,9 @@ def resolve_sign(pair: str, n: int, k=None) -> int:
     """Resolve one slice-comparison sign by exhaustive grid evaluation.
 
     Returns the unique epsilon in {+1, -1} with lhs = epsilon * rhs across
-    the whole grid; raises if neither sign works (which would mean an
-    implementation bug, not a convention)."""
+    the whole grid.  Raises ExactnessError if neither sign works or the grid
+    never produces a nonzero value (an implementation bug, not a
+    convention), and ValueError for an unknown pair or a bad n or k."""
     if n < 1 or n > 6:
         raise ValueError("sign resolution supported for n in 1..6")
 
@@ -483,12 +480,12 @@ def resolve_sign(pair: str, n: int, k=None) -> int:
         if lhs == rhs == 0:
             continue
         if lhs != rhs and lhs != -rhs:
-            raise ValueError("not proportional - investigate")
+            raise ExactnessError("not proportional - investigate")
         signs.add(1 if lhs == rhs else -1)
     if not signs:
-        raise ValueError("grid never produced a nonzero value")
+        raise ExactnessError("grid never produced a nonzero value")
     if len(signs) > 1:
-        raise ValueError("not proportional - investigate")
+        raise ExactnessError("not proportional - investigate")
     return signs.pop()
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import coadinv
 from coadinv import cli, verify
+from coadinv import invariants as inv
 from coadinv.cli import main
 from coadinv.exactmat import ExactnessError, Mat, mat_to_json, rat_str
 from coadinv.invariants import (CanonicalPair, F_all, exotic_phi, f_bar, f_invariant,
@@ -160,6 +161,24 @@ def test_eval_unknown_which(tmp_path, capsys):
     path = write_point(tmp_path, canonical_point_json(2, [1, 2]))
     code, _, _ = run_cli(capsys, ["eval", "--which", "zeta", "--input", path])
     assert code == 2
+
+
+@pytest.mark.parametrize("which", ["psi\u0660", "F\u0661", "F1\n"])
+def test_eval_ids_use_ascii_digits(tmp_path, capsys, which):
+    # an Arabic-Indic digit matches \d and int() reads it; $ matches before a final newline
+    path = write_point(tmp_path, canonical_point_json(2, [1, 2]))
+    code, out, err = run_cli(capsys, ["eval", "--which", which, "--input", path])
+    assert (code, out) == (2, "")
+    assert err == "error: unknown invariant id %r\n" % (which,)
+
+
+def test_a_sign_oracle_failure_exits_one(capsys, monkeypatch):
+    # a broken slice polynomial is a bug found by the oracle, not a usage error
+    real = inv.t_slice
+    monkeypatch.setattr(inv, "t_slice", lambda a, b: real(a, b) + 1)
+    code, out, err = run_cli(capsys, ["verify", "--suite", "slices", "--algebra", "isl",
+                                      "--n", "3", "--samples", "1"])
+    assert (code, out, err) == (1, "", "error: not proportional - investigate\n")
 
 
 def test_eval_refuses_n_zero(tmp_path, capsys):
@@ -458,7 +477,7 @@ PACKAGE_NAMES = [
     "bordered_char_identities", "bordered_gradients", "bracket_b", "char_data", "charpoly",
     "coad", "commutator_form", "compose", "det", "directional_coeff", "dual_from_json",
     "dual_to_json", "embed_M", "exactmat", "exotic_phi", "exotic_slice", "f_bar",
-    "f_invariant", "f_krylov", "group_from_json", "group_to_json", "index_of",
+    "f_invariant", "f_krylov", "generators", "group_from_json", "group_to_json", "index_of",
     "interp_coeffs", "invariants", "inverse", "k_bracket", "krylov_rows", "liealg",
     "lower_shift", "mat_from_json", "mat_mul", "mat_to_json", "orbit_normalize",
     "pfaff_vector", "pfaffian", "phi_covariant", "phi_rows", "phi_slice", "pi_projection",

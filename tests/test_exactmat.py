@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from coadinv.exactmat import (Mat, det, inverse, mat_from_json, mat_mul,
-                              mat_to_json, pfaffian, rank, rat_str)
+                              mat_to_json, pfaffian, rank, rat, rat_str)
 from coadinv.liealg import Rng
 
 
@@ -193,6 +193,25 @@ def test_json_rejects_malformed():
 def test_rat_str():
     assert rat_str(F(3)) == "3"
     assert rat_str(F(-3, 4)) == "-3/4"
+
+
+def test_only_exact_values_enter_the_kernel():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, and a decimal or
+    # exponent string such as "1e1000000" parses to an unbounded integer
+    for entry in (0.1, 1.0, "1", "1e1000000", None):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            Mat([[1, entry]])
+        with pytest.raises(TypeError, match="int or Fraction"):
+            Mat.col([entry])
+    for value in (0.1, 1.0, None, [1]):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            rat(value)
+    for text in ("1e1000000", "0.1", "1/0", " 1", "1/-2", ""):
+        with pytest.raises(ValueError):
+            rat(text)
+    assert [rat(v) for v in (5, F(1, 2), "-3/4", "7", "2/4")] == [
+        F(5), F(1, 2), F(-3, 4), F(7), F(1, 2)]
+    assert Mat([[1, F(1, 2)]]) == Mat.from_num_den([[2, 1]], 2)
 
 
 def digits(text: str) -> int:

@@ -9,13 +9,13 @@ from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
                                 F_bordered, F_bordered_all, F_invariant,
                                 NotInOpenOrbit, PSI_SLICE_SIGN, exotic_phi,
                                 exotic_slice, f_bar, f_invariant,
-                                f_krylov, krylov_rows, lower_shift,
+                                f_krylov, generators, krylov_rows, lower_shift,
                                 orbit_normalize, pfaff_vector, phi_covariant,
                                 phi_slice, pi_projection, project_traceless,
                                 psi_all, psi_bordered, psi_bordered_all,
                                 psi_invariant, sample_open_b, slice_isl,
                                 slice_so, t_slice)
-from coadinv.liealg import (Algebra, DualPoint, GroupElem, Rng, coad,
+from coadinv.liealg import (FAMILIES, Algebra, DualPoint, GroupElem, Rng, coad,
                             reflection, sample_dual, sample_group,
                             sample_int_mat, sample_orthogonal, sample_skew)
 from coadinv.verify import _param_grid
@@ -295,6 +295,29 @@ def test_pfaff_vector():
 def test_pfaff_vector_rejects_even():
     with pytest.raises(ValueError):
         pfaff_vector(Mat.zero(4, 4))
+
+
+# -- the generator table ---------------------------------------------------------------
+
+def table_ids(fam, n):
+    """The paper's generators of each family, written out by hand."""
+    ell, odd = (n - 1) // 2, n % 2
+    return {"aff": ["f"], "isl": ["fbar"], "glvv": ["F%d" % k for k in range(n)],
+            "io": ["psi%d" % k for k in range(ell + 1)],
+            "iso": ["psi%d" % k for k in range(ell + 1 - odd)] + ["phi"] * odd}[fam]
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_generators_table(fam):
+    single = {"f": f_invariant, "fbar": f_bar, "phi": exotic_phi,
+              "F": F_invariant, "psi": psi_invariant}
+    for n in range(1, 7):
+        l = sample_dual(Algebra(fam, n), Rng(4).child(fam, n), 3)
+        table = generators(l)
+        ids = [name + ("" if k is None else str(k)) for name, k, _ in table]
+        assert ids == table_ids(fam, n), n
+        for name, k, value in table:
+            assert value == (single[name](l) if k is None else single[name](k, l))
 
 
 # -- slices ------------------------------------------------------------------------------

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from coadinv.exactmat import mat_to_json
+from coadinv import invariants as inv
+from coadinv.exactmat import ExactnessError, mat_to_json
 from coadinv.invariants import (EXOTIC_SLICE_SIGN, EXOTIC_SQUARE_SIGN,
                                 F_SLICE_SIGN, PSI_SLICE_SIGN)
 from coadinv import verify
@@ -124,6 +125,40 @@ def test_resolve_sign_validation():
         resolve_sign("exotic-vs-slice", 4)  # even n
     with pytest.raises(ValueError):
         resolve_sign("f-vs-t", 7)  # out of supported range
+
+
+def test_resolve_sign_reports_a_bug_as_an_exactness_error(monkeypatch):
+    real = inv.t_slice
+    monkeypatch.setattr(inv, "t_slice", lambda a, b: 2 * real(a, b))
+    with pytest.raises(ExactnessError, match="not proportional"):
+        resolve_sign("f-vs-t", 3)
+    monkeypatch.setattr(inv, "f_bar", lambda l: Fraction(0))
+    monkeypatch.setattr(inv, "t_slice", lambda a, b: Fraction(0))
+    with pytest.raises(ExactnessError, match="grid never produced a nonzero value"):
+        resolve_sign("f-vs-t", 3)
+
+
+def _dependent(real):
+    """The generator tuple with its top entry replaced by a copy of the
+    first, or by zero when it has one entry: a family of lower rank."""
+    def values(l):
+        vals = real(l)
+        return vals[:-1] + ((vals[0],) if len(vals) > 1 else (Fraction(0),))
+    return values
+
+
+@pytest.mark.parametrize("fam", ["glvv", "io", "iso"])
+def test_independence_catches_a_dependent_family(monkeypatch, fam):
+    # the suite must evaluate the generators of the unit's family; a point
+    # moved along a glvv direction would be read with F_all instead
+    own, other = ("F_all", "psi_all") if fam == "glvv" else ("psi_all", "F_all")
+    monkeypatch.setattr(inv, own, _dependent(getattr(inv, own)))
+
+    def elsewhere(l):
+        pytest.fail("%s evaluated by the %s independence suite" % (other, fam))
+    monkeypatch.setattr(inv, other, elsewhere)
+    report = run_suite("independence", quick_cfg(fam, n_lo=2, n_hi=3, samples=1))
+    assert not report.passed
 
 
 def test_run_all_quick():
