@@ -19,15 +19,7 @@ from .invariants import (CanonicalPair, EXOTIC_SLICE_SIGN, EXOTIC_SQUARE_SIGN,
                          psi_bordered_all, psi_invariant, sample_open_b, slice_isl,
                          slice_so, t_slice)
 
-# the property suites load on first access, so eval and orbit never import them
-_VERIFY_NAMES = ("SUITES", "SuiteConfig", "VerifyReport", "resolve_sign", "run_all",
-                 "run_suite", "suite_range")
+from .verify import (SUITES, SuiteConfig, VerifyReport, resolve_sign, run_all, run_suite,
+                     suite_range)
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["verify", *_VERIFY_NAMES]
-
-
-def __getattr__(name):
-    if name not in _VERIFY_NAMES:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from . import verify
-    return getattr(verify, name)
+__all__ = [name for name in dir() if not name.startswith("_")]

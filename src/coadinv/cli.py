@@ -19,6 +19,7 @@ import re
 import sys
 
 from . import invariants as inv
+from . import verify
 from .exactmat import ExactnessError, mat_to_json, rat_str
 from .liealg import FAMILIES, dual_from_json, dual_to_json
 
@@ -111,8 +112,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # imported here, not at the top, so that eval and orbit never load the suites
-    from .verify import SUITES, SuiteConfig, run_all, run_suite, suite_range
     if not args.all and not args.suite:
         raise ValueError("verify needs --suite NAME or --all")
     if args.all and (args.suite or args.algebra):
@@ -123,21 +122,17 @@ def cmd_verify(args) -> int:
         _check_writable(args.output)
     if args.all:
         n_lo, n_hi = (args.n_min, args.n_max) if args.n is None else (args.n, args.n)
-        reports = run_all(seed=args.seed, samples=args.samples,
-                          n_max=n_hi, n_min=n_lo, coeff_bound=args.bound)
+        reports = verify.run_all(seed=args.seed, samples=args.samples,
+                                 n_max=n_hi, n_min=n_lo, coeff_bound=args.bound)
     else:
-        spec = SUITES.get(args.suite)
-        if spec is None:
-            raise ValueError("unknown suite %r" % (args.suite,))
-        fam = args.algebra or spec.families[0]
+        fam = args.algebra or verify.SUITES[args.suite].families[0]
         if args.n is not None:  # a single size overrides the suite's default range
             lo = hi = args.n
         else:
-            lo, hi = suite_range(args.suite, fam, args.n_min, args.n_max)
-        reports = [run_suite(args.suite,
-                             SuiteConfig(algebra=fam, n_lo=lo, n_hi=hi,
-                                         samples=args.samples,
-                                         coeff_bound=args.bound, seed=args.seed))]
+            lo, hi = verify.suite_range(args.suite, fam, args.n_min, args.n_max)
+        cfg = verify.SuiteConfig(algebra=fam, n_lo=lo, n_hi=hi, samples=args.samples,
+                                 coeff_bound=args.bound, seed=args.seed)
+        reports = [verify.run_suite(args.suite, cfg)]
     _emit([r.to_json() for r in reports], args.output)
     return 0 if all(r.passed for r in reports) else MATH_ERROR
 
@@ -172,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--output")
 
     p_verify = sub.add_parser("verify", help="run exact property suites")
-    p_verify.add_argument("--suite", help="suite name (see --list)")
+    p_verify.add_argument("--suite", choices=list(verify.SUITES), help="the suite to run")
     p_verify.add_argument("--all", action="store_true", help="run the full plan")
     p_verify.add_argument("--algebra", choices=FAMILIES)
     p_verify.add_argument("--n", type=int, help="run a single size")

@@ -585,4 +585,6 @@ def group_from_json(obj):
         raise ValueError("group JSON is missing a component") from exc
     if elem.n != alg.n:
         raise ValueError("group element size does not match n")
+    if alg.family in ("isl", "iso") and det(g) != 1:
+        raise ValueError("an %s group element needs det g = 1" % alg.family)
     return alg, elem

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import invariants as inv
 from .charpoly import (bordered_char_identities, char_data, directional_coeff,
                        interp_coeffs)
-from .exactmat import ExactnessError, Mat, det, inverse, mat_to_json, rank, rat_str, scalar
+from .exactmat import (ExactnessError, Mat, Record, det, inverse, mat_to_json, rank,
+                       rat_str, scalar)
 from .liealg import (_RETRY_CAP, FAMILIES, Algebra, DualPoint, GroupElem, Rng,
                      algebra_basis, bracket_b, coad, commutator_form,
                      dual_to_json, embed_M, group_to_json, index_of, k_bracket,
@@ -34,36 +34,38 @@ from .liealg import (_RETRY_CAP, FAMILIES, Algebra, DualPoint, GroupElem, Rng,
                      sample_triple, theta, triple_zero)
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    algebra: str = "glvv"
-    n_lo: int = 1
-    n_hi: int = 5
-    samples: int = 100
-    coeff_bound: int = 3
-    seed: int = 0
+class SuiteConfig(Record):
+    """One run_suite call: the family, the n range, the sample count, the
+    integer coefficient bound of the draws and the seed."""
 
-    def __post_init__(self):
-        if self.samples < 1:
+    __slots__ = ("algebra", "n_lo", "n_hi", "samples", "coeff_bound", "seed")
+
+    def __init__(self, algebra: str = "glvv", n_lo: int = 1, n_hi: int = 5,
+                 samples: int = 100, coeff_bound: int = 3, seed: int = 0):
+        if samples < 1:
             raise ValueError("samples must be >= 1")
         # at bound 0 every sample is a zero matrix and each check holds vacuously
-        if self.coeff_bound < 1:
+        if coeff_bound < 1:
             raise ValueError("bound must be >= 1")
-        if self.coeff_bound > 2 ** 63 - 1:  # [-bound, bound] must fit one 64-bit draw
+        if coeff_bound > 2 ** 63 - 1:  # [-bound, bound] must fit one 64-bit draw
             raise ValueError("bound must be <= 2^63 - 1")
-        if not 1 <= self.n_lo <= self.n_hi <= 8:
+        if not 1 <= n_lo <= n_hi <= 8:
             raise ValueError("n range must lie within 1..8")
+        self._set(algebra, n_lo, n_hi, samples, coeff_bound, seed)
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    algebra: str
-    claim: str
-    checks_run: int = 0
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    elapsed_ms: int = 0
+    """The report of one run_suite call, filled in as its units run."""
+
+    __slots__ = ("suite", "algebra", "claim", "checks_run", "failures", "notes",
+                 "elapsed_ms")
+
+    def __init__(self, suite: str, algebra: str, claim: str):
+        self.suite, self.algebra, self.claim = suite, algebra, claim
+        self.checks_run = 0
+        self.failures = []
+        self.notes = []
+        self.elapsed_ms = 0
 
     @property
     def passed(self) -> bool:
@@ -82,19 +84,19 @@ class VerifyReport:
         }
 
 
-@dataclass
 class _Unit:
     """One (suite, family, n) unit of a run: all that a property body sees.
 
     check() compares exactly; its keyword inputs are encoded into the
-    failure witness only when the check fails."""
+    failure witness only when the check fails.  once holds the run-level
+    checks of the report, by name."""
 
-    alg: Algebra
-    rng: Rng
-    samples: int
-    bound: int
-    report: VerifyReport
-    once: dict  # run-level checks of the report, by name
+    __slots__ = ("alg", "rng", "samples", "bound", "report", "once")
+
+    def __init__(self, alg: Algebra, rng: Rng, samples: int, bound: int,
+                 report: VerifyReport, once: dict):
+        self.alg, self.rng, self.samples, self.bound = alg, rng, samples, bound
+        self.report, self.once = report, once
 
     @property
     def n(self) -> int:
@@ -267,14 +269,19 @@ def _suite_independence(unit: _Unit):
                                v.transpose() if alg.family == "glvv" else None)
                   for x, u, v in algebra_basis(alg)]
     expected = n if alg.family == "glvv" else alg.ell + 1
+    draws = _RETRY_CAP
     for _ in range(unit.samples):
         # the full-rank locus is dense; degenerate sample points are
-        # resampled so a failure means actual dependence, not bad luck
-        for _attempt in range(_RETRY_CAP):
+        # resampled so a failure means actual dependence, not bad luck.  A
+        # sample that uses up the cap marks the family dependent: each later
+        # sample draws once, and is still checked
+        for _attempt in range(draws):
             point = sample_dual(alg, unit.rng, unit.bound)
             got = _jacobian_rank(point, directions, n + 1)
             if got == expected:
                 break
+        else:
+            draws = 1
         unit.check("Jacobian of the generator family has rank %d" % expected,
                    got, expected, point=point)
 
@@ -491,17 +498,15 @@ def resolve_sign(pair: str, n: int, k=None) -> int:
 
 # -- registry and runners ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class _SuiteSpec:
-    func: object
-    claim: str
-    families: tuple
-    default_range: tuple
-    # point-driven suites cap the sample count (a handful of exact Jacobian
-    # or rank evaluations already decides the claim); 0 means uncapped
-    samples_cap: int = 0
-    # the suite checks something only at odd n
-    odd_only: bool = False
+class _SuiteSpec(Record):
+    # samples_cap: point-driven suites cap the sample count (a handful of
+    # exact Jacobian or rank evaluations already decides the claim); 0 means
+    # uncapped.  odd_only: the suite checks something only at odd n.
+    __slots__ = ("func", "claim", "families", "default_range", "samples_cap", "odd_only")
+
+    def __init__(self, func, claim: str, families: tuple, default_range: tuple,
+                 samples_cap: int = 0, odd_only: bool = False):
+        self._set(func, claim, families, default_range, samples_cap, odd_only)
 
 
 SUITES = {

@@ -490,7 +490,7 @@ PACKAGE_NAMES = [
 LEAN_PROBE = """
 import json, sys
 import coadinv.cli
-heavy = ("dataclasses", "inspect", "coadinv.verify")
+heavy = ("dataclasses", "inspect")
 seen = {"import": [m for m in heavy if m in sys.modules]}
 for argv in json.loads(sys.argv[1]):
     code = coadinv.cli.main(argv)
@@ -502,17 +502,28 @@ print(json.dumps(seen))
 """
 
 
-def test_eval_and_orbit_load_neither_dataclasses_nor_the_suites(tmp_path):
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
     point = write_point(tmp_path, canonical_point_json(3, [5, 7, 11]))
     runs = [["eval", "--input", point, "--output", str(tmp_path / "eval.json")],
-            ["orbit", "--input", point, "--output", str(tmp_path / "orbit.json")]]
+            ["orbit", "--input", point, "--output", str(tmp_path / "orbit.json")],
+            ["verify", "--suite", "theta", "--n", "1", "--samples", "1",
+             "--output", str(tmp_path / "verify.json")]]
     proc = run_module(["-c", LEAN_PROBE, json.dumps(runs)])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "import": [], "eval": [], "orbit": [],
-        # the suite names load verify, and with it dataclasses, on first access
-        "SUITES": ["dataclasses", "inspect", "coadinv.verify"]}
+        "import": [], "eval": [], "orbit": [], "verify": [], "SUITES": []}
     assert json.loads((tmp_path / "eval.json").read_text())[0]["value"] == "11"
+    assert json.loads((tmp_path / "verify.json").read_text())[0]["passed"]
+
+
+def test_verify_help_names_every_suite(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--help"])
+    assert code == 0
+    assert all(name in out for name in verify.SUITES)
+    assert "--list" not in out
+    code, out, err = run_cli(capsys, ["verify", "--suite", "no-such-suite"])
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'no-such-suite'" in err
 
 
 def test_package_names_are_unchanged():

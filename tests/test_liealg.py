@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from coadinv.exactmat import Mat, det, inverse, rank
+from coadinv.exactmat import Mat, det, inverse, mat_to_json, rank
 from coadinv.liealg import (FAMILIES, Ad, Algebra, DualPoint, GroupElem, Rng,
                             algebra_basis, bracket_b, cayley, coad,
                             commutator_form, compose, dual_from_json,
@@ -389,6 +389,21 @@ def test_group_json_roundtrip():
         e = sample_group(alg, rng, 3)
         alg2, e2 = group_from_json(group_to_json(alg, e))
         assert alg2 == alg and e2 == e
+
+
+def test_group_json_refuses_non_members():
+    zero = Mat.zero(2, 1)
+    stretch = {"algebra": "isl", "n": 2, "g": mat_to_json(Mat([[2, 0], [0, 1]])),
+               "u": mat_to_json(zero)}
+    with pytest.raises(ValueError, match="det g = 1"):
+        group_from_json(stretch)
+    flip = Mat([[1, 0], [0, -1]])
+    mirror = {"algebra": "iso", "n": 2, "g": mat_to_json(flip), "u": mat_to_json(zero)}
+    with pytest.raises(ValueError, match="det g = 1"):
+        group_from_json(mirror)
+    # the reflection is an element of the full orthogonal group
+    alg, elem = group_from_json(dict(mirror, algebra="io"))
+    assert alg == Algebra("io", 2) and elem == GroupElem.orthogonal(flip, zero)
 
 
 def test_dual_json_rejects_mismatch():

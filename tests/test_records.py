@@ -1,5 +1,5 @@
 """Value semantics of the immutable records: Algebra, DualPoint, GroupElem,
-CharData and CanonicalPair."""
+CharData, CanonicalPair, SuiteConfig and the suite registry's _SuiteSpec."""
 
 import copy
 import pickle
@@ -11,6 +11,7 @@ from coadinv.charpoly import CharData, char_data
 from coadinv.exactmat import Mat
 from coadinv.invariants import CanonicalPair
 from coadinv.liealg import Algebra, DualPoint, GroupElem, Rng, sample_dual, sample_group
+from coadinv.verify import SUITES, SuiteConfig
 
 
 def records():
@@ -22,6 +23,8 @@ def records():
         sample_group(Algebra("glvv", 2), rng, 3),
         char_data(Mat([[1, 2], [3, 4]])),
         CanonicalPair.of_size(3),
+        SuiteConfig(algebra="io", n_lo=2, n_hi=3, samples=4, seed=9),
+        SUITES["independence"],
     ]
 
 

@@ -161,6 +161,22 @@ def test_independence_catches_a_dependent_family(monkeypatch, fam):
     assert not report.passed
 
 
+def test_independence_stops_resampling_a_dependent_family(monkeypatch):
+    # once one sample uses up its draws, each later sample of the unit draws once
+    monkeypatch.setattr(inv, "F_all", _dependent(inv.F_all))
+    draws = []
+    real = verify.sample_dual
+
+    def counted(*args):
+        draws.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(verify, "sample_dual", counted)
+    cfg = SuiteConfig(algebra="glvv", n_lo=4, n_hi=4, samples=5, seed=1)
+    report = run_suite("independence", cfg)
+    assert len(draws) <= verify._RETRY_CAP + cfg.samples - 1
+    assert not report.passed and report.checks_run == cfg.samples
+
+
 def test_run_all_quick():
     reports = run_all(seed=9, samples=4, n_max=2)
     assert all(r.passed for r in reports)
