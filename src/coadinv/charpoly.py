@@ -49,29 +49,36 @@ class CharData(Record):
         return self.p[k - 1]
 
 
+def _char_int(a: tuple) -> tuple:
+    """Trace recursion on integer rows A: ([p_1(A), ..., p_n(A)], [B_0(A), ..., B_{n-1}(A)])."""
+    n = len(a)
+    p = []
+    B = [tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))]
+    acc = a  # A * B_{k-1}(A)
+    for k in range(1, n + 1):
+        pk, rem = divmod(sum([row[i] for i, row in enumerate(acc)]), k)
+        if rem:
+            raise ExactnessError("trace recursion: %d does not divide tr(A B_%d)" % (k, k - 1))
+        p.append(pk)
+        if k < n:
+            Bk = tuple(row[:i] + (row[i] - pk,) + row[i + 1:] for i, row in enumerate(acc))
+            B.append(Bk)
+            acc = int_mat_mul(a, Bk)
+    # Cayley-Hamilton residue A B_{n-1} = p_n I: each row has p_n on the
+    # diagonal and absolute sum |p_n|.  A failure means broken arithmetic.
+    pn = p[-1]
+    if any(row[i] != pn or sum(map(abs, row)) != abs(pn) for i, row in enumerate(acc)):
+        raise ExactnessError("characteristic recursion lost exactness")
+    return p, B
+
+
 def char_data(x: Mat) -> CharData:
     """Run the trace recursion on the integer numerator of a square matrix."""
     if not x.is_square():
         raise ValueError("char_data needs a square matrix")
     n = x.rows
     a, d = x.num_den()
-    p = []
-    B = [tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))]
-    acc = a  # A * B_{k-1}(A)
-    for k in range(1, n + 1):
-        pk, rem = divmod(sum(acc[i][i] for i in range(n)), k)
-        if rem:
-            raise ExactnessError("trace recursion: %d does not divide tr(A B_%d)" % (k, k - 1))
-        p.append(pk)
-        if k <= n - 1:
-            Bk = tuple(tuple([v - pk if i == j else v for j, v in enumerate(row)])
-                       for i, row in enumerate(acc))
-            B.append(Bk)
-            acc = int_mat_mul(a, Bk)
-    # Cayley-Hamilton residue; a failure here means broken arithmetic.
-    pn = p[-1]
-    if any(v != (pn if i == j else 0) for i, row in enumerate(acc) for j, v in enumerate(row)):
-        raise ExactnessError("characteristic recursion lost exactness")
+    p, B = _char_int(a)
     # the rows of each B_k are fresh n-wide tuples: reduced, never copied
     return CharData(n, tuple(Fraction(pk, d ** k) for k, pk in enumerate(p, start=1)),
                     tuple(_normal(n, n, Bk, d ** k) for k, Bk in enumerate(B)))
@@ -142,9 +149,10 @@ def bordered_gradients(y: Mat, v: Mat, wstar: Mat, a=0, cy: CharData = None) -> 
         p_{k+2}(X) = p_{k+2}(y) - a p_{k+1}(y) + wstar B_k(y) v
 
     with p_{n+1}(y) read as zero."""
-    cx = char_data(bordered(y, v, wstar, a))
+    ax, dx = bordered(y, v, wstar, a).num_den()
+    px = _char_int(ax)[0]  # p_k(X) = px[k-1] / dx^k; the B_k(X) are never normalized
     cy = char_data(y) if cy is None else cy
-    return tuple(cx.coeff(k + 2) - cy.coeff(k + 2) + a * cy.coeff(k + 1)
+    return tuple(Fraction(px[k + 1], dx ** (k + 2)) - cy.coeff(k + 2) + a * cy.coeff(k + 1)
                  for k in range(y.rows))
 
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 
-from .charpoly import bordered, bordered_gradients, char_data
-from .exactmat import ExactnessError, Mat, Rat, Record, det, inverse, pfaffian, scalar
+from .charpoly import _char_int, bordered, bordered_gradients
+from .exactmat import ExactnessError, Mat, Rat, Record, det, pfaffian
 # project_traceless is re-exported: it is part of this module's interface
 from .liealg import (_RETRY_CAP, Algebra, DualPoint, GroupElem, Rng, coad,
                      project_traceless, sample_dual)
@@ -68,10 +69,22 @@ def _entry(values, k: int, what: str = "generator"):
         raise ValueError("%s index out of range" % what)
     return values[k]
 
+
+def _covariants(l: DualPoint) -> tuple:
+    """The row covariants off one integer trace recursion.  For y = A / d
+    and wstar = w / dw: the pairs (w B_k(A), d^k dw), k = 0..n-1, whose
+    quotients are wstar B_k(y), the integers p_k(A) = d^k p_k(y), and d.
+    It runs on A^T: B_k(A^T) = B_k(A)^T, so w B_k(A) is B_k(A^T) w^T."""
+    a, d = l.y.num_den()
+    (w,), dw = l.wstar.num_den()
+    p, B = _char_int(tuple(zip(*a)))
+    return [(tuple([sum(map(mul, row, w)) for row in b]), d ** k * dw)
+            for k, b in enumerate(B)], p, d
+
+
 def phi_rows(l: DualPoint) -> list:
     """All row covariants from one characteristic recursion, top index first."""
-    cd = char_data(l.y)
-    return [l.wstar * cd.B[k] for k in range(l.n - 1, -1, -1)]
+    return [Mat.from_num_den([r], e) for r, e in _covariants(l)[0][::-1]]
 
 
 def phi_covariant(k: int, l: DualPoint) -> Mat:
@@ -85,8 +98,9 @@ def f_invariant(l: DualPoint) -> Rat:
     Degree n(n+1)/2.  Multiplying by det(g) undoes the coadjoint action:
     f(coad(g,u) l) * det(g) = f(l).
     """
-    rows = phi_rows(l)
-    return det(Mat.block([[r] for r in rows]))
+    rows = _covariants(l)[0][::-1]
+    # each row's denominator factors out of the determinant
+    return det(Mat.from_num_den([r for r, _ in rows], 1)) / prod(e for _, e in rows)
 
 
 def krylov_rows(l: DualPoint) -> tuple:
@@ -119,8 +133,8 @@ def f_bar(l: DualPoint) -> Rat:
 def F_all(l: DualPoint) -> tuple:
     """All n generators wstar B_k(y) xi from one characteristic recursion,
     index 0 first; F_k has degree k + 2."""
-    cd = char_data(l.y)
-    return tuple(scalar(l.wstar * cd.B[k] * l.xi) for k in range(l.n))
+    (x,), dx = l.xi.transpose().num_den()
+    return tuple(Fraction(sum(map(mul, r, x)), e * dx) for r, e in _covariants(l)[0])
 
 
 def F_bordered_all(l: DualPoint) -> tuple:
@@ -142,8 +156,7 @@ def F_bordered(k: int, l: DualPoint) -> Rat:
 def pi_projection(l: DualPoint) -> Mat:
     """Fiber projection: the column whose (n-k)-th coordinate is the k-th
     generator, i.e. entries (F_{n-1}, ..., F_0) top to bottom."""
-    vals = F_all(l)
-    return Mat.col(list(reversed(vals)))
+    return Mat.col(F_all(l)[::-1])
 
 
 # -- orthogonal generators ------------------------------------------------------
@@ -151,10 +164,8 @@ def pi_projection(l: DualPoint) -> Mat:
 def psi_all(l: DualPoint) -> tuple:
     """Generators psi_k = -wstar B_{2k}(y) wstar^T, k = 0..ell (2k <= n-1),
     from one characteristic recursion; psi_k has degree 2k + 2."""
-    cd = char_data(l.y)
-    wt = l.wstar.transpose()
-    ell = (l.n - 1) // 2
-    return tuple(-scalar(l.wstar * cd.B[2 * k] * wt) for k in range(ell + 1))
+    (w,), dw = l.wstar.num_den()
+    return tuple(Fraction(-sum(map(mul, r, w)), e * dw) for r, e in _covariants(l)[0][::2])
 
 
 def psi_bordered_all(l: DualPoint) -> tuple:
@@ -303,23 +314,20 @@ def orbit_normalize(l: DualPoint):
 
     Returns (elem, normal) where elem = (g, u, 0) has rows
     g = (wstar B_{n-1}(y); ...; wstar) and normal = coad(elem, l) equals
-    (J, e_n*, g xi).  The translation u solves the rank-one equation
-    u e_n* = J - g y g^-1, whose right side is checked to live in the last
-    column only.  Raises NotInOpenOrbit when the semi-invariant vanishes.
+    (J, e_n*, g xi).  The translation is u = -(p_n(y), ..., p_1(y))^T in
+    closed form: e_n* g = wstar, and B_k y = B_{k+1} + p_{k+1} I with B_n = 0
+    gives J g - g y = u wstar, so g y g^-1 = J - u e_n* is the companion
+    matrix of y; coad's landing on (J, e_n*) checks it.  Raises
+    NotInOpenOrbit when the semi-invariant vanishes.
     """
     n = l.n
-    rows = phi_rows(l)
-    g = Mat.block([[r] for r in rows])
+    rows, p, d = _covariants(l)
+    g = Mat.block([[Mat.from_num_den([r], e)] for r, e in rows[::-1]])
     if det(g) == 0:
         raise NotInOpenOrbit("not in open orbit")
-    pair = CanonicalPair.of_size(n)
-    residue = pair.J - g * l.y * inverse(g)
-    for j in range(n - 1):
-        for i in range(n):
-            if residue[i, j] != 0:
-                raise ExactnessError("rank-one solve inconsistent")
-    elem = GroupElem(g, residue.col_mat(n - 1), Mat.zero(1, n))
+    u = Mat.col([-Fraction(p[k - 1], d ** k) for k in range(n, 0, -1)])
+    elem = GroupElem(g, u, Mat.zero(1, n))
     normal = coad(elem, l)
-    if normal.y != pair.J or normal.wstar != pair.enstar:
+    if CanonicalPair(normal.y, normal.wstar) != CanonicalPair.of_size(n):
         raise ExactnessError("normal form did not land on the base pair")
     return elem, normal

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -7,7 +8,8 @@ from coadinv.charpoly import (bordered, bordered_char_identities,
                               bordered_gradients, char_data, directional_coeff,
                               interp_coeffs)
 from coadinv.exactmat import ExactnessError, Mat, det, rank, scalar
-from coadinv.liealg import Algebra, Rng, sample_dual
+from coadinv.invariants import F_all
+from coadinv.liealg import Algebra, DualPoint, Rng, sample_dual
 
 
 def rand_mat(rng, n, bound=3):
@@ -100,6 +102,47 @@ def test_cayley_hamilton_residue():
             x = rand_mat(rng, n)
             cd = char_data(x)
             assert x * cd.B[n - 1] == cd.p[n - 1] * Mat.identity(n)
+
+
+def _plant(monkeypatch, step, delta):
+    # product number `step` of the next recursion comes back with the
+    # {(i, j): v} entries of delta added
+    real, calls = charpoly.int_mat_mul, []
+
+    def planted(a, b):
+        out = [list(row) for row in real(a, b)]
+        if len(calls) == step:
+            for (i, j), v in delta.items():
+                out[i][j] += v
+        calls.append(None)
+        return tuple(map(tuple, out))
+
+    monkeypatch.setattr(charpoly, "int_mat_mul", planted)
+
+
+def test_a_planted_entry_fails_the_cayley_hamilton_check(monkeypatch):
+    # a multiple of n! keeps every later division by k exact, so only the
+    # residue check can see the planted entry, in any step; char_data and
+    # F_all (which runs the recursion on y^T) must both refuse
+    singular = Mat([[1, 2, 3], [2, 4, 6], [0, 1, -1]])
+    ys = [Mat([[1, 2], [3, -1]]), Mat([[1, 2, 0], [3, -1, 4], [2, 2, 5]]),
+          F(1, 2) * Mat([[2, -1, 0, 1], [1, 3, 1, 0], [0, 2, -2, 1], [1, 0, 1, 1]]), singular]
+    plans = [(y, step, {(0, y.rows - 1): factorial(y.rows)})
+             for y in ys for step in range(y.rows - 1)]
+    # p_n = 0, and garbage in the last product that cancels in its row's
+    # signed sum: only the absolute sum sees it
+    plans += [(singular, 1, {(0, 1): 5, (0, 2): -5}), (singular, 1, {(2, 0): -3, (2, 1): 3})]
+    for y, step, delta in plans:
+        n = y.rows
+        l = DualPoint(y, Mat.row(range(1, n + 1)), Mat.col([1] * n))
+        for run in (lambda: char_data(y), lambda: F_all(l)):
+            _plant(monkeypatch, step, delta)
+            with pytest.raises(ExactnessError, match="^characteristic recursion lost exactness$"):
+                run()
+    monkeypatch.undo()
+    for y in ys:
+        assert char_data(y).p[y.rows - 1] == det(y) * (-1) ** (y.rows + 1)
+    assert char_data(singular).p[2] == 0
 
 
 def test_gradient_recursion_closed_form():
@@ -294,14 +337,14 @@ def test_glvv_dual_path_sample_runs_five_recursions(monkeypatch):
     # F_all reads y; F_bordered_all reads X and y; bordered_char_identities
     # reads y once and hands it to bordered_gradients, which adds X
     sizes = []
-    real = charpoly.char_data
+    real = charpoly._char_int
 
-    def counted(x):
-        sizes.append(x.rows)
-        return real(x)
+    def counted(a):
+        sizes.append(len(a))
+        return real(a)
 
     for module in (charpoly, invariants):
-        monkeypatch.setattr(module, "char_data", counted)
+        monkeypatch.setattr(module, "_char_int", counted)
     l = sample_dual(Algebra("glvv", 4), Rng(31), 3)
     assert invariants.F_all(l) == invariants.F_bordered_all(l)
     assert bordered_char_identities(l.y, l.xi, l.wstar, F(2)) == (True, None)

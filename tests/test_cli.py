@@ -354,6 +354,19 @@ def test_orbit_degenerate_input(tmp_path, capsys):
     assert "open orbit" in err
 
 
+def test_orbit_refuses_a_rational_point_off_the_open_set(tmp_path, capsys):
+    # wstar = e_1* is a left eigenvector of y, so the rows wstar B_k(y) are
+    # dependent and f = 0, though y and xi are far from zero
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    y = Mat([[half, 0, 0], [1, third, 2], [0, 5, -half]])
+    point = DualPoint(y, Mat.row([1, 0, 0]), Mat.col([third, 1, half]))
+    assert f_invariant(point) == 0
+    path = write_point(tmp_path, dual_to_json(Algebra("glvv", 3), point))
+    code, out, err = run_cli(capsys, ["orbit", "--input", path])
+    assert (code, out) == (1, "")
+    assert "not in open orbit" in err
+
+
 def test_orbit_rejects_wrong_family(tmp_path, capsys):
     obj = {"algebra": "aff", "n": 2,
            "y": mat_to_json(Mat.identity(2)),

@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from coadinv.exactmat import Mat, det, inverse, pfaffian
-from coadinv.charpoly import bordered
+from coadinv.exactmat import Mat, det, inverse, pfaffian, scalar
+from coadinv.charpoly import bordered, char_data
 from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
                                 EXOTIC_SQUARE_SIGN, F_SLICE_SIGN, F_all,
                                 F_bordered, F_bordered_all, F_invariant,
@@ -11,7 +11,7 @@ from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
                                 exotic_slice, f_bar, f_invariant,
                                 f_krylov, generators, krylov_rows, lower_shift,
                                 orbit_normalize, pfaff_vector, phi_covariant,
-                                phi_slice, pi_projection, project_traceless,
+                                phi_rows, phi_slice, pi_projection, project_traceless,
                                 psi_all, psi_bordered, psi_bordered_all,
                                 psi_invariant, sample_open_b, slice_isl,
                                 slice_so, t_slice)
@@ -416,6 +416,24 @@ def test_orbit_roundtrip():
             assert normal2 == normal
 
 
+def test_orbit_translation_is_the_closed_form():
+    # u = -(p_n(y), ..., p_1(y))^T is what the rank-one solve read off the
+    # last column of J - g y g^-1, whose other columns vanish
+    rng = Rng(80)
+    for n in range(1, 7):
+        aalg = Algebra("aff", n)
+        for _ in range(6):
+            l = sample_open_b(rng, n, 3)
+            a = sample_group(aalg, rng, 3)
+            for point in (l, coad(GroupElem(a.g, a.u, Mat.zero(1, n)), l)):
+                elem, _ = orbit_normalize(point)
+                residue = lower_shift(n) - elem.g * point.y * inverse(elem.g)
+                assert all(residue[i, j] == 0 for i in range(n) for j in range(n - 1))
+                assert elem.u == Mat.col([residue[i, n - 1] for i in range(n)])
+                cd = char_data(point.y)
+                assert elem.u == Mat.col([-cd.coeff(k) for k in range(n, 0, -1)])
+
+
 def test_orbit_rejects_degenerate():
     l = DualPoint(Mat.zero(2, 2), Mat.row([1, 0]), Mat.col([1, 1]))
     with pytest.raises(NotInOpenOrbit):
@@ -442,3 +460,31 @@ def test_pi_invariance():
             v = Mat([[rng.int_between(-3, 3) for _ in range(n)]])
             shifted = coad(GroupElem(Mat.identity(n), Mat.zero(n, 1), v), l)
             assert pi_projection(shifted) == pi_projection(l)
+
+
+# -- the generators against their Mat-product formulas ---------------------------
+
+def _oracle_points(fam, n, rng):
+    # an integer point, the same point with y, wstar and xi over the
+    # different denominators 2, 3 and 5, and a coadjoint image
+    alg = Algebra(fam, n)
+    l = sample_dual(alg, rng, 3)
+    xi = F(1, 5) * l.xi if fam == "glvv" else None
+    scaled = DualPoint.of(fam, F(1, 2) * l.y, F(1, 3) * l.wstar, xi)
+    return l, scaled, coad(sample_group(alg, rng, 3), l)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_generators_match_the_matrix_product_formulas(fam):
+    rng = Rng(81)
+    for n in range(1, 8):
+        for l in _oracle_points(fam, n, rng):
+            cd = char_data(l.y)
+            rows = [l.wstar * cd.B[k] for k in range(n)]
+            psi = [-scalar(rows[k] * l.wstar.transpose()) for k in range(0, n, 2)]
+            assert phi_rows(l) == rows[::-1]
+            assert F_all(l) == tuple(scalar(r * l.xi) for r in rows)
+            assert psi_all(l) == tuple(psi)
+            assert f_invariant(l) == det(Mat.block([[r] for r in reversed(rows)]))
+            if fam in ("io", "iso") and n % 2 == 1:
+                assert exotic_phi(l) ** 2 == EXOTIC_SQUARE_SIGN * psi[-1]

@@ -82,16 +82,38 @@ def _call_sites(module, accept):
                   for node in ast.walk(top) if accept(node))
 
 
+def _reaches(module, start):
+    # the top-level functions of the module that start calls, directly or
+    # through other top-level functions of the module
+    path = os.path.join(SRC, module)
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    funcs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    seen, todo = set(), [start]
+    while todo:
+        for node in ast.walk(funcs[todo.pop()]):
+            name = getattr(node, "func", None)
+            name = getattr(name, "id", None) or getattr(name, "attr", None)
+            if isinstance(node, ast.Call) and name in funcs and name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
 def test_one_recursion_per_generator_family():
-    # the gradient side of every glvv/orthogonal generator and covariant
-    # comes from one characteristic recursion in one of three all-index
-    # functions; the single-index forms are views of them
-    assert _call_sites("invariants.py", lambda node: _called(node, "char_data")) \
-        == ["F_all", "phi_rows", "psi_all"]
-    # the bordered side is derived once, for every index
-    assert _call_sites("charpoly.py", lambda node: _called(node, "char_data")
-                       and bool(node.args) and _called(node.args[0], "bordered")) \
-        == ["bordered_gradients"]
+    # every glvv/orthogonal generator and covariant reads one integer trace
+    # recursion, run in one helper; the all-index functions read the helper
+    # and the single-index forms are views of them
+    assert _call_sites("invariants.py", lambda node: _called(node, "_char_int")
+                       or _called(node, "char_data")) == ["_covariants"]
+    # char_data wraps the integer recursion, and bordered_gradients reads
+    # the bordered matrix's coefficients straight off it
+    assert _call_sites("charpoly.py", lambda node: _called(node, "_char_int")) \
+        == ["bordered_gradients", "char_data"]
+    # the second paths are the check of the first: they never reach it
+    for second in ("F_bordered_all", "psi_bordered_all", "f_krylov", "krylov_rows"):
+        assert "_covariants" not in _reaches("invariants.py", second)
+    assert "_covariants" in _reaches("invariants.py", "F_invariant")
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
