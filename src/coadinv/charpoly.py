@@ -148,11 +148,17 @@ def bordered_gradients(y: Mat, v: Mat, wstar: Mat, a=0, cy: CharData = None) -> 
 
         p_{k+2}(X) = p_{k+2}(y) - a p_{k+1}(y) + wstar B_k(y) v
 
-    with p_{n+1}(y) read as zero."""
+    with p_{n+1}(y) read as zero.  Both recursions run on integer
+    numerators, and no B_k is normalized."""
     ax, dx = bordered(y, v, wstar, a).num_den()
-    px = _char_int(ax)[0]  # p_k(X) = px[k-1] / dx^k; the B_k(X) are never normalized
-    cy = char_data(y) if cy is None else cy
-    return tuple(Fraction(px[k + 1], dx ** (k + 2)) - cy.coeff(k + 2) + a * cy.coeff(k + 1)
+    px = _char_int(ax)[0]  # p_k(X) = px[k-1] / dx^k
+    if cy is None:
+        ay, dy = y.num_den()
+        py = [Fraction(pk, dy ** k) for k, pk in enumerate(_char_int(ay)[0], start=1)]
+    else:
+        py = list(cy.p)
+    py.append(Fraction(0))
+    return tuple(Fraction(px[k + 1], dx ** (k + 2)) - py[k + 1] + a * py[k]
                  for k in range(y.rows))
 
 

@@ -167,20 +167,15 @@ class Mat:
 
     @property
     def _m(self) -> tuple:
-        # read-only Fraction rows, built on demand and never kept
+        # read-only Fraction rows, built on demand and never kept; read only
+        # by perfbench/tracer.py, which tests hasattr(value, "_m"), and goes
+        # when the tracer scans num_den() instead
         d = self._d
         return tuple(tuple(_frac(v, d) for v in row) for row in self._a)
 
     def __getitem__(self, ij) -> Rat:
         i, j = ij
         return _frac(self._a[i][j], self._d)
-
-    def row_tuple(self, i: int) -> tuple:
-        d = self._d
-        return tuple(_frac(v, d) for v in self._a[i])
-
-    def col_mat(self, j: int) -> "Mat":
-        return _normal(self.rows, 1, tuple((row[j],) for row in self._a), self._d)
 
     def to_lists(self) -> list:
         d = self._d
@@ -265,7 +260,8 @@ class Mat:
         return hash((self.rows, self.cols, self._d, self._a))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(rat_str(v) for v in row) for row in self._m)
+        d = self._d
+        body = "; ".join(" ".join(_entry_str(v, d) for v in row) for row in self._a)
         return "Mat[%dx%d: %s]" % (self.rows, self.cols, body)
 
 
@@ -317,50 +313,26 @@ def scalar(a: Mat) -> Rat:
     return a[0, 0]
 
 
-def det(a: Mat) -> Rat:
-    """Exact determinant det(A) / d^n, with det(A) by fraction-free Bareiss
-    elimination (row pivoting, exact division by the previous pivot)."""
-    if not a.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    m = [list(row) for row in a._a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        row_k = m[k]
-        pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], a._d ** n)
-
-
-def rank(a: Mat) -> int:
-    """Exact rank over the rationals: rank(A), by fraction-free Bareiss
-    elimination to row echelon form (exact division by the previous
-    pivot keeps every entry a minor of A)."""
+def _bareiss(a: Mat) -> tuple:
+    """(rank, sign, pivot) of A by fraction-free Bareiss elimination to row
+    echelon form: row pivoting, and exact division by the previous pivot,
+    which keeps every entry a minor of A.  sign is the parity of the row
+    swaps and pivot the last pivot, so a square A of full rank has
+    det(A) = sign * pivot."""
     m = [list(row) for row in a._a]
     nr, nc = a.rows, a.cols
     r = 0
+    sign = 1
     prev = 1
     for c in range(nc):
         for i in range(r, nr):
             if m[i][c] != 0:
-                m[r], m[i] = m[i], m[r]
                 break
         else:
             continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            sign = -sign
         row_r = m[r]
         pivot = row_r[c]
         for i in range(r + 1, nr):
@@ -372,7 +344,21 @@ def rank(a: Mat) -> int:
         r += 1
         if r == nr:
             break
-    return r
+    return r, sign, prev
+
+
+def det(a: Mat) -> Rat:
+    """Exact determinant det(A) / d^n, with det(A) the signed last pivot
+    of the Bareiss elimination, and 0 below full rank."""
+    if not a.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    r, sign, pivot = _bareiss(a)
+    return Fraction(sign * pivot, a._d ** a.rows) if r == a.rows else Fraction(0)
+
+
+def rank(a: Mat) -> int:
+    """Exact rank over the rationals: rank(A), by the Bareiss elimination."""
+    return _bareiss(a)[0]
 
 
 def inverse(a: Mat) -> Mat:

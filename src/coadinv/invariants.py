@@ -227,7 +227,7 @@ def pfaff_vector(y: Mat) -> Mat:
     n = y.rows
     if n % 2 == 0:
         raise ValueError("pfaffian vector only for odd n")
-    return Mat.col([exotic_phi(DualPoint.of("iso", y, Mat.basis_row(n, i)))
+    return Mat.col([exotic_phi(DualPoint(y, Mat.basis_row(n, i), family="iso"))
                     for i in range(n)])
 
 
@@ -250,7 +250,7 @@ def slice_isl(a, b) -> DualPoint:
     wstar = b e_n*."""
     n = len(a) + 1
     y = _sparse(n, n, {(k + 1, k): v for k, v in enumerate(a)})
-    return DualPoint.of("isl", y, _sparse(1, n, {(0, n - 1): b}))
+    return DualPoint(y, _sparse(1, n, {(0, n - 1): b}), family="isl")
 
 
 def t_slice(a, b) -> Rat:
@@ -272,7 +272,7 @@ def slice_so(a, a0, alg: Algebra) -> DualPoint:
     for i, v in enumerate(a):
         blocks[2 * i, 2 * i + 1] = v
         blocks[2 * i + 1, 2 * i] = -v
-    return DualPoint.of(alg.family, _sparse(n, n, blocks), _sparse(1, n, {(0, n - 1): a0}))
+    return DualPoint(_sparse(n, n, blocks), _sparse(1, n, {(0, n - 1): a0}), family=alg.family)
 
 
 def _elementary_symmetric(values, k: int) -> Rat:

@@ -79,14 +79,17 @@ def _want_shape(m: Mat, rows: int, cols: int, what: str):
 
 class DualPoint(Record):
     """Point (y, wstar, xi) of the glvv dual -- y is n x n, wstar 1 x n,
-    xi n x 1 -- tagged with the family whose dual it lies in.  The
+    xi n x 1 -- tagged with the family whose dual it lies in.  A missing
+    xi is the family's fill, -wstar^T for io/iso and zero otherwise.  The
     family's constraints are checked here, once."""
 
     __slots__ = ("y", "wstar", "xi", "family")
 
-    def __init__(self, y: Mat, wstar: Mat, xi: Mat, family: str = "glvv"):
+    def __init__(self, y: Mat, wstar: Mat, xi: Mat = None, family: str = "glvv"):
         if family not in FAMILIES:
             raise ValueError("unknown algebra family %r" % (family,))
+        if xi is None:
+            xi = -wstar.transpose() if family in ("io", "iso") else Mat.zero(y.rows, 1)
         if not y.is_square():
             raise ValueError("y must be square")
         n = y.rows
@@ -102,14 +105,6 @@ class DualPoint(Record):
             if xi != -wstar.transpose():
                 raise ValueError("%s point needs xi = -wstar^T" % family)
         self._set(y, wstar, xi, family)
-
-    @staticmethod
-    def of(family: str, y: Mat, wstar: Mat, xi: Mat = None) -> "DualPoint":
-        """The family's point over (y, wstar); a missing xi is the family's
-        fill, -wstar^T for io/iso and zero otherwise."""
-        if xi is None:
-            xi = -wstar.transpose() if family in ("io", "iso") else Mat.zero(y.rows, 1)
-        return DualPoint(y, wstar, xi, family)
 
     @property
     def n(self) -> int:
@@ -306,7 +301,7 @@ def sample_dual(alg: Algebra, rng: Rng, bound: int) -> DualPoint:
     n = alg.n
     fam = alg.family
     if fam in ("io", "iso"):
-        return DualPoint.of(fam, sample_skew(rng, n, bound), sample_int_mat(rng, 1, n, bound))
+        return DualPoint(sample_skew(rng, n, bound), sample_int_mat(rng, 1, n, bound), family=fam)
     y = sample_int_mat(rng, n, n, bound)
     if fam == "isl":
         y = y.to_lists()
@@ -314,7 +309,7 @@ def sample_dual(alg: Algebra, rng: Rng, bound: int) -> DualPoint:
         y = Mat(y)
     wstar = sample_int_mat(rng, 1, n, bound)
     xi = sample_int_mat(rng, n, 1, bound) if fam == "glvv" else None
-    return DualPoint.of(fam, y, wstar, xi)
+    return DualPoint(y, wstar, xi, fam)
 
 
 # -- the coadjoint action -----------------------------------------------------
@@ -550,11 +545,17 @@ def dual_from_json(obj):
     """Parse a dual point; returns (Algebra, DualPoint)."""
     alg = algebra_from_json(obj)
     fam = alg.family
+    # a component the family fills, or its covector under the other name,
+    # would be dropped unread
+    read = ("wstar", "xi") if fam == "glvv" else (_covector_key(fam),)
+    for key in ("xi", "wstar", "vstar"):
+        if key in obj and key not in read:
+            raise ValueError("%s point JSON takes no %r component" % (fam, key))
     try:
         y = mat_from_json(obj["y"])
         wstar = mat_from_json(obj[_covector_key(fam)])
         xi = mat_from_json(obj["xi"]) if fam == "glvv" else None
-        point = DualPoint.of(fam, y, wstar, xi)
+        point = DualPoint(y, wstar, xi, fam)
     except KeyError as exc:
         raise ValueError("point JSON is missing a component") from exc
     if point.n != alg.n:
@@ -572,6 +573,8 @@ def group_to_json(alg: Algebra, elem: GroupElem) -> dict:
 
 def group_from_json(obj):
     alg = algebra_from_json(obj)
+    if alg.family != "glvv" and "vstar" in obj:
+        raise ValueError("%s group JSON takes no 'vstar' component" % alg.family)
     try:
         g = mat_from_json(obj["g"])
         u = mat_from_json(obj["u"])

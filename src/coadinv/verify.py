@@ -226,7 +226,7 @@ def _suite_dual_path(unit: _Unit):
             if fam == "isl":
                 c = unit.coeff()
                 # y + cI is not traceless, so the shifted point is an aff one
-                shifted = DualPoint.of("aff", l.y + c * Mat.identity(n), l.wstar)
+                shifted = DualPoint(l.y + c * Mat.identity(n), l.wstar, family="aff")
                 unit.check("semi-invariant blind to scalar shifts of y",
                            inv.f_invariant(shifted), inv.f_invariant(l), point=l, shift=c)
         elif fam == "glvv":
@@ -265,8 +265,8 @@ def _suite_independence(unit: _Unit):
     alg, n = unit.alg, unit.n
     # coordinate directions of the family's dual: its basis, transposed, as
     # points of the family, so that point + t d stays on it
-    directions = [DualPoint.of(alg.family, x, u.transpose(),
-                               v.transpose() if alg.family == "glvv" else None)
+    directions = [DualPoint(x, u.transpose(), v.transpose() if alg.family == "glvv" else None,
+                            alg.family)
                   for x, u, v in algebra_basis(alg)]
     expected = n if alg.family == "glvv" else alg.ell + 1
     draws = _RETRY_CAP

@@ -237,12 +237,12 @@ def test_shift_lemma_row_spans_and_det():
             for k in range(n):
                 brows.append(v * cd.B[k])
             for k in range(n):
-                span_b = Mat([r.row_tuple(0) for r in brows[:k + 1]])
-                span_k = Mat([r.row_tuple(0) for r in krows[:k + 1]])
-                stacked = Mat([r.row_tuple(0) for r in brows[:k + 1] + krows[:k + 1]])
+                span_b = Mat([r.to_lists()[0] for r in brows[:k + 1]])
+                span_k = Mat([r.to_lists()[0] for r in krows[:k + 1]])
+                stacked = Mat([r.to_lists()[0] for r in brows[:k + 1] + krows[:k + 1]])
                 assert rank(span_b) == rank(span_k) == rank(stacked)
-            det_b = det(Mat([r.row_tuple(0) for r in reversed(brows)]))
-            det_k = det(Mat([r.row_tuple(0) for r in reversed(krows)]))
+            det_b = det(Mat([r.to_lists()[0] for r in reversed(brows)]))
+            det_k = det(Mat([r.to_lists()[0] for r in reversed(krows)]))
             assert det_b == det_k
 
 

@@ -105,11 +105,21 @@ def test_eval_phi_only_on_iso(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "invariant 'phi' lives on the iso dual" in err
-    iso = DualPoint.of("iso", l.y, l.wstar)
+    iso = DualPoint(l.y, l.wstar, family="iso")
     path = write_point(tmp_path, dual_to_json(Algebra("iso", 3), iso), "iso.json")
     code, out, _ = run_cli(capsys, ["eval", "--which", "phi", "--input", path])
     assert code == 0
     assert json.loads(out) == {"invariant": "phi", "value": rat_str(exotic_phi(iso))}
+
+
+def test_eval_refuses_a_component_the_family_fills(tmp_path, capsys):
+    # an aff point's xi is zero; a given one used to be dropped unread
+    obj = dual_to_json(Algebra("aff", 2), sample_dual(Algebra("aff", 2), Rng(95), 3))
+    obj["xi"] = mat_to_json(Mat.col([5, 5]))
+    code, out, err = run_cli(capsys, ["eval", "--input", write_point(tmp_path, obj)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: aff point JSON takes no 'xi' component\n"
 
 
 def test_eval_malformed_json(tmp_path, capsys):

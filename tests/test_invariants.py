@@ -31,11 +31,11 @@ def canonical_b(n, xi_entries):
 def test_f_at_canonical_pair():
     for n in range(1, 7):
         pair = CanonicalPair.of_size(n)
-        assert f_invariant(DualPoint.of("aff", pair.J, pair.enstar)) == 1
+        assert f_invariant(DualPoint(pair.J, pair.enstar, family="aff")) == 1
 
 
 def test_f_one_dimensional():
-    assert f_invariant(DualPoint.of("aff", Mat([[9]]), Mat([[F(-5, 3)]]))) == F(-5, 3)
+    assert f_invariant(DualPoint(Mat([[9]]), Mat([[F(-5, 3)]]), family="aff")) == F(-5, 3)
 
 
 def test_f_krylov_agrees():
@@ -51,7 +51,7 @@ def test_krylov_rows_at_canonical_pair():
     # e_n* J^j = e_{n-j}*: the raw rows walk the basis up from the bottom
     for n in range(1, 6):
         pair = CanonicalPair.of_size(n)
-        l = DualPoint.of("aff", pair.J, pair.enstar)
+        l = DualPoint(pair.J, pair.enstar, family="aff")
         assert krylov_rows(l) == tuple(Mat.basis_row(n, n - 1 - j) for j in range(n))
 
 
@@ -72,13 +72,13 @@ def test_f_blind_to_scalar_shift():
         for _ in range(25):
             l = sample_dual(alg, rng, 3)
             c = F(rng.int_between(-3, 3))
-            shifted = DualPoint.of("aff", l.y + c * Mat.identity(n), l.wstar)
+            shifted = DualPoint(l.y + c * Mat.identity(n), l.wstar, family="aff")
             assert f_invariant(shifted) == f_invariant(l)
 
 
 def test_f_bar_requires_traceless():
     with pytest.raises(ValueError):
-        f_bar(DualPoint.of("aff", Mat.identity(2), Mat.row([1, 0])))
+        f_bar(DualPoint(Mat.identity(2), Mat.row([1, 0]), family="aff"))
 
 
 def test_f_bar_invariant_under_special_action():
@@ -104,7 +104,7 @@ def test_phi_zero_is_the_covector():
 def test_phi_at_canonical_pair():
     for n in range(2, 6):
         pair = CanonicalPair.of_size(n)
-        l = DualPoint.of("aff", pair.J, pair.enstar)
+        l = DualPoint(pair.J, pair.enstar, family="aff")
         for k in range(n):
             assert phi_covariant(k, l) == Mat.basis_row(n, n - 1 - k)
 
@@ -123,7 +123,7 @@ def test_phi_covariance():
 
 
 def test_phi_rejects_bad_index():
-    l = DualPoint.of("aff", Mat.identity(2), Mat.row([1, 0]))
+    l = DualPoint(Mat.identity(2), Mat.row([1, 0]), family="aff")
     with pytest.raises(ValueError):
         phi_covariant(2, l)
 
@@ -181,12 +181,12 @@ def test_F_rejects_bad_index():
 # -- orthogonal generators -------------------------------------------------------------
 
 def test_psi_zero_formula():
-    l = DualPoint.of("io", Mat.zero(3, 3), Mat.row([1, 2, 3]))
+    l = DualPoint(Mat.zero(3, 3), Mat.row([1, 2, 3]), family="io")
     assert psi_invariant(0, l) == -(1 + 4 + 9)
 
 
 def test_psi_index_range():
-    l = DualPoint.of("io", sample_skew(Rng(70), 4, 3), Mat.row([1, 0, 0, 0]))
+    l = DualPoint(sample_skew(Rng(70), 4, 3), Mat.row([1, 0, 0, 0]), family="io")
     psi_invariant(1, l)  # 2k = 2 <= 3, fine
     assert psi_bordered(1, l) == psi_invariant(1, l)
     for view in (psi_invariant, psi_bordered):
@@ -235,7 +235,7 @@ def test_psi_invariance():
 # -- exotic generator ---------------------------------------------------------------------
 
 def test_exotic_one_dimensional():
-    l = DualPoint.of("iso", Mat.zero(1, 1), Mat([[F(4)]]))
+    l = DualPoint(Mat.zero(1, 1), Mat([[F(4)]]), family="iso")
     assert exotic_phi(l) == -4
 
 
@@ -250,7 +250,7 @@ def test_exotic_three_dimensional_block():
 
 def test_exotic_rejects_even():
     with pytest.raises(ValueError, match="odd"):
-        exotic_phi(DualPoint.of("iso", Mat.zero(2, 2), Mat.row([1, 0])))
+        exotic_phi(DualPoint(Mat.zero(2, 2), Mat.row([1, 0]), family="iso"))
 
 
 def test_exotic_square_and_det():
@@ -287,7 +287,7 @@ def test_pfaff_vector():
             y = sample_skew(rng, n, 3)
             pf = pfaff_vector(y)
             w = Mat([[rng.int_between(-3, 3) for _ in range(n)]])
-            assert (w * pf)[0, 0] == exotic_phi(DualPoint.of("iso", y, w))
+            assert (w * pf)[0, 0] == exotic_phi(DualPoint(y, w, family="iso"))
             q = sample_orthogonal(rng, n, 3, -1 if rng.coin() else 1)
             assert pfaff_vector(q * y * inverse(q)) == det(q) * (q * pf)
 
@@ -470,7 +470,7 @@ def _oracle_points(fam, n, rng):
     alg = Algebra(fam, n)
     l = sample_dual(alg, rng, 3)
     xi = F(1, 5) * l.xi if fam == "glvv" else None
-    scaled = DualPoint.of(fam, F(1, 2) * l.y, F(1, 3) * l.wstar, xi)
+    scaled = DualPoint(F(1, 2) * l.y, F(1, 3) * l.wstar, xi, fam)
     return l, scaled, coad(sample_group(alg, rng, 3), l)
 
 

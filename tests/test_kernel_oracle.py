@@ -143,9 +143,35 @@ def gauss_jordan_inverse(rows):
 
 # -- the kernels against the references -------------------------------------------------
 
+# square inputs that steer the shared Bareiss elimination off its plain
+# path: (rows, det, rank)
+PIVOT_CASES = [
+    # the (1, 1) pivot vanishes only after the first step: one swap mid-way
+    ([[1, 2, 3], [2, 4, 5], [3, 7, 1]], F(1), 3),
+    # cyclic shifts: three row swaps (odd) at n = 4, four (even) at n = 5
+    ([[0, 0, 0, 2], [3, 0, 0, 0], [0, 5, 0, 0], [0, 0, 7, F(1, 2)]], F(-210), 4),
+    ([[0, 0, 0, 0, 1], [F(2, 3), 0, 0, 0, 0], [0, 3, 0, 0, 0], [0, 0, -4, 0, 0],
+      [0, 0, 0, 5, 1]], F(-40), 5),
+    # a leading all-zero column
+    ([[0, 1, 2], [0, 3, F(4, 9)], [0, 5, 6]], F(0), 2),
+    # a zero pivot mid-way with no row to swap in
+    ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], F(0), 2),
+]
+
+# tall and wide, rank-deficient: (rows, rank)
+SHAPED_CASES = [
+    ([[0, 0], [1, 2], [F(1, 2), 1], [-3, -6], [0, 0]], 1),
+    ([[0, 1, 2, 0, F(1, 3)], [0, 2, 4, 0, F(2, 3)]], 1),
+    ([[1, 0, 1], [0, 1, 1], [1, 1, 2], [2, -1, 1]], 2),
+    ([[0, 0, 1, 2, 3, 4], [0, 0, 0, 0, 1, 1], [0, 0, 2, 4, 7, 9]], 2),
+]
+
+
 def test_det_against_leibniz():
     for _, rows in cases(31):
         assert det(Mat(rows)) == leibniz_det(rows)
+    for rows, value, _ in PIVOT_CASES:
+        assert det(Mat(rows)) == leibniz_det(rows) == value
 
 
 def test_char_data_against_faddeev_leverrier():
@@ -167,6 +193,8 @@ def test_rank_against_gauss_jordan():
         assert rank(Mat(rows)) == gauss_jordan(rows)[0]
     for _, rows in cases(34):
         assert rank(Mat(rows)) == gauss_jordan(rows)[0]
+    for rows, expected in [(rows, r) for rows, _, r in PIVOT_CASES] + SHAPED_CASES:
+        assert rank(Mat(rows)) == gauss_jordan(rows)[0] == expected
 
 
 def test_inverse_against_gauss_jordan():
@@ -201,7 +229,7 @@ def test_every_result_is_canonical():
         x, y = Mat(rand_rows(rng, n, n)), Mat(rand_rows(rng, n, n))
         c = rand_rat(rng)
         for m in (x, y, x * y, x + y, x - y, -x, c * x, x * c, F(0) * x, x.transpose(),
-                  x - x, x.col_mat(0), Mat.zero(n, n), Mat.identity(n),
+                  x - x, x * Mat.basis_col(n, 0), Mat.zero(n, n), Mat.identity(n),
                   Mat.block([[x, y], [y, x]])):
             assert_canonical(m)
         assert Mat.block([[x, y]]).to_lists() == [rx + ry for rx, ry in

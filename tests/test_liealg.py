@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from math import gcd
@@ -83,7 +85,7 @@ def test_group_elem_rejects_singular():
 
 def test_dual_point_c_rejects_non_skew():
     with pytest.raises(ValueError, match="skew"):
-        DualPoint.of("io", Mat([[0, 1], [1, 0]]), Mat.row([1, 2]))
+        DualPoint(Mat([[0, 1], [1, 0]]), Mat.row([1, 2]), family="io")
     # the orthogonal view also pins xi = -wstar^T
     with pytest.raises(ValueError, match="xi"):
         DualPoint(Mat.zero(2, 2), Mat.row([1, 2]), Mat.zero(2, 1), "iso")
@@ -91,10 +93,10 @@ def test_dual_point_c_rejects_non_skew():
 
 def test_traceless_constructor():
     with pytest.raises(ValueError, match="tr"):
-        DualPoint.of("isl", Mat.identity(2), Mat.row([1, 0]))
+        DualPoint(Mat.identity(2), Mat.row([1, 0]), family="isl")
     with pytest.raises(ValueError, match="xi"):
         DualPoint(Mat.zero(2, 2), Mat.row([1, 0]), Mat.col([0, 1]), "aff")
-    assert DualPoint.of("aff", Mat.identity(2), Mat.row([1, 0])).xi == Mat.zero(2, 1)
+    assert DualPoint(Mat.identity(2), Mat.row([1, 0]), family="aff").xi == Mat.zero(2, 1)
 
 
 # -- samplers --------------------------------------------------------------------
@@ -203,7 +205,7 @@ def test_coad_C_rejects_non_orthogonal():
     # a non-orthogonal element moves an io point out of the io dual
     stretch = GroupElem(Mat.diag([2, 1]), Mat.zero(2, 1), Mat.zero(1, 2))
     with pytest.raises(ValueError, match="xi"):
-        coad(stretch, DualPoint.of("io", Mat.zero(2, 2), Mat.row([1, 0])))
+        coad(stretch, DualPoint(Mat.zero(2, 2), Mat.row([1, 0]), family="io"))
 
 
 def test_pairing_consistency_with_adjoint():
@@ -412,3 +414,42 @@ def test_dual_json_rejects_mismatch():
     obj["n"] = 3
     with pytest.raises(ValueError):
         dual_from_json(obj)
+
+
+# skew and traceless, so a point of every family's dual
+SKEW_Y, ROW_W = Mat([[0, 1, -2], [-1, 0, 3], [2, -3, 0]]), Mat.row([1, -2, 3])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_point_built_without_xi_gets_the_family_fill(family):
+    point = DualPoint(SKEW_Y, ROW_W, family=family)
+    fill = -ROW_W.transpose() if family in ("io", "iso") else Mat.zero(3, 1)
+    assert point.xi == fill and point == DualPoint(SKEW_Y, ROW_W, fill, family)
+    alg = Algebra(family, 3)
+    assert dual_from_json(dual_to_json(alg, point)) == (alg, point)
+    for twin in (pickle.loads(pickle.dumps(point)), copy.deepcopy(point)):
+        assert twin == point and twin.family == family
+    # the constructor is the one way to build a point
+    assert not hasattr(DualPoint, "of")
+
+
+@pytest.mark.parametrize("family, key", [
+    ("aff", "xi"), ("isl", "xi"), ("io", "xi"), ("iso", "xi"),
+    ("aff", "wstar"), ("isl", "wstar"), ("glvv", "vstar"), ("io", "vstar"), ("iso", "vstar")])
+def test_dual_json_refuses_a_component_it_would_drop(family, key):
+    # the family fills xi or names its covector otherwise, so the value
+    # given would have been dropped unread
+    obj = dual_to_json(Algebra(family, 3), DualPoint(SKEW_Y, ROW_W, family=family))
+    obj[key] = mat_to_json(Mat.col([3, 3, 3]) if key == "xi" else Mat.row([7, 7, 7]))
+    with pytest.raises(ValueError, match="takes no '%s' component" % key):
+        dual_from_json(obj)
+
+
+@pytest.mark.parametrize("family", ["aff", "isl", "io", "iso"])
+def test_group_json_refuses_vstar_off_glvv(family):
+    # vstar is zero for aff/isl and -u^T for io/iso, never read from JSON
+    obj = {"algebra": family, "n": 2, "g": mat_to_json(Mat.identity(2)),
+           "u": mat_to_json(Mat.col([1, 0]))}
+    assert group_from_json(obj)[0] == Algebra(family, 2)
+    with pytest.raises(ValueError, match="takes no 'vstar' component"):
+        group_from_json(dict(obj, vstar=mat_to_json(Mat.row([9, 0]))))

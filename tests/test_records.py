@@ -20,6 +20,7 @@ def records():
         Algebra("iso", 3),
         sample_dual(Algebra("io", 3), rng, 3),
         sample_dual(Algebra("glvv", 2), rng, 3),
+        DualPoint(Mat([[0, 1], [-1, 0]]), Mat([[1, 2]]), family="iso"),  # xi filled
         sample_group(Algebra("glvv", 2), rng, 3),
         char_data(Mat([[1, 2], [3, 4]])),
         CanonicalPair.of_size(3),
@@ -94,7 +95,7 @@ def test_construction_still_validates():
     with pytest.raises(ValueError, match="singular"):
         GroupElem(Mat.zero(2, 2), Mat.zero(2, 1), Mat.zero(1, 2))
     # a copy goes through the same checks: the constructor rebuilds it
-    point = DualPoint.of("io", y, w)
+    point = DualPoint(y, w, family="io")
     assert copy.deepcopy(point) == point
 
 

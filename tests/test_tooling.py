@@ -107,13 +107,42 @@ def test_one_recursion_per_generator_family():
     assert _call_sites("invariants.py", lambda node: _called(node, "_char_int")
                        or _called(node, "char_data")) == ["_covariants"]
     # char_data wraps the integer recursion, and bordered_gradients reads
-    # the bordered matrix's coefficients straight off it
+    # the coefficients of the bordered matrix and of y straight off it
     assert _call_sites("charpoly.py", lambda node: _called(node, "_char_int")) \
-        == ["bordered_gradients", "char_data"]
+        == ["bordered_gradients", "bordered_gradients", "char_data"]
     # the second paths are the check of the first: they never reach it
     for second in ("F_bordered_all", "psi_bordered_all", "f_krylov", "krylov_rows"):
         assert "_covariants" not in _reaches("invariants.py", second)
     assert "_covariants" in _reaches("invariants.py", "F_invariant")
+
+
+def test_det_and_rank_share_one_elimination():
+    # one Bareiss elimination serves det and rank, which run no loop of
+    # their own, and no module outside exactmat calls it
+    path = os.path.join(SRC, "exactmat.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    funcs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    for name in ("det", "rank"):
+        assert not [node for node in ast.walk(funcs[name])
+                    if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    callers = {}
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        sites = _call_sites(os.path.basename(path), lambda node: _called(node, "_bareiss"))
+        if sites:
+            callers[os.path.basename(path)] = sites
+    assert callers == {"exactmat.py": ["det", "rank"]}
+
+
+def test_package_stays_within_the_line_bound():
+    # src/coadinv may grow to 2,640 lines (a symbolic poly.py is counted on
+    # its own), so growth shows in the tests as it happens
+    total = 0
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        if os.path.basename(path) != "poly.py":
+            with open(path, encoding="utf-8") as fh:
+                total += sum(1 for _ in fh)
+    assert total <= 2640
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
