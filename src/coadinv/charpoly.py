@@ -25,8 +25,8 @@ from functools import cache
 from math import lcm
 from operator import mul
 
-from .exactmat import (ExactnessError, Mat, Rat, Record, _normal, int_mat_mul, inverse,
-                       scalar)
+from .exactmat import (ExactnessError, Mat, Rat, Record, _exact, _normal, int_mat_mul,
+                       inverse, scalar)
 
 
 class CharData(Record):
@@ -97,6 +97,7 @@ def _vandermonde_inverse(deg: int):
 def interp_coeffs(values: Sequence[Rat]) -> tuple:
     """Monomial coefficients c_0..c_D of the polynomial taking the given
     values at the integer nodes t = 0, 1, ..., D (D = len(values) - 1)."""
+    values = list(map(_exact, values))
     deg = len(values) - 1
     if deg < 0:
         raise ValueError("need at least one value")
@@ -141,37 +142,34 @@ def bordered(y: Mat, v: Mat, wstar: Mat, a) -> Mat:
     return Mat.block([[y, v], [wstar, Mat([[a]])]])
 
 
-def bordered_gradients(y: Mat, v: Mat, wstar: Mat, a=0, cy: CharData = None) -> tuple:
-    """The pairings wstar B_k(y) v, k = 0..n-1, from one recursion on
-    X = [[y, v], [wstar, a]] and one on y (or the caller's cy, the
-    char_data of y), never reading B_k(y):
+def bordered_gradients(y: Mat, v: Mat, wstar: Mat) -> tuple:
+    """The pairings wstar B_k(y) v, k = 0..n-1, read off the coefficients
+    of X = [[y, v], [wstar, 0]] without reading B_k(y):
 
-        p_{k+2}(X) = p_{k+2}(y) - a p_{k+1}(y) + wstar B_k(y) v
+        wstar B_k(y) v = p_{k+2}(X) - p_{k+2}(y)
 
-    with p_{n+1}(y) read as zero.  Both recursions run on integer
-    numerators, and no B_k is normalized."""
-    ax, dx = bordered(y, v, wstar, a).num_den()
-    px = _char_int(ax)[0]  # p_k(X) = px[k-1] / dx^k
-    if cy is None:
-        ay, dy = y.num_den()
-        py = [Fraction(pk, dy ** k) for k, pk in enumerate(_char_int(ay)[0], start=1)]
-    else:
-        py = list(cy.p)
-    py.append(Fraction(0))
-    return tuple(Fraction(px[k + 1], dx ** (k + 2)) - py[k + 1] + a * py[k]
+    with p_{n+1}(y) read as zero.  One recursion on X and one on y, both on
+    integer numerators, and no B_k is normalized."""
+    ax, dx = bordered(y, v, wstar, 0).num_den()
+    ay, dy = y.num_den()
+    px, py = _char_int(ax)[0], _char_int(ay)[0] + [0]
+    return tuple(Fraction(px[k + 1], dx ** (k + 2)) - Fraction(py[k + 1], dy ** (k + 2))
                  for k in range(y.rows))
 
 
 def bordered_char_identities(y: Mat, v: Mat, wstar: Mat, a):
-    """Check the coefficients p_2..p_{n+1} of X = [[y, v], [wstar, a]]:
-    each bordered_gradients value must equal wstar B_k(y) v.
+    """Check the coefficients p_2..p_{n+1} of X = [[y, v], [wstar, a]]
+    against the gradients of y:
+
+        p_{k+2}(X) = p_{k+2}(y) - a p_{k+1}(y) + wstar B_k(y) v
 
     Returns (True, None) on success, otherwise (False, (j, lhs, rhs)) where
     j = k + 2 is the index of the first failing coefficient of X.
     """
-    cy = char_data(y)
-    for k, lhs in enumerate(bordered_gradients(y, v, wstar, a, cy)):
-        rhs = scalar(wstar * cy.B[k] * v)
+    cx, cy = char_data(bordered(y, v, wstar, a)), char_data(y)
+    for k in range(y.rows):
+        lhs = cx.coeff(k + 2)
+        rhs = cy.coeff(k + 2) - a * cy.coeff(k + 1) + scalar(wstar * cy.B[k] * v)
         if lhs != rhs:
             return False, (k + 2, lhs, rhs)
     return True, None

@@ -15,11 +15,11 @@ grid oracle in the verify module and locked by regression tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul
 
 from .charpoly import _char_int, bordered, bordered_gradients
-from .exactmat import ExactnessError, Mat, Rat, Record, det, pfaffian
+from .exactmat import ExactnessError, Mat, Rat, Record, _exact, det, pfaffian
 # project_traceless is re-exported: it is part of this module's interface
 from .liealg import (_RETRY_CAP, Algebra, DualPoint, GroupElem, Rng, coad,
                      project_traceless, sample_dual)
@@ -233,29 +233,18 @@ def pfaff_vector(y: Mat) -> Mat:
 
 # -- parameter slices ------------------------------------------------------------
 
-def _sparse(rows: int, cols: int, entries: dict) -> Mat:
-    """The rows x cols matrix with the given {(i, j): value} entries and
-    zeros elsewhere, built over the entries' common denominator."""
-    vals = {ij: Fraction(v) for ij, v in entries.items()}
-    d = lcm(*[v.denominator for v in vals.values()])
-    a = [[0] * cols for _ in range(rows)]
-    for (i, j), v in vals.items():
-        a[i][j] = int(v * d)
-    return Mat.from_num_den(a, d)
-
-
 def slice_isl(a, b) -> DualPoint:
     """Slice point of the subdiagonal entries a = (a_1, ..., a_{n-1}) and
     the covector coefficient b: y = a_1 E_21 + ... + a_{n-1} E_{n,n-1},
     wstar = b e_n*."""
     n = len(a) + 1
-    y = _sparse(n, n, {(k + 1, k): v for k, v in enumerate(a)})
-    return DualPoint(y, _sparse(1, n, {(0, n - 1): b}), family="isl")
+    y = Mat([[a[j] if i == j + 1 else 0 for j in range(n)] for i in range(n)])
+    return DualPoint(y, Mat.row([0] * (n - 1) + [b]), family="isl")
 
 
 def t_slice(a, b) -> Rat:
     """Closed slice polynomial (prod_k a_k^k) b^n."""
-    return Fraction(b) ** (len(a) + 1) * prod(v ** k for k, v in enumerate(a, 1))
+    return Fraction(_exact(b)) ** (len(a) + 1) * prod(_exact(v) ** k for k, v in enumerate(a, 1))
 
 
 def slice_so(a, a0, alg: Algebra) -> DualPoint:
@@ -268,11 +257,11 @@ def slice_so(a, a0, alg: Algebra) -> DualPoint:
     if len(a) != alg.ell:
         raise ValueError("slice needs %d block parameters, got %d" % (alg.ell, len(a)))
     n = alg.n
-    blocks = {}
+    y = [[0] * n for _ in range(n)]
     for i, v in enumerate(a):
-        blocks[2 * i, 2 * i + 1] = v
-        blocks[2 * i + 1, 2 * i] = -v
-    return DualPoint(_sparse(n, n, blocks), _sparse(1, n, {(0, n - 1): a0}), family=alg.family)
+        # the kernel refuses v before the minus could fail with another message
+        y[2 * i][2 * i + 1], y[2 * i + 1][2 * i] = v, -_exact(v)
+    return DualPoint(Mat(y), Mat.row([0] * (n - 1) + [a0]), family=alg.family)
 
 
 def _elementary_symmetric(values, k: int) -> Rat:
@@ -289,12 +278,12 @@ def phi_slice(k: int, a, a0) -> Rat:
     at k = ell it is exotic_slice(a, a0)^2."""
     if not 0 <= k <= len(a):
         raise ValueError("slice polynomial index out of range")
-    return Fraction(a0) ** 2 * _elementary_symmetric([v * v for v in a], k)
+    return Fraction(_exact(a0)) ** 2 * _elementary_symmetric([_exact(v) ** 2 for v in a], k)
 
 
 def exotic_slice(a, a0) -> Rat:
     """Closed slice polynomial of the exotic generator: a0 a_1 ... a_ell."""
-    return Fraction(a0) * prod(a)
+    return Fraction(_exact(a0)) * prod(map(_exact, a))
 
 
 # -- open-orbit machinery ----------------------------------------------------------

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from coadinv import charpoly, invariants
-from coadinv.charpoly import (bordered, bordered_char_identities,
+from coadinv.charpoly import (CharData, bordered, bordered_char_identities,
                               bordered_gradients, char_data, directional_coeff,
                               interp_coeffs)
 from coadinv.exactmat import ExactnessError, Mat, det, rank, scalar
@@ -200,6 +200,15 @@ def test_interp_coeffs():
     assert interp_coeffs(values) == (F(2), F(-3), F(0), F(1))
 
 
+def test_interp_refuses_inexact_values():
+    # the kernel's TypeError, also when F returns a float
+    for values in ([0.5, 1], [F(1), "2"], [1, None]):
+        with pytest.raises(TypeError, match="exact entries are int or Fraction"):
+            interp_coeffs(values)
+    with pytest.raises(TypeError, match="exact entries are int or Fraction"):
+        directional_coeff(lambda t: 0.5 * t, F(1), F(1), 1, 1)
+
+
 def test_oversized_bound_is_harmless():
     got = directional_coeff(lambda m: char_data(m).coeff(1),
                             Mat.zero(3, 3), Mat.identity(3), 1, 6)
@@ -319,23 +328,22 @@ def test_bordered_zero_corner_gives_generators():
 
 
 def test_bordered_gradients_are_the_pairings():
-    # every corner a, and n = 1 where the only step is the top coefficient
+    # n = 1 included, where the only step is the top coefficient; a
+    # rational y gives X and y different denominators
     rng = Rng(30)
     for n in range(1, 7):
         for _ in range(10):
-            y = rand_mat(rng, n)
+            y = F(1, rng.int_between(1, 3)) * rand_mat(rng, n)
             v = Mat([[rng.int_between(-3, 3)] for _ in range(n)])
             w = Mat([[rng.int_between(-3, 3) for _ in range(n)]])
-            a = F(rng.int_between(-3, 3), rng.int_between(1, 3))
             cy = char_data(y)
             expected = tuple(scalar(w * cy.B[k] * v) for k in range(n))
-            assert bordered_gradients(y, v, w, a) == expected
-            assert bordered_gradients(y, v, w, a, cy) == expected
+            assert bordered_gradients(y, v, w) == expected
 
 
 def test_glvv_dual_path_sample_runs_five_recursions(monkeypatch):
     # F_all reads y; F_bordered_all reads X and y; bordered_char_identities
-    # reads y once and hands it to bordered_gradients, which adds X
+    # reads the cornered X and y through char_data
     sizes = []
     real = charpoly._char_int
 
@@ -352,11 +360,14 @@ def test_glvv_dual_path_sample_runs_five_recursions(monkeypatch):
 
 
 def test_bordered_identities_report_the_first_failing_coefficient(monkeypatch):
-    y, v, w = Mat([[1, 2], [3, 4]]), Mat.col([1, 1]), Mat.row([1, -1])
-    good = bordered_gradients(y, v, w, 2)
-    monkeypatch.setattr(charpoly, "bordered_gradients",
-                        lambda *args: (good[0], good[1] + 1))
-    assert bordered_char_identities(y, v, w, 2) == (False, (3, good[1] + 1, good[1]))
+    # p_3 and p_4 of the bordered matrix are off by one: j = 3 is reported
+    y, v, w = Mat([[1, 2, 0], [3, 4, 1], [0, 1, 1]]), Mat.col([1, 1, 0]), Mat.row([1, -1, 2])
+    x = bordered(y, v, w, 2)
+    real = charpoly.char_data
+    good = real(x)
+    planted = CharData(4, good.p[:2] + (good.p[2] + 1, good.p[3] + 1), good.B)
+    monkeypatch.setattr(charpoly, "char_data", lambda m: planted if m == x else real(m))
+    assert bordered_char_identities(y, v, w, 2) == (False, (3, good.p[2] + 1, good.p[2]))
 
 
 def test_bordered_canonical_pair_reads_off_coordinates():

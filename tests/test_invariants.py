@@ -380,6 +380,22 @@ def test_slice_so_validates():
         slice_so((1, 2), 1, Algebra("io", 3))
 
 
+def test_slices_refuse_inexact_parameters():
+    # a float, a string or anything else raises the kernel's TypeError in
+    # every slice point and closed form; exact rationals stay exact
+    alg = Algebra("iso", 5)
+    slices = (slice_isl, t_slice, lambda a, a0: slice_so(a, a0, alg),
+              lambda a, a0: phi_slice(1, a, a0), exotic_slice)
+    for make in slices:
+        for bad in (0.5, 0.1, "1", None):
+            for a, a0 in (((1, bad), 2), ((bad, 1), 2), ((1, 2), bad)):
+                with pytest.raises(TypeError, match="exact entries are int or Fraction"):
+                    make(a, a0)
+    assert t_slice((F(1, 2),), 2) == 2
+    assert slice_isl((F(1, 10),), 1).y == Mat([[0, 0], [F(1, 10), 0]])
+    assert exotic_slice((F(1, 3), 2), F(3, 2)) == 1
+
+
 # -- orbit machinery ------------------------------------------------------------------------
 
 def test_orbit_normalize_already_normal():

@@ -114,6 +114,9 @@ def test_one_recursion_per_generator_family():
     for second in ("F_bordered_all", "psi_bordered_all", "f_krylov", "krylov_rows"):
         assert "_covariants" not in _reaches("invariants.py", second)
     assert "_covariants" in _reaches("invariants.py", "F_invariant")
+    # the bordered identity check reads char_data, never the pairings it checks
+    assert "bordered_gradients" not in _reaches("charpoly.py", "bordered_char_identities")
+    assert "char_data" in _reaches("charpoly.py", "bordered_char_identities")
 
 
 def test_det_and_rank_share_one_elimination():
