@@ -118,6 +118,8 @@ def cmd_verify(args) -> int:
         raise ValueError("--all runs the whole plan; drop --suite and --algebra")
     if args.n is not None and (args.n_min is not None or args.n_max is not None):
         raise ValueError("--n runs a single size; drop --n-min and --n-max")
+    if args.n_min is not None and args.n_max is not None and args.n_min > args.n_max:
+        raise ValueError("--n-min %d exceeds --n-max %d" % (args.n_min, args.n_max))
     if args.output:
         _check_writable(args.output)
     if args.all:

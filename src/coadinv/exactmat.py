@@ -477,6 +477,8 @@ def json_size(obj: dict, key: str) -> int:
 
 
 _RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# entries joined by commas
+_RATS_RE = re.compile("{0}(,{0})*".format(_RAT_RE.pattern))
 
 
 def _json_num_den(value) -> tuple:
@@ -491,6 +493,27 @@ def _json_num_den(value) -> tuple:
             raise ValueError("zero denominator in %r" % (value,))
         return int(num), den
     raise ValueError("%r is not an integer or a \"p\"/\"p/q\" string" % (value,))
+
+
+def _strings_mat(rows: int, cols: int, entries: list) -> Mat:
+    """The matrix of rows x cols entries that are all "p"/"p/q" strings,
+    validated by one match over the entries joined by commas: an entry
+    holding a comma would read as two, so the commas are counted too.
+    Raises TypeError or ValueError on anything else."""
+    text = ",".join([",".join(row) for row in entries])
+    if text.count(",") != rows * cols - 1 or not _RATS_RE.fullmatch(text):
+        raise ValueError("not a matrix of rational strings")
+    if "/" not in text:
+        return _make(rows, cols, tuple([tuple(map(int, row)) for row in entries]), 1)
+    parts = [v.partition("/") for v in text.split(",")]
+    dens = {q: int(q or 1) for _, _, q in parts}
+    d = lcm(*dens.values())
+    if d == 0:
+        raise ValueError("zero denominator")
+    scale = {q: d // v for q, v in dens.items()}
+    flat = [int(p) * scale[q] for p, _, q in parts]
+    return _normal(rows, cols, tuple([tuple(flat[i:i + cols])
+                                      for i in range(0, rows * cols, cols)]), d)
 
 
 def mat_from_json(obj) -> Mat:
@@ -508,6 +531,10 @@ def mat_from_json(obj) -> Mat:
         raise ValueError("matrix JSON entries do not match rows x cols")
     if rows < 1 or cols < 1:
         raise ValueError("matrix needs at least one row and one column")
+    try:
+        return _strings_mat(rows, cols, entries)
+    except (TypeError, ValueError):
+        pass  # the per-entry parse reads the rest, or refuses it by entry
     try:
         parsed = [[_json_num_den(v) for v in row] for row in entries]
     except ValueError as exc:

@@ -15,14 +15,15 @@ grid oracle in the verify module and locked by regression tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import prod
 from operator import mul
 
 from .charpoly import _char_int, bordered, bordered_gradients
 from .exactmat import ExactnessError, Mat, Rat, Record, _exact, det, pfaffian
 # project_traceless is re-exported: it is part of this module's interface
-from .liealg import (_RETRY_CAP, Algebra, DualPoint, GroupElem, Rng, coad,
-                     project_traceless, sample_dual)
+from .liealg import (_RETRY_CAP, Algebra, DualPoint, GroupElem, Rng, project_traceless,
+                     sample_dual)
 
 # Frozen sign conventions, resolved by verify.resolve_sign over dense
 # integer grids and locked by regression tests.  All four are forced by
@@ -56,6 +57,7 @@ class CanonicalPair(Record):
         self._set(J, enstar)
 
     @staticmethod
+    @cache
     def of_size(n: int) -> "CanonicalPair":
         return CanonicalPair(lower_shift(n), Mat.basis_row(n, n - 1))
 
@@ -301,22 +303,32 @@ def sample_open_b(rng: Rng, n: int, bound: int) -> DualPoint:
 def orbit_normalize(l: DualPoint):
     """Normalize a point of the open set to the base pair.
 
-    Returns (elem, normal) where elem = (g, u, 0) has rows
-    g = (wstar B_{n-1}(y); ...; wstar) and normal = coad(elem, l) equals
-    (J, e_n*, g xi).  The translation is u = -(p_n(y), ..., p_1(y))^T in
-    closed form: e_n* g = wstar, and B_k y = B_{k+1} + p_{k+1} I with B_n = 0
-    gives J g - g y = u wstar, so g y g^-1 = J - u e_n* is the companion
-    matrix of y; coad's landing on (J, e_n*) checks it.  Raises
-    NotInOpenOrbit when the semi-invariant vanishes.
+    Returns (elem, normal): elem = (g, u, 0) with rows
+    g = (wstar B_{n-1}(y); ...; wstar) and the closed-form translation
+    u = -(p_n(y), ..., p_1(y))^T, and normal = coad(elem, l), which is
+    (J, e_n*, g xi) in l's family (an io/iso point is refused as coad
+    refuses it: (J, e_n*) is not in its dual).
+
+    coad sends (y, wstar) to (g y g^-1 + u wstar g^-1, wstar g^-1), so for
+    invertible g it lands on (J, e_n*) exactly when J g = g y + u wstar and
+    e_n* g = wstar.  Both are checked, and no inverse of g is formed.  They
+    hold by construction: the last row of g is wstar, and
+    B_k y = B_{k+1} + p_{k+1} I with B_n = 0 gives the first row by row, so
+    g y g^-1 = J - u e_n* is the companion matrix of y.  Raises
+    NotInOpenOrbit when the semi-invariant vanishes, that is det g = 0,
+    which the GroupElem constructor computes once.
     """
     n = l.n
     rows, p, d = _covariants(l)
-    g = Mat.block([[Mat.from_num_den([r], e)] for r, e in rows[::-1]])
-    if det(g) == 0:
-        raise NotInOpenOrbit("not in open orbit")
-    u = Mat.col([-Fraction(p[k - 1], d ** k) for k in range(n, 0, -1)])
-    elem = GroupElem(g, u, Mat.zero(1, n))
-    normal = coad(elem, l)
-    if CanonicalPair(normal.y, normal.wstar) != CanonicalPair.of_size(n):
+    # wstar B_k(y) = w B_k(A) / (d^k dw), and d^k dw divides d^(n-1) dw
+    g = Mat.from_num_den([[v * d ** (n - 1 - k) for v in rows[k][0]]
+                          for k in reversed(range(n))], rows[-1][1])
+    u = Mat.from_num_den([[-p[k - 1] * d ** (n - k)] for k in range(n, 0, -1)], d ** n)
+    try:
+        elem = GroupElem(g, u, Mat.zero(1, n))
+    except ValueError:  # the shapes hold, so g is singular
+        raise NotInOpenOrbit("not in open orbit") from None
+    base = CanonicalPair.of_size(n)
+    if base.J * g != g * l.y + u * l.wstar or base.enstar * g != l.wstar:
         raise ExactnessError("normal form did not land on the base pair")
-    return elem, normal
+    return elem, DualPoint(base.J, base.enstar, g * l.xi, l.family)

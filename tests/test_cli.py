@@ -10,7 +10,7 @@ import coadinv
 from coadinv import cli, verify
 from coadinv import invariants as inv
 from coadinv.cli import main
-from coadinv.exactmat import ExactnessError, Mat, mat_to_json, rat_str
+from coadinv.exactmat import ExactnessError, Mat, mat_from_json, mat_to_json, rat_str
 from coadinv.invariants import (CanonicalPair, F_all, exotic_phi, f_bar, f_invariant,
                                 orbit_normalize, slice_isl, t_slice)
 from coadinv.liealg import Algebra, DualPoint, Rng, dual_to_json, sample_dual
@@ -364,6 +364,35 @@ def test_orbit_degenerate_input(tmp_path, capsys):
     assert "open orbit" in err
 
 
+def test_orbit_on_the_golden_points_is_coads_image(tmp_path, capsys):
+    # every point and image of tests/golden/points.json: a glvv point of the
+    # open set prints coad's image under the printed (g, u, 0), one off it
+    # exits 1, and any other family exits 2
+    from coadinv.liealg import GroupElem, coad, dual_from_json
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "points.json")
+    with open(golden, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    seen = set()
+    for entry in entries:
+        for key in ("point", "image"):
+            alg, point = dual_from_json(entry[key])
+            code, out, err = run_cli(capsys, ["orbit", "--input",
+                                              write_point(tmp_path, entry[key])])
+            if alg.family != "glvv":
+                assert (code, out, err) == (2, "", "error: orbit normalization needs a "
+                                                   "glvv point\n")
+            elif f_invariant(DualPoint(point.y, point.wstar, family="aff")) == 0:
+                assert (code, out, err) == (1, "", "error: not in open orbit\n")
+            else:
+                assert (code, err) == (0, "")
+                result = json.loads(out)
+                g, u = (mat_from_json(result[k]) for k in ("g", "u"))
+                image = coad(GroupElem(g, u, Mat.zero(1, alg.n)), point)
+                assert result["normal_form"] == dual_to_json(alg, image)
+            seen.add(code)
+    assert seen == {0, 2}
+
+
 def test_orbit_refuses_a_rational_point_off_the_open_set(tmp_path, capsys):
     # wstar = e_1* is a left eigenvector of y, so the rows wstar B_k(y) are
     # dependent and f = 0, though y and xi are far from zero
@@ -422,6 +451,20 @@ def test_verify_refuses_a_range_without_odd_sizes(capsys):
     assert code == 2
     assert out == ""
     assert "'exotic-sign' on io checks odd n only, and n in 2..2 has none" in err
+
+
+def test_verify_refuses_an_inverted_size_range(capsys, monkeypatch):
+    # refused as the flags' own conflict, before any suite's range is read
+    consulted = []
+    real = verify.suite_range
+    monkeypatch.setattr(verify, "suite_range",
+                        lambda *args: consulted.append(args) or real(*args))
+    runs = count_suite_runs(monkeypatch)
+    for argv in (["--all"], ["--suite", "index"], ["--suite", "slices", "--algebra", "isl"]):
+        code, out, err = run_cli(capsys, ["verify", "--n-min", "5", "--n-max", "3",
+                                          "--samples", "1"] + argv)
+        assert (code, out, err) == (2, "", "error: --n-min 5 exceeds --n-max 3\n")
+    assert consulted == [] and runs == []
 
 
 def test_verify_independence_checks_size_one(capsys):

@@ -1,8 +1,10 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from coadinv.exactmat import Mat, det, inverse, pfaffian, scalar
+from coadinv import invariants as inv_module
+from coadinv.exactmat import ExactnessError, Mat, det, inverse, pfaffian, scalar
 from coadinv.charpoly import bordered, char_data
 from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
                                 EXOTIC_SQUARE_SIGN, F_SLICE_SIGN, F_all,
@@ -454,6 +456,113 @@ def test_orbit_rejects_degenerate():
     l = DualPoint(Mat.zero(2, 2), Mat.row([1, 0]), Mat.col([1, 1]))
     with pytest.raises(NotInOpenOrbit):
         orbit_normalize(l)
+
+
+def _open_points(rng, n):
+    # an integer point of the open set, a rational multiple of it, and its
+    # image under a sampled affine element, whose g^-1 brings denominators
+    l = sample_open_b(rng, n, 3)
+    a = sample_group(Algebra("aff", n), rng, 3)
+    return l, F(-2, 7) * l, coad(a, l)
+
+
+def test_orbit_normal_form_is_coads_image():
+    # the landing identity stands for coad's landing: coad, which inverts g,
+    # is the oracle of the normal form
+    rng = Rng(81)
+    for n in range(1, 9):
+        for _ in range(2):
+            for l in _open_points(rng, n):
+                elem, normal = orbit_normalize(l)
+                assert det(elem.g) != 0
+                assert elem.vstar == Mat.zero(1, n)
+                assert normal == coad(elem, l)
+                assert (normal.y, normal.wstar) == (lower_shift(n), Mat.basis_row(n, n - 1))
+
+
+def test_orbit_normalize_keeps_aff_and_isl_points_in_their_family():
+    rng = Rng(82)
+    for n in range(1, 6):
+        for fam in ("aff", "isl"):
+            alg = Algebra(fam, n)
+            for _ in range(4):
+                l = sample_dual(alg, rng, 3)
+                if f_invariant(l) == 0:
+                    continue
+                elem, normal = orbit_normalize(l)
+                assert normal.family == fam
+                assert normal == coad(elem, l)
+
+
+@pytest.mark.parametrize("fam", ["io", "iso"])
+def test_orbit_normalize_refuses_orthogonal_points_as_coad_does(fam):
+    # (J, e_n*, g xi) is no point of an orthogonal dual: J is not skew for
+    # n >= 2, and at n = 1 g xi = -wstar^2 is -e_1*^T only for wstar = +-1
+    cases = [(DualPoint(Mat([[0, 2], [-2, 0]]), Mat.row([1, 3]), family=fam),
+              "y must be skew-symmetric"),
+             (DualPoint(Mat([[0]]), Mat([[2]]), family=fam),
+              "%s point needs xi = -wstar^T" % fam)]
+    for l, message in cases:
+        g = Mat.block([[r] for r in phi_rows(l)])
+        u = Mat.col([-c for c in reversed(char_data(l.y).p)])
+        with pytest.raises(ValueError) as want:
+            coad(GroupElem(g, u, Mat.zero(1, l.n)), l)
+        with pytest.raises(ValueError) as got:
+            orbit_normalize(l)
+        assert type(got.value) is ValueError
+        assert str(got.value) == str(want.value) == message
+    l = DualPoint(Mat([[0]]), Mat([[-1]]), family=fam)
+    elem, normal = orbit_normalize(l)
+    assert normal == coad(elem, l) == DualPoint(Mat([[0]]), Mat([[1]]), family=fam)
+
+
+@pytest.mark.parametrize("fault", ["u reversed", "one entry of g", "g and u doubled"])
+def test_orbit_normalize_catches_a_planted_fault(monkeypatch, fault):
+    # a wrong translation or a wrong entry of g fails J g = g y + u wstar;
+    # 2g and 2u still satisfy it, and fail e_n* g = wstar
+    real = inv_module._covariants
+
+    def planted(l):
+        rows, p, d = real(l)
+        if fault == "u reversed":
+            assert p != p[::-1]
+            return rows, p[::-1], d
+        if fault == "one entry of g":
+            (r0, *rest), e = rows[-1]
+            return rows[:-1] + [((r0 + 1, *rest), e)], p, d
+        return [(tuple(2 * v for v in r), e) for r, e in rows], [2 * c for c in p], d
+
+    monkeypatch.setattr(inv_module, "_covariants", planted)
+    for n in range(2, 6):
+        l = sample_open_b(Rng(83).child(n), n, 3)
+        with pytest.raises(ExactnessError, match="^normal form did not land on the base pair$"):
+            orbit_normalize(l)
+
+
+def test_orbit_normalize_computes_det_g_once(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return det(a)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("coadinv")
+                and getattr(module, "det", None) is det):
+            monkeypatch.setattr(module, "det", counted)
+    for n in range(1, 6):
+        for l in _open_points(Rng(84).child(n), n):
+            calls.clear()
+            elem, _ = orbit_normalize(l)
+            assert calls == [elem.g]
+    # the group element's singular refusal is the open-set refusal
+    for l in (DualPoint(Mat.zero(2, 2), Mat.row([1, 0]), Mat.col([1, 1])),
+              DualPoint(Mat([[1, 0], [0, 1]]), Mat.row([3, 5]), family="aff"),
+              DualPoint(Mat.zero(1, 1), Mat.zero(1, 1))):
+        calls.clear()
+        with pytest.raises(NotInOpenOrbit, match="^not in open orbit$"):
+            orbit_normalize(l)
+        assert len(calls) == 1
 
 
 def test_pi_at_canonical_pair():

@@ -119,6 +119,20 @@ def test_one_recursion_per_generator_family():
     assert "char_data" in _reaches("charpoly.py", "bordered_char_identities")
 
 
+def test_orbit_normalize_never_inverts_g():
+    # the normal form's landing is checked as J g = g y + u wstar and
+    # e_n* g = wstar: neither orbit_normalize nor a helper it reaches calls
+    # inverse or coad, and det g is computed once, by GroupElem
+    reached = {"orbit_normalize"} | _reaches("invariants.py", "orbit_normalize")
+
+    def sites(name):
+        return [site for site in _call_sites("invariants.py", lambda node: _called(node, name))
+                if site in reached]
+
+    assert sites("inverse") == [] and sites("coad") == []
+    assert len(sites("det")) <= 1
+
+
 def test_det_and_rank_share_one_elimination():
     # one Bareiss elimination serves det and rank, which run no loop of
     # their own, and no module outside exactmat calls it
