@@ -88,21 +88,25 @@ class DualPoint(Record):
     def __init__(self, y: Mat, wstar: Mat, xi: Mat = None, family: str = "glvv"):
         if family not in FAMILIES:
             raise ValueError("unknown algebra family %r" % (family,))
-        if xi is None:
-            xi = -wstar.transpose() if family in ("io", "iso") else Mat.zero(y.rows, 1)
         if not y.is_square():
             raise ValueError("y must be square")
         n = y.rows
         _want_shape(wstar, 1, n, "wstar")
-        _want_shape(xi, n, 1, "xi")
-        if family in ("aff", "isl") and xi != Mat.zero(n, 1):
+        orth = family in ("io", "iso")
+        # the fill is right by construction; only a supplied xi is checked
+        supplied = xi is not None
+        if supplied:
+            _want_shape(xi, n, 1, "xi")
+        else:
+            xi = -wstar.transpose() if orth else Mat.zero(n, 1)
+        if supplied and family in ("aff", "isl") and xi != Mat.zero(n, 1):
             raise ValueError("%s point needs xi = 0" % family)
         if family == "isl" and y.trace() != 0:
             raise ValueError("isl point needs tr(y) = 0")
-        if family in ("io", "iso"):
+        if orth:
             if not y.is_skew():
                 raise ValueError("y must be skew-symmetric")
-            if xi != -wstar.transpose():
+            if supplied and xi != -wstar.transpose():
                 raise ValueError("%s point needs xi = -wstar^T" % family)
         self._set(y, wstar, xi, family)
 
@@ -215,8 +219,8 @@ class Rng:
 # -- sampling ----------------------------------------------------------------
 
 def sample_int_mat(rng: Rng, rows: int, cols: int, bound: int) -> Mat:
-    return Mat([[rng.int_between(-bound, bound) for _ in range(cols)]
-                for _ in range(rows)])
+    return Mat.from_num_den([[rng.int_between(-bound, bound) for _ in range(cols)]
+                             for _ in range(rows)], 1)
 
 
 def sample_skew(rng: Rng, n: int, bound: int) -> Mat:
@@ -225,7 +229,7 @@ def sample_skew(rng: Rng, n: int, bound: int) -> Mat:
         for j in range(i + 1, n):
             m[i][j] = v = rng.int_between(-bound, bound)
             m[j][i] = -v
-    return Mat(m)
+    return Mat.from_num_den(m, 1)
 
 
 def sample_gl(rng: Rng, n: int, bound: int) -> Mat:
@@ -238,18 +242,21 @@ def sample_gl(rng: Rng, n: int, bound: int) -> Mat:
 
 
 def sample_sl(rng: Rng, n: int, bound: int) -> Mat:
-    """Product of 2n random transvections I + c E_ij; determinant exactly 1."""
-    g = Mat.identity(n)
+    """Product of 2n random transvections I + c E_ij; determinant exactly 1.
+    Each factor multiplies on the right, adding c times column i of the
+    integer rows to column j."""
     if n == 1:
-        return g
+        return Mat.identity(1)
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(2 * n):
         i = rng.int_between(0, n - 1)
         j = rng.int_between(0, n - 2)
         if j >= i:
             j += 1
         c = rng.int_between(-bound, bound)
-        g = g * (Mat.identity(n) + c * Mat.unit(n, i, j))
-    return g
+        for row in g:
+            row[j] += c * row[i]
+    return Mat.from_num_den(g, 1)
 
 
 def cayley(s: Mat) -> Mat:
@@ -304,9 +311,9 @@ def sample_dual(alg: Algebra, rng: Rng, bound: int) -> DualPoint:
         return DualPoint(sample_skew(rng, n, bound), sample_int_mat(rng, 1, n, bound), family=fam)
     y = sample_int_mat(rng, n, n, bound)
     if fam == "isl":
-        y = y.to_lists()
-        y[n - 1][n - 1] = -sum(y[i][i] for i in range(n - 1))
-        y = Mat(y)
+        a = [list(row) for row in y.num_den()[0]]
+        a[n - 1][n - 1] = -sum(a[i][i] for i in range(n - 1))
+        y = Mat.from_num_den(a, 1)
     wstar = sample_int_mat(rng, 1, n, bound)
     xi = sample_int_mat(rng, n, 1, bound) if fam == "glvv" else None
     return DualPoint(y, wstar, xi, fam)

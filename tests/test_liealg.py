@@ -13,9 +13,9 @@ from coadinv.liealg import (FAMILIES, Ad, Algebra, DualPoint, GroupElem, Rng,
                             commutator_form, compose, dual_from_json,
                             dual_to_json, embed_M, group_from_json,
                             group_inverse, group_to_json, index_of, k_bracket,
-                            pairing, sample_dual, sample_group,
-                            sample_orthogonal, sample_skew, sample_triple,
-                            theta, triple_zero)
+                            pairing, sample_dual, sample_group, sample_int_mat,
+                            sample_orthogonal, sample_skew, sample_sl,
+                            sample_triple, theta, triple_zero)
 
 
 # -- randomness ---------------------------------------------------------------
@@ -117,6 +117,45 @@ def test_sample_sl_has_det_one():
         for _ in range(10):
             e = sample_group(Algebra("isl", n), rng, 3)
             assert det(e.g) == 1
+
+
+def _replayed_sl(rng, n, bound):
+    g = Mat.identity(n)
+    for _ in range(2 * n if n > 1 else 0):
+        i = rng.int_between(0, n - 1)
+        j = rng.int_between(0, n - 2)
+        if j >= i:
+            j += 1
+        g = g * (Mat.identity(n) + rng.int_between(-bound, bound) * Mat.unit(n, i, j))
+    return g
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sample_sl_is_the_product_of_its_transvections(n):
+    # the column updates on integer rows give the Mat product of the same draws
+    for seed in range(8):
+        rng, replay = Rng(seed), Rng(seed)
+        g = sample_sl(rng, n, 3)
+        assert g == _replayed_sl(replay, n, 3) and det(g) == 1
+        assert rng.next_u64() == replay.next_u64()
+
+
+def test_integer_samplers_equal_mat_of_their_draws():
+    for seed in range(6):
+        for rows, cols in ((1, 1), (1, 4), (4, 1), (3, 5)):
+            rng, replay = Rng(seed), Rng(seed)
+            m = sample_int_mat(rng, rows, cols, 3)
+            assert m == Mat([[replay.int_between(-3, 3) for _ in range(cols)]
+                             for _ in range(rows)])
+            assert rng.next_u64() == replay.next_u64()
+        for n in range(1, 6):
+            rng, replay = Rng(seed), Rng(seed)
+            upper = {(i, j): replay.int_between(-3, 3)
+                     for i in range(n) for j in range(i + 1, n)}
+            assert sample_skew(rng, n, 3) == Mat(
+                [[upper.get((i, j), -upper.get((j, i), 0)) for j in range(n)]
+                 for i in range(n)])
+            assert rng.next_u64() == replay.next_u64()
 
 
 def test_sample_orthogonal_exact():
@@ -398,6 +437,19 @@ def test_dual_json_rejects_mismatch():
 
 # skew and traceless, so a point of every family's dual
 SKEW_Y, ROW_W = Mat([[0, 1, -2], [-1, 0, 3], [2, -3, 0]]), Mat.row([1, -2, 3])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_supplied_xi_is_checked(family):
+    # only the fill is taken on trust; glvv takes any n x 1 column
+    with pytest.raises(ValueError, match="xi"):
+        DualPoint(SKEW_Y, ROW_W, Mat.row([1, 2, 3]), family)
+    wrong = Mat.col([1, 1, 1])
+    if family == "glvv":
+        assert DualPoint(SKEW_Y, ROW_W, wrong, family).xi == wrong
+    else:
+        with pytest.raises(ValueError, match="xi"):
+            DualPoint(SKEW_Y, ROW_W, wrong, family)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from coadinv import invariants as inv
-from coadinv.exactmat import ExactnessError, mat_to_json
+from coadinv.charpoly import interp_coeffs
+from coadinv.exactmat import ExactnessError, Mat, mat_to_json, rank
 from coadinv.invariants import (EXOTIC_SLICE_SIGN, EXOTIC_SQUARE_SIGN,
                                 F_SLICE_SIGN, PSI_SLICE_SIGN)
 from coadinv import verify
-from coadinv.liealg import (Algebra, Rng, dual_from_json, dual_to_json,
-                            group_from_json, group_to_json, sample_triple)
+from coadinv.liealg import (Algebra, DualPoint, Rng, dual_from_json, dual_to_json,
+                            group_from_json, group_to_json, sample_dual,
+                            sample_triple)
 from coadinv.verify import (SUITES, SuiteConfig, VerifyReport, _Unit, default_plan,
                             resolve_sign, run_all, run_suite, suite_range)
 
@@ -175,6 +177,79 @@ def test_independence_stops_resampling_a_dependent_family(monkeypatch):
     report = run_suite("independence", cfg)
     assert len(draws) <= verify._RETRY_CAP + cfg.samples - 1
     assert not report.passed and report.checks_run == cfg.samples
+
+
+def _full_jacobian_rank(point, directions, degree_bound):
+    """The rank of the Jacobian with every direction's row computed."""
+    def values(p):
+        return [value for _, _, value in inv.generators(p)]
+    rows = []
+    for d in directions:
+        samples = [values(point + Fraction(t) * d) for t in range(degree_bound + 2)]
+        coeffs = [interp_coeffs([s[i] for s in samples]) for i in range(len(samples[0]))]
+        assert all(c[-1] == 0 for c in coeffs)  # the bound holds on this line
+        rows.append([c[1] for c in coeffs])
+    return rank(Mat(rows))
+
+
+@pytest.mark.parametrize("fam", ["glvv", "io", "iso"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_jacobian_rank_stops_at_the_full_rank(fam, n):
+    # bound 1 draws many degenerate points, and the zero point is one
+    alg = Algebra(fam, n)
+    directions = verify._directions(alg)
+    points = [DualPoint(Mat.zero(n, n), Mat.zero(1, n), family=fam)]
+    for bound in (3, 1):
+        rng = Rng(n).child(fam, bound)
+        points += [sample_dual(alg, rng, bound) for _ in range(4)]
+    for point in points:
+        assert (verify._jacobian_rank(point, directions, n + 1)
+                == _full_jacobian_rank(point, directions, n + 1))
+
+
+def _counted_generators(monkeypatch):
+    calls = []
+    real = inv.generators
+
+    def counted(l):
+        calls.append(l)
+        return real(l)
+    monkeypatch.setattr(inv, "generators", counted)
+    return calls
+
+
+def test_jacobian_rank_of_a_generic_point_reads_n_directions(monkeypatch):
+    # at f != 0 the n xi directions alone give rank n: the point, then
+    # n + 1 nodes along each of them, where every direction would take 121
+    n = 4
+    alg = Algebra("glvv", n)
+    point = sample_dual(alg, Rng(1), 3)
+    assert inv.f_invariant(point) != 0
+    calls = _counted_generators(monkeypatch)
+    assert verify._jacobian_rank(point, verify._directions(alg), n + 1) == n
+    assert len(calls) <= 1 + n * (n + 1)
+
+
+def test_jacobian_rank_of_a_dependent_family_reads_every_direction(monkeypatch):
+    n = 4
+    monkeypatch.setattr(inv, "F_all", _dependent(inv.F_all))
+    alg = Algebra("glvv", n)
+    directions = verify._directions(alg)
+    calls = _counted_generators(monkeypatch)
+    assert verify._jacobian_rank(sample_dual(alg, Rng(1), 3), directions, n + 1) < n
+    assert len(calls) == 1 + (n + 1) * len(directions)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gradient_Bk_recursion_runs_once_per_node(monkeypatch, n):
+    # every k shares the nodes x + t y, t = 0..n+1
+    calls = []
+    real = verify.char_data
+    monkeypatch.setattr(verify, "char_data", lambda m: calls.append(m) or real(m))
+    cfg = SuiteConfig(algebra="glvv", n_lo=n, n_hi=n, samples=4, seed=3)
+    report = run_suite("gradient-Bk", cfg)
+    assert report.passed and report.checks_run == n * cfg.samples
+    assert len(calls) <= (n + 2) * cfg.samples
 
 
 def test_run_all_quick():
