@@ -78,10 +78,10 @@ def _want_shape(m: Mat, rows: int, cols: int, what: str):
 
 
 class DualPoint(Record):
-    """Point (y, wstar, xi) of the glvv dual -- y is n x n, wstar 1 x n,
-    xi n x 1 -- tagged with the family whose dual it lies in.  A missing
-    xi is the family's fill, -wstar^T for io/iso and zero otherwise.  The
-    family's constraints are checked here, once."""
+    """A value (y, wstar, xi) of the glvv dual, with no arithmetic -- y is
+    n x n, wstar 1 x n, xi n x 1 -- tagged with the family whose dual it
+    lies in.  A missing xi is the family's fill, -wstar^T for io/iso and
+    zero otherwise.  The family's constraints are checked here, once."""
 
     __slots__ = ("y", "wstar", "xi", "family")
 
@@ -113,15 +113,6 @@ class DualPoint(Record):
     @property
     def n(self) -> int:
         return self.y.rows
-
-    def __add__(self, other):
-        # the constraints are linear, so a sum within one family stays in it
-        fam = self.family if other.family == self.family else "glvv"
-        return DualPoint(self.y + other.y, self.wstar + other.wstar,
-                         self.xi + other.xi, fam)
-
-    def __rmul__(self, c):
-        return DualPoint(c * self.y, c * self.wstar, c * self.xi, self.family)
 
 
 class GroupElem(Record):
@@ -156,11 +147,6 @@ class GroupElem(Record):
 def compose(b1: GroupElem, b2: GroupElem) -> GroupElem:
     return GroupElem(b1.g * b2.g, b1.u + b1.g * b2.u,
                      b1.vstar + b2.vstar * inverse(b1.g))
-
-
-def group_inverse(b: GroupElem) -> GroupElem:
-    gi = inverse(b.g)
-    return GroupElem(gi, -(gi * b.u), -(b.vstar * b.g))
 
 
 # -- deterministic splittable randomness ------------------------------------

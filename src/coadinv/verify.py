@@ -3,8 +3,10 @@
 Every suite turns one family of exact algebraic identities into a
 pass/fail report.  All comparisons are exact equality of rationals; there
 is no tolerance anywhere.  Reports are deterministic functions of the
-configuration (elapsed time aside), and every failure serializes its
-inputs so it can be replayed as a standalone regression.
+configuration (elapsed time aside), and every failed check serializes its
+inputs so it can be replayed as a standalone regression.  A sign the
+slices oracle cannot resolve raises ExactnessError instead, as does a
+kernel self-check, and the run ends with no report (the CLI exits 1).
 
 A suite is a property body run by run_suite once per (suite, family, n)
 unit; the unit carries the algebra, its own seeded stream, the sample
@@ -222,14 +224,15 @@ def _suite_dual_path(unit: _Unit):
     for _ in range(unit.samples):
         l = sample_dual(unit.alg, unit.rng, unit.bound)
         if fam in ("aff", "isl"):
+            f = inv.f_invariant(l)
             unit.check("determinant semi-invariant: gradient rows vs raw rows",
-                       inv.f_invariant(l), inv.f_krylov(l), point=l)
+                       f, inv.f_krylov(l), point=l)
             if fam == "isl":
                 c = unit.coeff()
                 # y + cI is not traceless, so the shifted point is an aff one
                 shifted = DualPoint(l.y + c * Mat.identity(n), l.wstar, family="aff")
                 unit.check("semi-invariant blind to scalar shifts of y",
-                           inv.f_invariant(shifted), inv.f_invariant(l), point=l, shift=c)
+                           inv.f_invariant(shifted), f, point=l, shift=c)
         elif fam == "glvv":
             grads, bord = inv.F_all(l), inv.F_bordered_all(l)
             for k in range(n):
@@ -247,8 +250,9 @@ def _suite_dual_path(unit: _Unit):
 
 
 def _jacobian_rank(point, directions, degree_bound: int) -> int:
-    """Exact Jacobian rank of the generator table at the point, one
-    directional derivative per coordinate direction, in the given order.
+    """Exact Jacobian rank of the generator table at the point: one
+    derivative per direction (dy, dw, dxi), in order, interpolated at the
+    nodes point + t d, each built once as a point of the family.
 
     The rank is at most the generator count, so the directions stop once
     the rows taken so far reach it: the rest cannot raise it, and the
@@ -256,12 +260,14 @@ def _jacobian_rank(point, directions, degree_bound: int) -> int:
     every direction."""
     def values(p):
         return [value for _, _, value in inv.generators(p)]
+    y, w, xi, fam = point.y, point.wstar, point.xi, point.family
     at_point = values(point)
     full = len(at_point)
     rows = []
-    for d in directions:
-        samples = [at_point] + [values(point + Fraction(t) * d)
-                                for t in range(1, degree_bound + 1)]
+    for dy, dw, dxi in directions:
+        nodes = (DualPoint(y + t * dy, w + t * dw, xi + t * dxi if fam == "glvv" else None, fam)
+                 for t in range(1, degree_bound + 1))
+        samples = [at_point] + [values(p) for p in nodes]
         rows.append([interp_coeffs([s[i] for s in samples])[1] for i in range(full)])
         # one row per direction: the transposed Jacobian, of the same rank
         if len(rows) >= full and rank(Mat(rows)) == full:
@@ -270,13 +276,11 @@ def _jacobian_rank(point, directions, degree_bound: int) -> int:
 
 
 def _directions(alg: Algebra) -> list:
-    """Coordinate directions of the family's dual: its basis, transposed, as
-    points of the family, so that point + t d stays on it.  Reversed, the
-    xi and covector directions come first: they give the rows w B_k(y)
-    (glvv) and w B_2k(y) (io, iso), which reach full rank generically."""
-    return [DualPoint(x, u.transpose(), v.transpose() if alg.family == "glvv" else None,
-                      alg.family)
-            for x, u, v in reversed(algebra_basis(alg))]
+    """Coordinate directions (dy, dw, dxi) of the family's dual: its basis
+    triples (x, u, vstar) as (x, u^T, vstar^T).  Reversed, the xi and
+    covector directions come first: they give the rows w B_k(y) (glvv) and
+    w B_2k(y) (io, iso), which reach full rank generically."""
+    return [(x, u.transpose(), v.transpose()) for x, u, v in reversed(algebra_basis(alg))]
 
 
 def _suite_independence(unit: _Unit):

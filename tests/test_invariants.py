@@ -463,7 +463,8 @@ def _open_points(rng, n):
     # image under a sampled affine element, whose g^-1 brings denominators
     l = sample_open_b(rng, n, 3)
     a = sample_group(Algebra("aff", n), rng, 3)
-    return l, F(-2, 7) * l, coad(a, l)
+    c = F(-2, 7)
+    return l, DualPoint(c * l.y, c * l.wstar, c * l.xi), coad(a, l)
 
 
 def test_orbit_normal_form_is_coads_image():

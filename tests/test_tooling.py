@@ -68,6 +68,25 @@ def test_only_exactmat_reads_matrix_storage():
     assert found == []
 
 
+def test_records_define_no_arithmetic():
+    # records are values: no Record subclass defines an arithmetic operator
+    arith = {"__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__neg__"}
+    records, found = [], []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    "Record" in (getattr(b, "id", None), getattr(b, "attr", None))
+                    for b in cls.bases):
+                records.append(cls.name)
+                for node in cls.body:
+                    names = ([node.name] if isinstance(node, ast.FunctionDef) else
+                             [getattr(t, "id", None) for t in getattr(node, "targets", [])])
+                    found += ["%s.%s" % (cls.name, name) for name in names if name in arith]
+    assert "DualPoint" in records and found == []
+
+
 def _called(node, name):
     return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
                                                    getattr(node.func, "attr", None))

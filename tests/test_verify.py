@@ -9,9 +9,9 @@ from coadinv.exactmat import ExactnessError, Mat, mat_to_json, rank
 from coadinv.invariants import (EXOTIC_SLICE_SIGN, EXOTIC_SQUARE_SIGN,
                                 F_SLICE_SIGN, PSI_SLICE_SIGN)
 from coadinv import verify
-from coadinv.liealg import (Algebra, DualPoint, Rng, dual_from_json, dual_to_json,
-                            group_from_json, group_to_json, sample_dual,
-                            sample_triple)
+from coadinv.liealg import (Algebra, DualPoint, Rng, algebra_basis, dual_from_json,
+                            dual_to_json, group_from_json, group_to_json,
+                            sample_dual, sample_triple)
 from coadinv.verify import (SUITES, SuiteConfig, VerifyReport, _Unit, default_plan,
                             resolve_sign, run_all, run_suite, suite_range)
 
@@ -179,13 +179,19 @@ def test_independence_stops_resampling_a_dependent_family(monkeypatch):
     assert not report.passed and report.checks_run == cfg.samples
 
 
-def _full_jacobian_rank(point, directions, degree_bound):
-    """The rank of the Jacobian with every direction's row computed."""
+def _full_jacobian_rank(alg, point, degree_bound):
+    """The rank of the Jacobian with every direction's row computed, at
+    nodes built here from the basis triples; io and iso nodes are given
+    their xi = -wstar^T, so the point's own check sees it."""
     def values(p):
         return [value for _, _, value in inv.generators(p)]
     rows = []
-    for d in directions:
-        samples = [values(point + Fraction(t) * d) for t in range(degree_bound + 2)]
+    for x, u, v in algebra_basis(alg):
+        samples = []
+        for t in range(degree_bound + 2):
+            w = point.wstar + t * u.transpose()
+            xi = point.xi + t * v.transpose() if alg.family == "glvv" else -w.transpose()
+            samples.append(values(DualPoint(point.y + t * x, w, xi, alg.family)))
         coeffs = [interp_coeffs([s[i] for s in samples]) for i in range(len(samples[0]))]
         assert all(c[-1] == 0 for c in coeffs)  # the bound holds on this line
         rows.append([c[1] for c in coeffs])
@@ -204,7 +210,7 @@ def test_jacobian_rank_stops_at_the_full_rank(fam, n):
         points += [sample_dual(alg, rng, bound) for _ in range(4)]
     for point in points:
         assert (verify._jacobian_rank(point, directions, n + 1)
-                == _full_jacobian_rank(point, directions, n + 1))
+                == _full_jacobian_rank(alg, point, n + 1))
 
 
 def _counted_generators(monkeypatch):
@@ -228,6 +234,24 @@ def test_jacobian_rank_of_a_generic_point_reads_n_directions(monkeypatch):
     calls = _counted_generators(monkeypatch)
     assert verify._jacobian_rank(point, verify._directions(alg), n + 1) == n
     assert len(calls) <= 1 + n * (n + 1)
+
+
+def test_jacobian_rank_builds_each_node_once(monkeypatch):
+    # one point per interpolation node: n directions reach rank n at this
+    # point, with n + 1 nodes along each
+    n = 4
+    alg = Algebra("glvv", n)
+    point = sample_dual(alg, Rng(1), 3)
+    directions = verify._directions(alg)
+    built = []
+    real = DualPoint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(DualPoint, "__init__", counted)
+    assert verify._jacobian_rank(point, directions, n + 1) == n
+    assert len(built) == n * (n + 1)
 
 
 def test_jacobian_rank_of_a_dependent_family_reads_every_direction(monkeypatch):
