@@ -8,8 +8,8 @@ the orthogonal generators degree 2k + 2, and the odd-size exotic generator
 degree ell + 1.
 
 Sign conventions are never assumed: every slice comparison and the square
-of the exotic generator carry a frozen sign constant, pinned once by the
-grid oracle in the verify module and locked by regression tests.
+of the exotic generator carry a frozen sign constant, proved by an identity
+of integer polynomials in the verify module and locked by regression tests.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from .exactmat import ExactnessError, Mat, Rat, Record, _exact, det, pfaffian
 from .liealg import (_RETRY_CAP, Algebra, DualPoint, GroupElem, Rng, project_traceless,
                      sample_dual)
 
-# Frozen sign conventions, resolved by verify.resolve_sign over dense
-# integer grids and locked by regression tests.  All four are forced by
-# the Pfaffian convention Pf([[0, a], [-a, 0]]) = a together with the
-# leading minus in the orthogonal generators.
+# Frozen sign conventions, proved by verify.resolve_sign as identities of
+# integer polynomials in the slice parameters and locked by regression
+# tests.  All four are forced by the Pfaffian convention
+# Pf([[0, a], [-a, 0]]) = a together with the leading minus in the
+# orthogonal generators.
 F_SLICE_SIGN = 1        # determinant semi-invariant vs the slice monomial
 PSI_SLICE_SIGN = -1     # psi_k on the block slice vs a0^2 sigma_k, every (n, k)
 EXOTIC_SLICE_SIGN = -1  # exotic generator on the block slice vs a0 a_1 ... a_l

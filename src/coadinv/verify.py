@@ -5,25 +5,26 @@ pass/fail report.  All comparisons are exact equality of rationals; there
 is no tolerance anywhere.  Reports are deterministic functions of the
 configuration (elapsed time aside), and every failed check serializes its
 inputs so it can be replayed as a standalone regression.  A sign the
-slices oracle cannot resolve raises ExactnessError instead, as does a
+slices proof cannot establish raises ExactnessError instead, as does a
 kernel self-check, and the run ends with no report (the CLI exits 1).
 
 A suite is a property body run by run_suite once per (suite, family, n)
 unit; the unit carries the algebra, its own seeded stream, the sample
 count, the coefficient bound and the check that records the report.
 
-resolve_sign is the grid oracle that pins the handful of sign conventions
-relating slice restrictions to their closed forms; the resolved values are
-frozen as constants in the invariants module and re-checked here.
+resolve_sign proves the handful of sign conventions relating slice
+restrictions to their closed forms by an identity of integer polynomials,
+and ties the shipped evaluators to it at fixed slice points; the proved
+values are frozen as constants in the invariants module and re-checked here.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from fractions import Fraction
 
 from . import invariants as inv
+from . import poly
 from .charpoly import (bordered_char_identities, char_data, directional_coeff,
                        interp_coeffs)
 from .exactmat import (ExactnessError, Mat, Record, det, inverse, mat_to_json, rank,
@@ -461,64 +462,54 @@ def _moments(p: DualPoint) -> tuple:
     return tuple(scalar(r * p.xi) for r in inv.krylov_rows(p))
 
 
-# -- the sign oracle -------------------------------------------------------------
-
-def _param_grid(m: int):
-    """Cartesian grid of nonzero integer parameter tuples, sized to stay
-    around a thousand points."""
-    values = (-2, -1, 1, 2) if 4 ** m <= 1300 else (-1, 1, 2)
-    return itertools.product(values, repeat=m)
-
+# -- the sign proofs --------------------------------------------------------------
 
 def resolve_sign(pair: str, n: int, k=None) -> int:
-    """Resolve one slice-comparison sign by exhaustive grid evaluation.
+    """Prove one slice-comparison sign by polynomial identity.
 
-    Returns the unique epsilon in {+1, -1} with lhs = epsilon * rhs across
-    the whole grid.  Raises ExactnessError if neither sign works or the grid
-    never produces a nonzero value (an implementation bug, not a
+    Both sides are integer polynomials in the slice parameters (module
+    poly): lhs is the generator on the slice as its evaluator defines it,
+    rhs the closed slice polynomial.  epsilon is read off one term of rhs,
+    and lhs - epsilon rhs must vanish term by term.  The shipped evaluators
+    and closed forms must then equal the two polynomials at two fixed
+    nonzero slice tuples.  Returns epsilon in {+1, -1}; raises
+    ExactnessError if either step fails (an implementation bug, not a
     convention), and ValueError for an unknown pair or a bad n or k."""
-    if n < 1 or n > 6:
-        raise ValueError("sign resolution supported for n in 1..6")
-
+    if n < 1:
+        raise ValueError("sign resolution needs n >= 1")
+    m = n if pair == "f-vs-t" else (n + 1) // 2  # the parameter count, ell + 1
+    ties = [tuple(range(2, m + 2)), tuple((-1) ** i * (i + 1) for i in range(m))]
     if pair == "f-vs-t":
-        def sides(a, b):
-            return inv.f_bar(inv.slice_isl(a, b)), inv.t_slice(a, b)
-        m = n
+        lhs, rhs = poly.fbar_on_slice(n), poly.t_slice(n)
+        shipped = [(inv.f_bar(inv.slice_isl(a, b)), inv.t_slice(a, b)) for *a, b in ties]
     elif pair == "psi-vs-phi":
         alg = Algebra("io", n)
         if k is None or not 0 <= k <= alg.ell:
             raise ValueError("psi-vs-phi needs a generator index k")
-        def sides(a, a0):
-            return inv.psi_invariant(k, inv.slice_so(a, a0, alg)), inv.phi_slice(k, a, a0)
-        m = alg.ell + 1
+        lhs, rhs = poly.psi_on_slice(n)[k], poly.phi_slice(n, k)
+        shipped = [(inv.psi_invariant(k, inv.slice_so(a, a0, alg)), inv.phi_slice(k, a, a0))
+                   for *a, a0 in ties]
     elif pair in ("exotic-vs-slice", "exotic-sq-vs-psi"):
         if n % 2 == 0:
             raise ValueError("exotic comparisons need odd n")
-        alg = Algebra("iso", n)
-        if pair == "exotic-sq-vs-psi":
-            def sides(a, a0):
-                point = inv.slice_so(a, a0, alg)
-                return inv.exotic_phi(point) ** 2, inv.psi_invariant(alg.ell, point)
+        alg, phi = Algebra("iso", n), poly.exotic_phi_on_slice(n)
+        points = [(inv.slice_so(a, a0, alg), a, a0) for *a, a0 in ties]
+        if pair == "exotic-vs-slice":
+            lhs, rhs = phi, poly.exotic_slice(n)
+            shipped = [(inv.exotic_phi(p), inv.exotic_slice(a, a0)) for p, a, a0 in points]
         else:
-            def sides(a, a0):
-                return inv.exotic_phi(inv.slice_so(a, a0, alg)), inv.exotic_slice(a, a0)
-        m = alg.ell + 1
+            lhs, rhs = poly.mul(phi, phi), poly.psi_on_slice(n)[-1]
+            shipped = [(inv.exotic_phi(p) ** 2, inv.psi_invariant(alg.ell, p))
+                       for p, _, _ in points]
     else:
         raise ValueError("unknown sign pair %r" % (pair,))
-
-    signs = set()
-    for params in _param_grid(m):
-        lhs, rhs = sides(params[:-1], params[-1])
-        if lhs == rhs == 0:
-            continue
-        if lhs != rhs and lhs != -rhs:
-            raise ExactnessError("not proportional - investigate")
-        signs.add(1 if lhs == rhs else -1)
-    if not signs:
-        raise ExactnessError("grid never produced a nonzero value")
-    if len(signs) > 1:
+    # an empty rhs has no term to read epsilon off, and no sign works
+    e, c = next(iter(rhs.items()), ((), 0))
+    sign = 1 if lhs.get(e) == c else -1
+    if not c or poly.add(lhs, rhs, -sign) or shipped != [
+            (poly.value(lhs, t), poly.value(rhs, t)) for t in ties]:
         raise ExactnessError("not proportional - investigate")
-    return signs.pop()
+    return sign
 
 
 # -- registry and runners ---------------------------------------------------------

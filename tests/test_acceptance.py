@@ -133,8 +133,8 @@ def test_criterion_08_slice_agreement():
             assert resolve_sign("exotic-vs-slice", n) == EXOTIC_SLICE_SIGN == -1, n
     # the anticipated lowest-index sign in particular
     assert resolve_sign("psi-vs-phi", 3, 0) == -1
-    print("\nACCEPTANCE 8 PASS: slice restrictions proportional to the closed "
-          "forms over dense grids, n in 2..6; frozen signs +1 / -1 / -1 confirmed")
+    print("\nACCEPTANCE 8 PASS: slice restrictions proved proportional to the closed "
+          "forms as integer polynomials, n in 2..6; frozen signs +1 / -1 / -1 confirmed")
 
 
 def test_criterion_09_orbit_machinery():

@@ -285,6 +285,16 @@ def test_verify_single_suite(tmp_path, capsys):
     assert any("index 3" in note for note in reports[0]["notes"])
 
 
+@pytest.mark.parametrize("algebra", ["isl", "io", "iso"])
+def test_verify_slices_runs_past_its_default_range(capsys, algebra):
+    # the signs are proved, not sampled on a grid, so no size cap is left
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "slices", "--algebra", algebra,
+                                    "--n", "7", "--samples", "1"])
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["passed"] is True and report["checks_run"] >= 1
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, ["verify", "--suite", "unknown"])
     assert code == 2
@@ -547,7 +557,7 @@ PACKAGE_NAMES = [
     "interp_coeffs", "invariants", "inverse", "k_bracket", "krylov_rows", "liealg",
     "lower_shift", "mat_from_json", "mat_mul", "mat_to_json", "orbit_normalize",
     "pfaff_vector", "pfaffian", "phi_covariant", "phi_rows", "phi_slice", "pi_projection",
-    "project_traceless", "psi_all", "psi_bordered", "psi_bordered_all", "psi_invariant",
+    "poly", "project_traceless", "psi_all", "psi_bordered", "psi_bordered_all", "psi_invariant",
     "rank", "rat", "rat_str", "resolve_sign", "run_all", "run_suite", "sample_dual",
     "sample_group", "sample_open_b", "slice_isl", "slice_so", "suite_range", "t_slice",
     "theta", "verify",

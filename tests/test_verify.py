@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -118,6 +119,76 @@ def test_resolve_sign_frozen_values():
     assert resolve_sign("exotic-sq-vs-psi", 3) == EXOTIC_SQUARE_SIGN == -1
 
 
+def _sign_calls(n):
+    """Every (pair, n, k) of resolve_sign at size n."""
+    calls = [("f-vs-t", n, None)]
+    calls += [("psi-vs-phi", n, k) for k in range(Algebra("io", n).ell + 1)]
+    if n % 2:
+        calls += [("exotic-vs-slice", n, None), ("exotic-sq-vs-psi", n, None)]
+    return calls
+
+
+def test_resolve_sign_proves_the_frozen_signs_past_the_suite_range():
+    frozen = {"f-vs-t": F_SLICE_SIGN, "psi-vs-phi": PSI_SLICE_SIGN,
+              "exotic-vs-slice": EXOTIC_SLICE_SIGN, "exotic-sq-vs-psi": EXOTIC_SQUARE_SIGN}
+    for n in range(1, 13):
+        for pair, _, k in _sign_calls(n):
+            assert resolve_sign(pair, n, k) == frozen[pair], (pair, n, k)
+
+
+def _grid_sign(pair, n, k=None):
+    """The sign oracle the polynomial proof replaced: the shipped evaluators
+    against the closed forms on every nonzero tuple of a grid of about a
+    thousand points.  Evidence only: fbar has degree n in b, above the
+    grid's four values per variable once n >= 4."""
+    if pair == "f-vs-t":
+        def sides(a, b):
+            return inv.f_bar(inv.slice_isl(a, b)), inv.t_slice(a, b)
+        m = n
+    elif pair == "psi-vs-phi":
+        alg = Algebra("io", n)
+
+        def sides(a, a0):
+            return inv.psi_invariant(k, inv.slice_so(a, a0, alg)), inv.phi_slice(k, a, a0)
+        m = alg.ell + 1
+    else:
+        alg = Algebra("iso", n)
+
+        def sides(a, a0):
+            point = inv.slice_so(a, a0, alg)
+            if pair == "exotic-sq-vs-psi":
+                return inv.exotic_phi(point) ** 2, inv.psi_invariant(alg.ell, point)
+            return inv.exotic_phi(point), inv.exotic_slice(a, a0)
+        m = alg.ell + 1
+    signs = set()
+    values = (-2, -1, 1, 2) if 4 ** m <= 1300 else (-1, 1, 2)
+    for params in itertools.product(values, repeat=m):
+        lhs, rhs = sides(params[:-1], params[-1])
+        if lhs != 0 or rhs != 0:
+            assert lhs in (rhs, -rhs), (pair, n, k, params)
+            signs.add(1 if lhs == rhs else -1)
+    assert len(signs) == 1, (pair, n, k)
+    return signs.pop()
+
+
+def test_resolve_sign_agrees_with_the_grid_oracle():
+    for n in range(1, 5):
+        for call in _sign_calls(n):
+            assert resolve_sign(*call) == _grid_sign(*call), call
+
+
+def test_resolve_sign_calls_the_evaluator_only_at_the_tie_points(monkeypatch):
+    seen = []
+    real = inv.f_bar
+
+    def counting(l):
+        seen.append(l)
+        return real(l)
+    monkeypatch.setattr(inv, "f_bar", counting)
+    assert resolve_sign("f-vs-t", 4) == F_SLICE_SIGN
+    assert seen == [inv.slice_isl((2, 3, 4), 5), inv.slice_isl((1, -2, 3), -4)]
+
+
 def test_resolve_sign_validation():
     with pytest.raises(ValueError):
         resolve_sign("nope", 3)
@@ -126,7 +197,7 @@ def test_resolve_sign_validation():
     with pytest.raises(ValueError):
         resolve_sign("exotic-vs-slice", 4)  # even n
     with pytest.raises(ValueError):
-        resolve_sign("f-vs-t", 7)  # out of supported range
+        resolve_sign("f-vs-t", 0)  # no size below 1
 
 
 def test_resolve_sign_reports_a_bug_as_an_exactness_error(monkeypatch):
@@ -136,7 +207,7 @@ def test_resolve_sign_reports_a_bug_as_an_exactness_error(monkeypatch):
         resolve_sign("f-vs-t", 3)
     monkeypatch.setattr(inv, "f_bar", lambda l: Fraction(0))
     monkeypatch.setattr(inv, "t_slice", lambda a, b: Fraction(0))
-    with pytest.raises(ExactnessError, match="grid never produced a nonzero value"):
+    with pytest.raises(ExactnessError, match="not proportional - investigate"):
         resolve_sign("f-vs-t", 3)
 
 
