@@ -9,7 +9,8 @@ degree ell + 1.
 
 Sign conventions are never assumed: every slice comparison and the square
 of the exotic generator carry a frozen sign constant, proved by an identity
-of integer polynomials in the verify module and locked by regression tests.
+of integer polynomials in the verify module and locked by regression tests;
+the closed slice forms here are values of those polynomials (module poly).
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from functools import cache
 from math import prod
 from operator import mul
 
+from . import poly
 from .charpoly import _char_int, bordered, bordered_gradients
 from .exactmat import ExactnessError, Mat, Rat, Record, _exact, det, pfaffian
 # project_traceless is re-exported: it is part of this module's interface
 from .liealg import (_RETRY_CAP, Algebra, DualPoint, GroupElem, Rng, project_traceless,
                      sample_dual)
 
-# Frozen sign conventions, proved by verify.resolve_sign as identities of
+# Frozen sign conventions, proved by the verify module as identities of
 # integer polynomials in the slice parameters and locked by regression
 # tests.  All four are forced by the Pfaffian convention
 # Pf([[0, a], [-a, 0]]) = a together with the leading minus in the
@@ -246,8 +248,13 @@ def slice_isl(a, b) -> DualPoint:
 
 
 def t_slice(a, b) -> Rat:
-    """Closed slice polynomial (prod_k a_k^k) b^n."""
-    return Fraction(_exact(b)) ** (len(a) + 1) * prod(_exact(v) ** k for k, v in enumerate(a, 1))
+    """Closed slice polynomial (prod_k a_k^k) b^n: poly.t_slice at (a, b)."""
+    return _at_slice(poly.t_slice(len(a) + 1), a, b)
+
+
+def _at_slice(p: dict, a, last) -> Rat:
+    """p at the slice parameters (*a, last), each checked exact before any is used."""
+    return Fraction(poly.value(p, [*map(_exact, a), _exact(last)]))
 
 
 def slice_so(a, a0, alg: Algebra) -> DualPoint:
@@ -267,26 +274,17 @@ def slice_so(a, a0, alg: Algebra) -> DualPoint:
     return DualPoint(Mat(y), Mat.row([0] * (n - 1) + [a0]), family=alg.family)
 
 
-def _elementary_symmetric(values, k: int) -> Rat:
-    out = [Fraction(0)] * (k + 1)
-    out[0] = Fraction(1)
-    for v in values:
-        for j in range(min(k, len(out) - 1), 0, -1):
-            out[j] += v * out[j - 1]
-    return out[k]
-
-
 def phi_slice(k: int, a, a0) -> Rat:
-    """Closed slice polynomial a0^2 sigma_k(a_1^2, ..., a_ell^2), 0 <= k <= ell;
-    at k = ell it is exotic_slice(a, a0)^2."""
+    """Closed slice polynomial a0^2 sigma_k(a_1^2, ..., a_ell^2), 0 <= k <= ell:
+    poly.phi_slice at (a, a0); at k = ell it is exotic_slice(a, a0)^2."""
     if not 0 <= k <= len(a):
         raise ValueError("slice polynomial index out of range")
-    return Fraction(_exact(a0)) ** 2 * _elementary_symmetric([_exact(v) ** 2 for v in a], k)
+    return _at_slice(poly.phi_slice(2 * len(a) + 1, k), a, a0)
 
 
 def exotic_slice(a, a0) -> Rat:
-    """Closed slice polynomial of the exotic generator: a0 a_1 ... a_ell."""
-    return Fraction(_exact(a0)) * prod(map(_exact, a))
+    """Exotic closed slice polynomial a0 a_1 ... a_ell: poly.exotic_slice at (a, a0)."""
+    return _at_slice(poly.exotic_slice(2 * len(a) + 1), a, a0)
 
 
 # -- open-orbit machinery ----------------------------------------------------------

@@ -526,7 +526,10 @@ def _covector_key(family: str) -> str:
 
 
 def dual_to_json(alg: Algebra, point: DualPoint) -> dict:
-    """JSON of a point; the filled xi of aff/isl/io/iso is left out."""
+    """JSON of a point of the algebra's family and size; the filled xi of
+    aff/isl/io/iso is left out."""
+    if (point.family, point.n) != (alg.family, alg.n):
+        raise ValueError("the point is no %s point of size %d" % (alg.family, alg.n))
     out = {"algebra": alg.family, "n": alg.n, "y": mat_to_json(point.y),
            _covector_key(alg.family): mat_to_json(point.wstar)}
     if alg.family == "glvv":
@@ -557,6 +560,11 @@ def dual_from_json(obj):
 
 
 def group_to_json(alg: Algebra, elem: GroupElem) -> dict:
+    """JSON of an element of the algebra's size; outside glvv its vstar
+    must be the family's fill, which is left out: -u^T for io/iso, else 0."""
+    fill = -elem.u.transpose() if alg.family in ("io", "iso") else Mat.zero(1, elem.n)
+    if elem.n != alg.n or alg.family != "glvv" and elem.vstar != fill:
+        raise ValueError("the element is no %s group element of size %d" % (alg.family, alg.n))
     out = {"algebra": alg.family, "n": alg.n,
            "g": mat_to_json(elem.g), "u": mat_to_json(elem.u)}
     if alg.family == "glvv":

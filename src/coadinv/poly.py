@@ -9,8 +9,8 @@ raises ExactnessError.  A matrix of polynomials is a list of rows.
 The slice functions take the slice parameters of the invariants module as
 the variables, in its order (a_1, ..., b) or (a_1, ..., a_ell, a0), and
 build each generator on the slice the way its evaluator defines it, next
-to the closed slice polynomial it is compared with.  verify.resolve_sign
-compares the two term by term, which proves the frozen sign conventions.
+to the closed slice polynomial (which the invariants module evaluates); the
+verify module compares the two term by term, proving the frozen signs.
 """
 
 from __future__ import annotations

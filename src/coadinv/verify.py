@@ -12,10 +12,10 @@ A suite is a property body run by run_suite once per (suite, family, n)
 unit; the unit carries the algebra, its own seeded stream, the sample
 count, the coefficient bound and the check that records the report.
 
-resolve_sign proves the handful of sign conventions relating slice
-restrictions to their closed forms by an identity of integer polynomials,
-and ties the shipped evaluators to it at fixed slice points; the proved
-values are frozen as constants in the invariants module and re-checked here.
+_slice_signs proves the sign conventions relating slice restrictions to
+their closed forms by identities of integer polynomials, once per slice and
+size, and ties the shipped evaluators to them at fixed slice points; the
+proved values are frozen as constants in the invariants module.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ class SuiteConfig(Record):
             raise ValueError("bound must be <= 2^63 - 1")
         if not 1 <= n_lo <= n_hi <= 8:
             raise ValueError("n range must lie within 1..8")
+        if not 0 <= seed <= 2 ** 64 - 1:  # Rng keeps 64 bits: another seed's stream
+            raise ValueError("seed must lie within 0..2^64 - 1")
         self._set(algebra, n_lo, n_hi, samples, coeff_bound, seed)
 
 
@@ -327,20 +329,19 @@ def _suite_index(unit: _Unit):
                        rank(commutator_form(alg, l)), alg.dim - n, point=l)
 
 
+_SLICE_CHECKS = {  # sign pair: the slices suite's check name and frozen constant
+    "f-vs-t": ("slice restriction sign is the frozen constant", inv.F_SLICE_SIGN),
+    "psi-vs-phi": ("slice restriction sign is the frozen constant (k=%d)", inv.PSI_SLICE_SIGN),
+    "exotic-vs-slice": ("exotic slice restriction sign is the frozen constant",
+                        inv.EXOTIC_SLICE_SIGN),
+    "exotic-sq-vs-psi": ("exotic square sign is the frozen constant", inv.EXOTIC_SQUARE_SIGN),
+}
+
+
 def _suite_slices(unit: _Unit):
-    n = unit.n
-    if unit.alg.family == "isl":
-        unit.check("slice restriction sign is the frozen constant",
-                   resolve_sign("f-vs-t", n), inv.F_SLICE_SIGN)
-        return
-    for k in range(unit.alg.ell + 1):
-        unit.check("slice restriction sign is the frozen constant (k=%d)" % k,
-                   resolve_sign("psi-vs-phi", n, k), inv.PSI_SLICE_SIGN)
-    if n % 2 == 1:
-        unit.check("exotic slice restriction sign is the frozen constant",
-                   resolve_sign("exotic-vs-slice", n), inv.EXOTIC_SLICE_SIGN)
-        unit.check("exotic square sign is the frozen constant",
-                   resolve_sign("exotic-sq-vs-psi", n), inv.EXOTIC_SQUARE_SIGN)
+    for (pair, k), sign in _slice_signs(unit.n, unit.alg.family).items():
+        name, frozen = _SLICE_CHECKS[pair]
+        unit.check(name if k is None else name % k, sign, frozen)
 
 
 def _suite_orbit_fibration(unit: _Unit):
@@ -464,52 +465,53 @@ def _moments(p: DualPoint) -> tuple:
 
 # -- the sign proofs --------------------------------------------------------------
 
-def resolve_sign(pair: str, n: int, k=None) -> int:
-    """Prove one slice-comparison sign by polynomial identity.
+def _slice_signs(n: int, family: str) -> dict:
+    """Every sign of one slice at size n, proved: {(pair, k): epsilon} for
+    f-vs-t on the isl slice, or on the io/iso slice psi-vs-phi at each k
+    (k is None elsewhere) and, at odd n, the two exotic pairs.  Each side is
+    built once in module poly: lhs the generator as its evaluator defines
+    it, rhs the closed form.  epsilon is read off one term of rhs, lhs -
+    epsilon rhs must vanish term by term, and the evaluators must equal lhs
+    at two fixed slice tuples; else ExactnessError (a bug, not a convention)."""
+    m = n if family == "isl" else (n + 1) // 2  # the parameter count, ell + 1
+    ties = [tuple(range(2, m + 2)), tuple((-1) ** i * (i + 1) for i in range(m))]
+    if family == "isl":
+        sides = {("f-vs-t", None): (poly.fbar_on_slice(n), poly.t_slice(n),
+                                    [inv.f_bar(inv.slice_isl(a, b)) for *a, b in ties])}
+    else:
+        points = [inv.slice_so(a, a0, Algebra(family, n)) for *a, a0 in ties]
+        psi, at = poly.psi_on_slice(n), [inv.psi_all(p) for p in points]
+        sides = {("psi-vs-phi", k): (psi[k], poly.phi_slice(n, k), [v[k] for v in at])
+                 for k in range(m)}
+        if n % 2:
+            phi, at = poly.exotic_phi_on_slice(n), [inv.exotic_phi(p) for p in points]
+            sides["exotic-vs-slice", None] = (phi, poly.exotic_slice(n), at)
+            sides["exotic-sq-vs-psi", None] = (poly.mul(phi, phi), psi[-1], [v * v for v in at])
+    signs = {}
+    for key, (lhs, rhs, shipped) in sides.items():
+        # an empty rhs has no term to read epsilon off, and no sign works
+        e, c = next(iter(rhs.items()), ((), 0))
+        signs[key] = sign = 1 if lhs.get(e) == c else -1
+        if not c or poly.add(lhs, rhs, -sign) or shipped != [poly.value(lhs, t) for t in ties]:
+            raise ExactnessError("not proportional - investigate")
+    return signs
 
-    Both sides are integer polynomials in the slice parameters (module
-    poly): lhs is the generator on the slice as its evaluator defines it,
-    rhs the closed slice polynomial.  epsilon is read off one term of rhs,
-    and lhs - epsilon rhs must vanish term by term.  The shipped evaluators
-    and closed forms must then equal the two polynomials at two fixed
-    nonzero slice tuples.  Returns epsilon in {+1, -1}; raises
-    ExactnessError if either step fails (an implementation bug, not a
-    convention), and ValueError for an unknown pair or a bad n or k."""
+
+def resolve_sign(pair: str, n: int, k=None) -> int:
+    """One proved slice-comparison sign in {+1, -1}: a view of _slice_signs.
+    Only psi-vs-phi takes a generator index, 0 <= k <= ell.  A bad pair, n
+    or k (missing, out of range or ignored) raises ValueError."""
     if n < 1:
         raise ValueError("sign resolution needs n >= 1")
-    m = n if pair == "f-vs-t" else (n + 1) // 2  # the parameter count, ell + 1
-    ties = [tuple(range(2, m + 2)), tuple((-1) ** i * (i + 1) for i in range(m))]
-    if pair == "f-vs-t":
-        lhs, rhs = poly.fbar_on_slice(n), poly.t_slice(n)
-        shipped = [(inv.f_bar(inv.slice_isl(a, b)), inv.t_slice(a, b)) for *a, b in ties]
-    elif pair == "psi-vs-phi":
-        alg = Algebra("io", n)
-        if k is None or not 0 <= k <= alg.ell:
-            raise ValueError("psi-vs-phi needs a generator index k")
-        lhs, rhs = poly.psi_on_slice(n)[k], poly.phi_slice(n, k)
-        shipped = [(inv.psi_invariant(k, inv.slice_so(a, a0, alg)), inv.phi_slice(k, a, a0))
-                   for *a, a0 in ties]
-    elif pair in ("exotic-vs-slice", "exotic-sq-vs-psi"):
-        if n % 2 == 0:
-            raise ValueError("exotic comparisons need odd n")
-        alg, phi = Algebra("iso", n), poly.exotic_phi_on_slice(n)
-        points = [(inv.slice_so(a, a0, alg), a, a0) for *a, a0 in ties]
-        if pair == "exotic-vs-slice":
-            lhs, rhs = phi, poly.exotic_slice(n)
-            shipped = [(inv.exotic_phi(p), inv.exotic_slice(a, a0)) for p, a, a0 in points]
-        else:
-            lhs, rhs = poly.mul(phi, phi), poly.psi_on_slice(n)[-1]
-            shipped = [(inv.exotic_phi(p) ** 2, inv.psi_invariant(alg.ell, p))
-                       for p, _, _ in points]
-    else:
+    if pair not in _SLICE_CHECKS:
         raise ValueError("unknown sign pair %r" % (pair,))
-    # an empty rhs has no term to read epsilon off, and no sign works
-    e, c = next(iter(rhs.items()), ((), 0))
-    sign = 1 if lhs.get(e) == c else -1
-    if not c or poly.add(lhs, rhs, -sign) or shipped != [
-            (poly.value(lhs, t), poly.value(rhs, t)) for t in ties]:
-        raise ExactnessError("not proportional - investigate")
-    return sign
+    if pair == "psi-vs-phi" and k not in range((n + 1) // 2):
+        raise ValueError("psi-vs-phi needs a generator index k in 0..ell")
+    if pair != "psi-vs-phi" and k is not None:
+        raise ValueError("%s takes no generator index k" % pair)
+    if pair.startswith("exotic") and n % 2 == 0:
+        raise ValueError("exotic comparisons need odd n")
+    return _slice_signs(n, "isl" if pair == "f-vs-t" else "iso")[pair, k]
 
 
 # -- registry and runners ---------------------------------------------------------

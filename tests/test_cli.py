@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 import coadinv
-from coadinv import cli, verify
-from coadinv import invariants as inv
+from coadinv import cli, poly, verify
 from coadinv.cli import main
 from coadinv.exactmat import ExactnessError, Mat, mat_from_json, mat_to_json, rat_str
 from coadinv.invariants import (CanonicalPair, F_all, exotic_phi, f_bar, f_invariant,
@@ -184,8 +183,8 @@ def test_eval_ids_use_ascii_digits(tmp_path, capsys, which):
 
 def test_a_sign_oracle_failure_exits_one(capsys, monkeypatch):
     # a broken slice polynomial is a bug found by the oracle, not a usage error
-    real = inv.t_slice
-    monkeypatch.setattr(inv, "t_slice", lambda a, b: real(a, b) + 1)
+    real = poly.t_slice
+    monkeypatch.setattr(poly, "t_slice", lambda n: poly.add(real(n), poly.const(1, n)))
     code, out, err = run_cli(capsys, ["verify", "--suite", "slices", "--algebra", "isl",
                                       "--n", "3", "--samples", "1"])
     assert (code, out, err) == (1, "", "error: not proportional - investigate\n")
@@ -629,6 +628,21 @@ def test_verify_refuses_a_bound_past_63_bits(capsys, monkeypatch):
                                     "1", "--bound", str(2 ** 63 - 1)])
     assert code == 0
     assert runs == ["theta"] and json.loads(out)[0]["passed"]
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 64 + 1), str(-(2 ** 64) + 1), "-1"])
+def test_verify_refuses_a_seed_outside_64_bits(capsys, monkeypatch, seed):
+    # the stream keeps 64 bits of its seed: these seeds would run the report
+    # of seed 1 (or 2^64 - 1) without a word
+    runs = count_suite_runs(monkeypatch)
+    for argv in (["--suite", "theta", "--n", "2"], ["--all", "--n-max", "2"]):
+        code, out, err = run_cli(capsys, ["verify"] + argv + ["--samples", "2",
+                                                              "--seed", seed])
+        assert (code, out, runs) == (2, "", [])
+        assert err == "error: seed must lie within 0..2^64 - 1\n"
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "theta", "--n", "2", "--samples",
+                                    "2", "--seed", str(2 ** 64 - 1)])
+    assert code == 0 and json.loads(out)[0]["passed"]
 
 
 def digits(text: str) -> int:

@@ -402,6 +402,33 @@ def test_group_json_roundtrip():
         assert alg2 == alg and e2 == e
 
 
+def test_json_writers_refuse_an_algebra_that_disagrees_with_the_value():
+    rng = Rng(18)
+    point = sample_dual(Algebra("glvv", 2), rng, 3)
+    with pytest.raises(ValueError, match="no aff point of size 2"):
+        dual_to_json(Algebra("aff", 2), point)  # would drop xi
+    with pytest.raises(ValueError, match="no glvv point of size 3"):
+        dual_to_json(Algebra("glvv", 3), point)  # would write n 3, which the reader refuses
+    elem = GroupElem(Mat.identity(2), Mat.col([1, 2]), Mat.row([0, 1]))
+    for fam in ("aff", "isl", "io", "iso"):  # each would drop the nonzero vstar
+        with pytest.raises(ValueError, match="no %s group element of size 2" % fam):
+            group_to_json(Algebra(fam, 2), elem)
+    with pytest.raises(ValueError, match="no aff group element of size 2"):
+        group_to_json(Algebra("aff", 2), GroupElem.orthogonal(Mat.identity(2), Mat.col([1, 2])))
+    with pytest.raises(ValueError, match="no glvv group element of size 3"):
+        group_to_json(Algebra("glvv", 3), elem)
+    # what a writer accepts reads back equal: each family's own values, and
+    # an element of a smaller group under glvv, which writes every vstar
+    for fam in FAMILIES:
+        for n in (1, 2, 3):
+            alg = Algebra(fam, n)
+            l, e = sample_dual(alg, rng, 3), sample_group(alg, rng, 3)
+            assert dual_from_json(dual_to_json(alg, l)) == (alg, l)
+            assert group_from_json(group_to_json(alg, e)) == (alg, e)
+            glvv = Algebra("glvv", n)
+            assert group_from_json(group_to_json(glvv, e)) == (glvv, e)
+
+
 def test_group_json_refuses_non_members():
     zero = Mat.zero(2, 1)
     stretch = {"algebra": "isl", "n": 2, "g": mat_to_json(Mat([[2, 0], [0, 1]])),

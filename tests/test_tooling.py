@@ -138,6 +138,31 @@ def test_one_recursion_per_generator_family():
     assert "char_data" in _reaches("charpoly.py", "bordered_char_identities")
 
 
+def test_each_slice_is_proved_once_and_stated_once():
+    # the slices suite reads one derivation per unit, never the per-sign
+    # view, and the view reads the same derivation
+    assert _call_sites("verify.py", lambda node: _called(node, "_slice_signs")) \
+        == ["_suite_slices", "resolve_sign"]
+    assert _call_sites("verify.py", lambda node: _called(node, "resolve_sign")) == []
+    # each closed slice form is stated in poly alone: invariants evaluates it
+    path = os.path.join(SRC, "invariants.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    funcs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    for name in ("t_slice", "phi_slice", "exotic_slice"):
+        assert [node for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)
+                and getattr(getattr(node.func, "value", None), "id", None) == "poly"], name
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno) for node in ast.walk(tree)
+                  if "_elementary_symmetric" in (getattr(node, "name", None),
+                                                 getattr(node, "id", None),
+                                                 getattr(node, "attr", None))]
+    assert found == []
+
+
 def test_orbit_normalize_never_inverts_g():
     # the normal form's landing is checked as J g = g y + u wstar and
     # e_n* g = wstar: neither orbit_normalize nor a helper it reaches calls

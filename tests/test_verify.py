@@ -9,7 +9,7 @@ from coadinv.charpoly import interp_coeffs
 from coadinv.exactmat import ExactnessError, Mat, mat_to_json, rank
 from coadinv.invariants import (EXOTIC_SLICE_SIGN, EXOTIC_SQUARE_SIGN,
                                 F_SLICE_SIGN, PSI_SLICE_SIGN)
-from coadinv import verify
+from coadinv import poly, verify
 from coadinv.liealg import (Algebra, DualPoint, Rng, algebra_basis, dual_from_json,
                             dual_to_json, group_from_json, group_to_json,
                             sample_dual, sample_triple)
@@ -61,6 +61,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match="bound must be <= 2\\^63 - 1"):
         SuiteConfig(coeff_bound=2 ** 63)
     assert SuiteConfig(coeff_bound=2 ** 63 - 1).coeff_bound == 2 ** 63 - 1
+    # Rng reduces its seed mod 2^64, so a seed outside one 64-bit word would
+    # silently run the stream of another
+    for seed in (-1, 2 ** 64, 2 ** 64 + 1, -(2 ** 64) + 1):
+        with pytest.raises(ValueError, match="seed must lie within 0..2\\^64 - 1"):
+            SuiteConfig(seed=seed)
+    assert SuiteConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+    assert SuiteConfig(seed=0).seed == 0
 
 
 def test_reports_are_deterministic():
@@ -189,6 +196,32 @@ def test_resolve_sign_calls_the_evaluator_only_at_the_tie_points(monkeypatch):
     assert seen == [inv.slice_isl((2, 3, 4), 5), inv.slice_isl((1, -2, 3), -4)]
 
 
+def test_slices_suite_proves_each_slice_once(monkeypatch):
+    # one derivation per slice and size: each slice polynomial is built once
+    # and each evaluator runs once per tie tuple, however many signs it yields
+    counts = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    for module, names in ((poly, ("fbar_on_slice", "psi_on_slice", "exotic_phi_on_slice")),
+                          (inv, ("f_bar", "psi_all", "exotic_phi"))):
+        for name in names:
+            counting(module, name)
+    for fam, expected in (("io", {"psi_on_slice": 5, "exotic_phi_on_slice": 2,
+                                  "psi_all": 10, "exotic_phi": 4}),
+                          ("iso", {"psi_on_slice": 5, "exotic_phi_on_slice": 2,
+                                   "psi_all": 10, "exotic_phi": 4}),
+                          ("isl", {"fbar_on_slice": 5, "f_bar": 10})):
+        counts.clear()
+        assert run_suite("slices", SuiteConfig(algebra=fam, n_lo=2, n_hi=6, samples=1)).passed
+        assert counts == expected, fam
+
+
 def test_resolve_sign_validation():
     with pytest.raises(ValueError):
         resolve_sign("nope", 3)
@@ -198,15 +231,24 @@ def test_resolve_sign_validation():
         resolve_sign("exotic-vs-slice", 4)  # even n
     with pytest.raises(ValueError):
         resolve_sign("f-vs-t", 0)  # no size below 1
+    with pytest.raises(ValueError):
+        resolve_sign("psi-vs-phi", 3, 2)  # k past ell
+    # only psi-vs-phi takes a k: any other pair refuses one it would ignore
+    with pytest.raises(ValueError, match="takes no generator index"):
+        resolve_sign("f-vs-t", 3, 7)
+    with pytest.raises(ValueError, match="takes no generator index"):
+        resolve_sign("exotic-vs-slice", 3, 99)
+    with pytest.raises(ValueError, match="takes no generator index"):
+        resolve_sign("exotic-sq-vs-psi", 3, 0)
 
 
 def test_resolve_sign_reports_a_bug_as_an_exactness_error(monkeypatch):
-    real = inv.t_slice
-    monkeypatch.setattr(inv, "t_slice", lambda a, b: 2 * real(a, b))
+    real = poly.t_slice
+    monkeypatch.setattr(poly, "t_slice", lambda n: poly.add({}, real(n), 2))
     with pytest.raises(ExactnessError, match="not proportional"):
         resolve_sign("f-vs-t", 3)
     monkeypatch.setattr(inv, "f_bar", lambda l: Fraction(0))
-    monkeypatch.setattr(inv, "t_slice", lambda a, b: Fraction(0))
+    monkeypatch.setattr(poly, "t_slice", lambda n: {})
     with pytest.raises(ExactnessError, match="not proportional - investigate"):
         resolve_sign("f-vs-t", 3)
 
