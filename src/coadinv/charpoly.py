@@ -14,19 +14,21 @@ Cayley-Hamilton residue x B_{n-1} = p_n I, checked on every call.
 
 For x = A / d with integer A, p_k and B_k are homogeneous of degree k, so
 the recursion runs on A alone, in integers: p_k(x) = p_k(A) / d^k and
-B_k(x) = B_k(A) / d^k.
+B_k(x) = B_k(A) / d^k.  Each row of B_k(A) is held as one integer, its
+entries in slots of s bits, so a product A B_{k-1} is n big-integer sums;
+_char_int proves that s leaves every entry room in its slot.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from itertools import repeat
 from math import lcm
-from operator import mul
+from operator import add, mul
 
-from .exactmat import (ExactnessError, Mat, Rat, Record, _exact, _normal, int_mat_mul,
-                       inverse, scalar)
+from .exactmat import ExactnessError, Mat, Rat, Record, _exact, _normal, inverse, scalar
 
 
 class CharData(Record):
@@ -49,27 +51,65 @@ class CharData(Record):
         return self.p[k - 1]
 
 
-def _char_int(a: tuple) -> tuple:
-    """Trace recursion on integer rows A: ([p_1(A), ..., p_n(A)], [B_0(A), ..., B_{n-1}(A)])."""
+def _packed_mul(a: tuple, rows: list) -> list:
+    """Packed rows of A B from those of B: row i is sum_l A_il row_l(B)."""
+    return [sum(map(mul, row, rows)) for row in a]
+
+
+def _char_int(a: tuple, w: tuple = ()) -> tuple:
+    """Trace recursion on integer rows A: (p, B, s) with p = [p_1(A), ...,
+    p_n(A)] and B[k] the packed rows of B_k(A), row i being the integer
+    sum_j B_k(A)_ij 2^(s j).
+
+    Slot width: with R the largest absolute row sum of A and of the rows w
+    the caller will project, s = n R.bit_length() + n + 2.  Every entry of
+    B_k(A), A B_k(A) and w B_k(A) is below 2^n R^n < 2^(s-2): |(A^m)_ij| <=
+    R^m and |p_j| <= C(n, j) R^j, so B_k = A^k - p_1 A^(k-1) - ... - p_k I
+    has entries at most 2^n R^k, and one more factor A or w multiplies that
+    by at most R, with k + 1 <= n.  So a packed row determines its entries
+    (_unpack reads them), and packed rows are equal when their entries are.
+
+    p_k is the trace of A B_{k-1} over k, an exact division, and B_k
+    subtracts p_k 2^(s i) from row i.  The Cayley-Hamilton residue
+    A B_{n-1} = p_n I ends the recursion: packed row i must be p_n 2^(s i).
+    Both checks run on every call; a failure means broken arithmetic.
+    """
     n = len(a)
+    s = n * max([sum(map(abs, row)) for row in a + w]).bit_length() + n + 2
+    shifts, mask, half, bias, unit = _layout(n, s)
     p = []
-    B = [tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))]
-    acc = a  # A * B_{k-1}(A)
+    B = [unit]
     for k in range(1, n + 1):
-        pk, rem = divmod(sum([row[i] for i, row in enumerate(acc)]), k)
+        acc = _packed_mul(a, B[-1])  # A B_{k-1}(A)
+        trace = sum([x + bias >> sh & mask for x, sh in zip(acc, shifts)]) - n * half
+        pk, rem = divmod(trace, k)
         if rem:
             raise ExactnessError("trace recursion: %d does not divide tr(A B_%d)" % (k, k - 1))
         p.append(pk)
         if k < n:
-            Bk = tuple(row[:i] + (row[i] - pk,) + row[i + 1:] for i, row in enumerate(acc))
-            B.append(Bk)
-            acc = int_mat_mul(a, Bk)
-    # Cayley-Hamilton residue A B_{n-1} = p_n I: each row has p_n on the
-    # diagonal and absolute sum |p_n|.  A failure means broken arithmetic.
-    pn = p[-1]
-    if any(row[i] != pn or sum(map(abs, row)) != abs(pn) for i, row in enumerate(acc)):
+            B.append([x - (pk << sh) for x, sh in zip(acc, shifts)])
+    if acc != [pk << sh for sh in shifts]:
         raise ExactnessError("characteristic recursion lost exactness")
-    return p, B
+    return p, B, s
+
+
+@lru_cache(maxsize=256)
+def _layout(n: int, s: int) -> tuple:
+    """n slots of s bits: the slot offsets, the slot mask, half a slot, the
+    bias with half a slot in every slot (added to a packed row, it keeps
+    each slot from borrowing from the next) and the packed identity rows."""
+    shifts = range(0, n * s, s)
+    mask = (1 << s) - 1
+    return (shifts, mask, 1 << (s - 1), ((1 << n * s) - 1) // mask << (s - 1),
+            tuple([1 << sh for sh in shifts]))
+
+
+def _unpack(rows, n: int, s: int) -> tuple:
+    """The entries of packed rows of n slots of s bits, each below 2^(s-1)."""
+    shifts, mask, half, bias, _ = _layout(n, s)
+    entries = iter([(x >> sh & mask) - half for x in map(add, rows, repeat(bias))
+                    for sh in shifts])
+    return tuple(zip(*[entries] * n))
 
 
 def char_data(x: Mat) -> CharData:
@@ -78,10 +118,13 @@ def char_data(x: Mat) -> CharData:
         raise ValueError("char_data needs a square matrix")
     n = x.rows
     a, d = x.num_den()
-    p, B = _char_int(a)
-    # the rows of each B_k are fresh n-wide tuples: reduced, never copied
+    p, B, s = _char_int(a)
+    # B_0 = I; the other B_k unpacked at once into fresh n-wide tuples:
+    # reduced, never copied
+    rows = iter(_unpack([r for Bk in B[1:] for r in Bk], n, s))
     return CharData(n, tuple(Fraction(pk, d ** k) for k, pk in enumerate(p, start=1)),
-                    tuple(_normal(n, n, Bk, d ** k) for k, Bk in enumerate(B)))
+                    (Mat.identity(n), *[_normal(n, n, Bk, d ** k)
+                                        for k, Bk in enumerate(zip(*[rows] * n), start=1)]))
 
 
 # -- exact interpolation ----------------------------------------------------

@@ -25,6 +25,7 @@ import re
 from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -125,6 +126,7 @@ class Mat:
         return _make(rows, cols, ((0,) * cols,) * rows, 1)
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def identity(n: int) -> "Mat":
         return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -292,18 +294,14 @@ def _normal(rows: int, cols: int, a: tuple, d: int) -> Mat:
     return _make(rows, cols, a, d)
 
 
-def int_mat_mul(a: tuple, b: tuple) -> tuple:
-    """Product of two integer matrices given as tuples of rows."""
-    bt = tuple(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     """Exact matrix product: (A_a A_b) / (d_a d_b), reduced once."""
     if a.cols != b.rows:
         raise ValueError("dimension mismatch in mul: %dx%d by %dx%d"
                          % (a.rows, a.cols, b.rows, b.cols))
-    return _normal(a.rows, b.cols, int_mat_mul(a._a, b._a), a._d * b._d)
+    bt = tuple(zip(*b._a))
+    rows = tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a._a])
+    return _normal(a.rows, b.cols, rows, a._d * b._d)
 
 
 def scalar(a: Mat) -> Rat:

@@ -21,7 +21,7 @@ from math import prod
 from operator import mul
 
 from . import poly
-from .charpoly import _char_int, bordered, bordered_gradients
+from .charpoly import _char_int, _unpack, bordered, bordered_gradients
 from .exactmat import ExactnessError, Mat, Rat, Record, _exact, det, pfaffian
 # project_traceless is re-exported: it is part of this module's interface
 from .liealg import (_RETRY_CAP, Algebra, DualPoint, GroupElem, Rng, project_traceless,
@@ -79,12 +79,13 @@ def _covariants(l: DualPoint) -> tuple:
     """The row covariants off one integer trace recursion.  For y = A / d
     and wstar = w / dw: the pairs (w B_k(A), d^k dw), k = 0..n-1, whose
     quotients are wstar B_k(y), the integers p_k(A) = d^k p_k(y), and d.
-    It runs on A^T: B_k(A^T) = B_k(A)^T, so w B_k(A) is B_k(A^T) w^T."""
+    w B_0(A) = w, and each later w B_k(A) = sum_i w_i row_i(B_k(A)) is one
+    sum of packed rows."""
     a, d = l.y.num_den()
     (w,), dw = l.wstar.num_den()
-    p, B = _char_int(tuple(zip(*a)))
-    return [(tuple([sum(map(mul, row, w)) for row in b]), d ** k * dw)
-            for k, b in enumerate(B)], p, d
+    p, B, s = _char_int(a, (w,))
+    rows = (w, *_unpack([sum(map(mul, w, Bk)) for Bk in B[1:]], len(a), s))
+    return [(r, d ** k * dw) for k, r in enumerate(rows)], p, d
 
 
 def phi_rows(l: DualPoint) -> list:

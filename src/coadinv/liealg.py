@@ -560,8 +560,9 @@ def dual_from_json(obj):
 
 
 def group_to_json(alg: Algebra, elem: GroupElem) -> dict:
-    """JSON of an element of the algebra's size; outside glvv its vstar
-    must be the family's fill, which is left out: -u^T for io/iso, else 0."""
+    """JSON of an element of the algebra's group, refused as group_from_json
+    refuses it.  Outside glvv its vstar must be the family's fill, which is
+    left out: -u^T for io/iso, else 0."""
     fill = -elem.u.transpose() if alg.family in ("io", "iso") else Mat.zero(1, elem.n)
     if elem.n != alg.n or alg.family != "glvv" and elem.vstar != fill:
         raise ValueError("the element is no %s group element of size %d" % (alg.family, alg.n))
@@ -569,6 +570,7 @@ def group_to_json(alg: Algebra, elem: GroupElem) -> dict:
            "g": mat_to_json(elem.g), "u": mat_to_json(elem.u)}
     if alg.family == "glvv":
         out["vstar"] = mat_to_json(elem.vstar)
+    group_from_json(out)  # the reader's checks of group membership
     return out
 
 

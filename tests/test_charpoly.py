@@ -105,33 +105,36 @@ def test_cayley_hamilton_residue():
 
 
 def _plant(monkeypatch, step, delta):
-    # product number `step` of the next recursion comes back with the
-    # {(i, j): v} entries of delta added
-    real, calls = charpoly.int_mat_mul, []
+    # product number `step` of the next recursion, A B_step, comes back with
+    # the {(i, j): v} entries of delta added to its packed rows; the first
+    # product is A B_0, whose packed rows 2^(s i) give the slot width s
+    real, calls, width = charpoly._packed_mul, [], []
 
-    def planted(a, b):
-        out = [list(row) for row in real(a, b)]
+    def planted(a, rows):
+        if not calls:
+            width.append(rows[1].bit_length() - 1)
+        out = real(a, rows)
         if len(calls) == step:
             for (i, j), v in delta.items():
-                out[i][j] += v
+                out[i] += v << (width[0] * j)
         calls.append(None)
-        return tuple(map(tuple, out))
+        return out
 
-    monkeypatch.setattr(charpoly, "int_mat_mul", planted)
+    monkeypatch.setattr(charpoly, "_packed_mul", planted)
 
 
 def test_a_planted_entry_fails_the_cayley_hamilton_check(monkeypatch):
     # a multiple of n! keeps every later division by k exact, so only the
     # residue check can see the planted entry, in any step; char_data and
-    # F_all (which runs the recursion on y^T) must both refuse
+    # F_all (which runs the recursion with wstar's row) must both refuse
     singular = Mat([[1, 2, 3], [2, 4, 6], [0, 1, -1]])
     ys = [Mat([[1, 2], [3, -1]]), Mat([[1, 2, 0], [3, -1, 4], [2, 2, 5]]),
           F(1, 2) * Mat([[2, -1, 0, 1], [1, 3, 1, 0], [0, 2, -2, 1], [1, 0, 1, 1]]), singular]
     plans = [(y, step, {(0, y.rows - 1): factorial(y.rows)})
-             for y in ys for step in range(y.rows - 1)]
+             for y in ys for step in range(y.rows)]
     # p_n = 0, and garbage in the last product that cancels in its row's
-    # signed sum: only the absolute sum sees it
-    plans += [(singular, 1, {(0, 1): 5, (0, 2): -5}), (singular, 1, {(2, 0): -3, (2, 1): 3})]
+    # signed sum: the residue compares whole rows, so it sees it
+    plans += [(singular, 2, {(0, 1): 5, (0, 2): -5}), (singular, 2, {(2, 0): -3, (2, 1): 3})]
     for y, step, delta in plans:
         n = y.rows
         l = DualPoint(y, Mat.row(range(1, n + 1)), Mat.col([1] * n))
@@ -347,9 +350,9 @@ def test_glvv_dual_path_sample_runs_five_recursions(monkeypatch):
     sizes = []
     real = charpoly._char_int
 
-    def counted(a):
+    def counted(a, *rows):
         sizes.append(len(a))
-        return real(a)
+        return real(a, *rows)
 
     for module in (charpoly, invariants):
         monkeypatch.setattr(module, "_char_int", counted)

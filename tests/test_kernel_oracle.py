@@ -18,13 +18,15 @@ equal matrices built by different paths compare and hash equal.
 import itertools
 from fractions import Fraction as F
 from math import gcd
+from operator import mul
 
 import pytest
 
-from coadinv.charpoly import char_data
+from coadinv.charpoly import _char_int, char_data
 from coadinv.exactmat import (Mat, det, inverse, mat_from_json, mat_mul, mat_to_json,
                               pfaffian, rank)
-from coadinv.liealg import Rng
+from coadinv.invariants import _covariants
+from coadinv.liealg import DualPoint, Rng
 from test_exactmat import pfaffian_expand
 
 DENOMINATORS = (1, 1, 2, 3, 4, 6, 7, 9)
@@ -182,6 +184,67 @@ def test_char_data_against_faddeev_leverrier():
         for k in range(n):
             assert_canonical(cd.B[k])
             assert cd.B[k].to_lists() == B[k]
+
+
+def extreme_cases(seed):
+    """(A, w) integer pairs for n = 1..9 at the edges of the slot bound of
+    the packed recursion: entries up to +-2^70, +-M times the all-ones
+    matrix, +-M sign patterns, zero and nilpotent matrices, and rows w
+    whose absolute sum dwarfs A's."""
+    rng = Rng(seed)
+    big = 1 << 70
+
+    def wide():
+        return rng.int_between(-(1 << 32), 1 << 32) << 38
+
+    def sign():
+        return big if rng.int_between(0, 1) else -big
+
+    for n in range(1, 10):
+        def rows(draw):
+            return [[draw() for _ in range(n)] for _ in range(n)]
+
+        small = rows(lambda: rng.int_between(-3, 3))
+        for a in (rows(wide), rows(sign), [[big] * n] * n, [[-3] * n] * n, [[0] * n] * n,
+                  [[wide() if j > i else 0 for j in range(n)] for i in range(n)], small):
+            yield a, [wide() for _ in range(n)]
+        yield small, [sign() << 70 for _ in range(n)]
+        yield [[0] * n] * n, [sign() for _ in range(n)]
+
+
+def integer_recursion(a):
+    """The trace recursion entry by entry on integer lists, as it ran before
+    rows were packed: (p, B, [A B_0, ..., A B_{n-1}])."""
+    n = len(a)
+    p, B, products = [], [[[int(i == j) for j in range(n)] for i in range(n)]], []
+    for k in range(1, n + 1):
+        acc = [[sum(map(mul, row, col)) for col in zip(*B[-1])] for row in a]
+        pk, rem = divmod(sum(acc[i][i] for i in range(n)), k)
+        assert rem == 0
+        p.append(pk)
+        products.append(acc)
+        B.append([[v - pk * (i == j) for j, v in enumerate(row)] for i, row in enumerate(acc)])
+    assert B.pop() == [[0] * n] * n  # Cayley-Hamilton
+    return p, B, products
+
+
+def test_packed_recursion_at_the_bound():
+    # p, every B_k and every w B_k against the unpacked recursion, and the
+    # slot bound of the packed rows: every entry of B_k, A B_k and w B_k
+    # stays below 2^(s - 2)
+    for a, w in extreme_cases(33):
+        n = len(a)
+        p, B, products = integer_recursion(a)
+        wB = [[sum(map(mul, w, col)) for col in zip(*b)] for b in B]
+        cd = char_data(Mat(a))
+        assert list(cd.p) == p
+        assert [b.to_lists() for b in cd.B] == B
+        rows, pint, d = _covariants(DualPoint(Mat(a), Mat.row(w), Mat.col([0] * n)))
+        assert pint == p and d == 1
+        assert [list(r) for r, e in rows] == wB and {e for _, e in rows} == {1}
+        s = _char_int(tuple(map(tuple, a)), (tuple(w),))[2]
+        entries = [v for m in (*B, *products, wB) for row in m for v in row]
+        assert max(map(abs, entries)) < 1 << (s - 2)
 
 
 def test_rank_against_gauss_jordan():

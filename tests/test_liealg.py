@@ -444,6 +444,27 @@ def test_group_json_refuses_non_members():
     assert alg == Algebra("io", 2) and elem == GroupElem.orthogonal(flip, zero)
 
 
+def test_group_json_writer_refuses_what_the_reader_refuses():
+    zero = Mat.zero(2, 1)
+    shear = Mat([[1, 1], [0, 1]])
+    cases = [("isl", Mat([[2, 0], [0, 1]]), "det g = 1"), ("iso", Mat([[1, 0], [0, -1]]), "det g = 1"),
+             ("io", shear, "non-orthogonal"), ("iso", shear, "non-orthogonal")]
+    for fam, g, message in cases:
+        alg = Algebra(fam, 2)
+        with pytest.raises(ValueError, match=message):
+            group_to_json(alg, GroupElem(g, zero, -zero.transpose()))
+        with pytest.raises(ValueError, match=message):
+            group_from_json({"algebra": fam, "n": 2, "g": mat_to_json(g), "u": mat_to_json(zero)})
+    # sampled members of every family round trip
+    rng = Rng(51)
+    for fam in FAMILIES:
+        for n in range(1, 5):
+            alg = Algebra(fam, n)
+            for _ in range(3):
+                e = sample_group(alg, rng, 3)
+                assert group_from_json(group_to_json(alg, e)) == (alg, e)
+
+
 def test_dual_json_rejects_mismatch():
     alg = Algebra("glvv", 2)
     obj = dual_to_json(alg, DualPoint(Mat.identity(2), Mat.row([1, 0]), Mat.col([0, 1])))

@@ -7,7 +7,7 @@ from math import prod
 import pytest
 
 from coadinv import poly
-from coadinv.charpoly import _char_int
+from coadinv.charpoly import _char_int, _unpack
 from coadinv.exactmat import ExactnessError, det, pfaffian
 from coadinv.liealg import Rng, sample_int_mat, sample_skew
 
@@ -41,10 +41,10 @@ def test_kernels_at_constant_matrices():
             a = sample_int_mat(rng, n, n, 3)
             assert poly.value(poly.det(constants(a)), ()) == det(a), a
             p, B = poly.char_recursion(constants(a), 0)
-            ip, iB = _char_int(a.num_den()[0])
+            ip, iB, width = _char_int(a.num_den()[0])
             assert [poly.value(pk, ()) for pk in p] == ip
             assert [[[poly.value(v, ()) for v in row] for row in b] for b in B] \
-                == [[list(row) for row in b] for b in iB]
+                == [[list(row) for row in _unpack(b, n, width)] for b in iB]
             if n % 2 == 0:
                 s = sample_skew(rng, n, 3)
                 assert poly.value(poly.pfaffian(constants(s)), ()) == pfaffian(s), s
