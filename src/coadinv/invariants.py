@@ -9,8 +9,9 @@ degree ell + 1.
 
 Sign conventions are never assumed: every slice comparison and the square
 of the exotic generator carry a frozen sign constant, proved by an identity
-of integer polynomials in the verify module and locked by regression tests;
-the closed slice forms here are values of those polynomials (module poly).
+of integer polynomials in the verify module and locked by regression tests.
+The closed slice forms the slice points are compared with are stated once,
+in module poly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from functools import cache
 from math import prod
 from operator import mul
 
-from . import poly
 from .charpoly import _char_int, _unpack, bordered, bordered_gradients
 from .exactmat import ExactnessError, Mat, Rat, Record, _exact, det, pfaffian
 # project_traceless is re-exported: it is part of this module's interface
@@ -67,11 +67,11 @@ class CanonicalPair(Record):
 
 # -- affine covariants and the determinant semi-invariant ---------------------
 
-def _entry(values, k: int, what: str = "generator"):
+def _entry(values, k: int):
     """Entry k of an all-index tuple: the one range check of every
-    single-index generator and covariant."""
+    single-index generator."""
     if not 0 <= k < len(values):
-        raise ValueError("%s index out of range" % what)
+        raise ValueError("generator index out of range")
     return values[k]
 
 
@@ -91,11 +91,6 @@ def _covariants(l: DualPoint) -> tuple:
 def phi_rows(l: DualPoint) -> list:
     """All row covariants from one characteristic recursion, top index first."""
     return [Mat.from_num_den([r], e) for r, e in _covariants(l)[0][::-1]]
-
-
-def phi_covariant(k: int, l: DualPoint) -> Mat:
-    """Row covariant wstar B_k(y), 0 <= k <= n-1: a view of phi_rows."""
-    return _entry(phi_rows(l)[::-1], k, "covariant")
 
 
 def f_invariant(l: DualPoint) -> Rat:
@@ -223,20 +218,6 @@ def generators(l: DualPoint) -> list:
     return psis
 
 
-def pfaff_vector(y: Mat) -> Mat:
-    """The column pf(y) of an odd skew matrix, defined by
-    wstar pf(y) = exotic_phi(y, wstar) for every covector; computed by
-    evaluating at the basis covectors.  Covariance:
-    pf(g y g^-1) = det(g) g pf(y) for orthogonal g."""
-    if not y.is_skew():
-        raise ValueError("pfaffian vector needs a skew matrix")
-    n = y.rows
-    if n % 2 == 0:
-        raise ValueError("pfaffian vector only for odd n")
-    return Mat.col([exotic_phi(DualPoint(y, Mat.basis_row(n, i), family="iso"))
-                    for i in range(n)])
-
-
 # -- parameter slices ------------------------------------------------------------
 
 def slice_isl(a, b) -> DualPoint:
@@ -246,16 +227,6 @@ def slice_isl(a, b) -> DualPoint:
     n = len(a) + 1
     y = Mat([[a[j] if i == j + 1 else 0 for j in range(n)] for i in range(n)])
     return DualPoint(y, Mat.row([0] * (n - 1) + [b]), family="isl")
-
-
-def t_slice(a, b) -> Rat:
-    """Closed slice polynomial (prod_k a_k^k) b^n: poly.t_slice at (a, b)."""
-    return _at_slice(poly.t_slice(len(a) + 1), a, b)
-
-
-def _at_slice(p: dict, a, last) -> Rat:
-    """p at the slice parameters (*a, last), each checked exact before any is used."""
-    return Fraction(poly.value(p, [*map(_exact, a), _exact(last)]))
 
 
 def slice_so(a, a0, alg: Algebra) -> DualPoint:
@@ -273,19 +244,6 @@ def slice_so(a, a0, alg: Algebra) -> DualPoint:
         # the kernel refuses v before the minus could fail with another message
         y[2 * i][2 * i + 1], y[2 * i + 1][2 * i] = v, -_exact(v)
     return DualPoint(Mat(y), Mat.row([0] * (n - 1) + [a0]), family=alg.family)
-
-
-def phi_slice(k: int, a, a0) -> Rat:
-    """Closed slice polynomial a0^2 sigma_k(a_1^2, ..., a_ell^2), 0 <= k <= ell:
-    poly.phi_slice at (a, a0); at k = ell it is exotic_slice(a, a0)^2."""
-    if not 0 <= k <= len(a):
-        raise ValueError("slice polynomial index out of range")
-    return _at_slice(poly.phi_slice(2 * len(a) + 1, k), a, a0)
-
-
-def exotic_slice(a, a0) -> Rat:
-    """Exotic closed slice polynomial a0 a_1 ... a_ell: poly.exotic_slice at (a, a0)."""
-    return _at_slice(poly.exotic_slice(2 * len(a) + 1), a, a0)
 
 
 # -- open-orbit machinery ----------------------------------------------------------

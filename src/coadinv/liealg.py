@@ -205,11 +205,15 @@ class Rng:
 # -- sampling ----------------------------------------------------------------
 
 def sample_int_mat(rng: Rng, rows: int, cols: int, bound: int) -> Mat:
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     return Mat.from_num_den([[rng.int_between(-bound, bound) for _ in range(cols)]
                              for _ in range(rows)], 1)
 
 
 def sample_skew(rng: Rng, n: int, bound: int) -> Mat:
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -231,6 +235,8 @@ def sample_sl(rng: Rng, n: int, bound: int) -> Mat:
     """Product of 2n random transvections I + c E_ij; determinant exactly 1.
     Each factor multiplies on the right, adding c times column i of the
     integer rows to column j."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     if n == 1:
         return Mat.identity(1)
     g = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -275,8 +281,6 @@ def sample_orthogonal(rng: Rng, n: int, bound: int, det_sign: int = 1) -> Mat:
 
 def sample_group(alg: Algebra, rng: Rng, bound: int) -> GroupElem:
     """Random group element of the family; bound caps integer parameters."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     n = alg.n
     fam = alg.family
     u = sample_int_mat(rng, n, 1, bound)

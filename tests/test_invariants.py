@@ -5,19 +5,19 @@ from fractions import Fraction as F
 import pytest
 
 from coadinv import invariants as inv_module
+from coadinv import poly
 from coadinv.exactmat import ExactnessError, Mat, det, inverse, pfaffian, scalar
 from coadinv.charpoly import bordered, char_data
 from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
                                 EXOTIC_SQUARE_SIGN, F_SLICE_SIGN, F_all,
                                 F_bordered, F_bordered_all, F_invariant,
                                 NotInOpenOrbit, PSI_SLICE_SIGN, exotic_phi,
-                                exotic_slice, f_bar, f_invariant,
+                                f_bar, f_invariant,
                                 f_krylov, generators, krylov_rows, lower_shift,
-                                orbit_normalize, pfaff_vector, phi_covariant,
-                                phi_rows, phi_slice, pi_projection, project_traceless,
-                                psi_all, psi_bordered, psi_bordered_all,
-                                psi_invariant, sample_open_b, slice_isl,
-                                slice_so, t_slice)
+                                orbit_normalize, phi_rows, pi_projection,
+                                project_traceless, psi_all, psi_bordered,
+                                psi_bordered_all, psi_invariant, sample_open_b,
+                                slice_isl, slice_so)
 from coadinv.liealg import (FAMILIES, Algebra, DualPoint, GroupElem, Rng, coad,
                             reflection, sample_dual, sample_group,
                             sample_int_mat, sample_orthogonal, sample_skew)
@@ -100,15 +100,14 @@ def test_f_bar_invariant_under_special_action():
 def test_phi_zero_is_the_covector():
     rng = Rng(65)
     l = sample_dual(Algebra("aff", 4), rng, 3)
-    assert phi_covariant(0, l) == l.wstar
+    assert phi_rows(l)[-1] == l.wstar
 
 
 def test_phi_at_canonical_pair():
     for n in range(2, 6):
         pair = CanonicalPair.of_size(n)
         l = DualPoint(pair.J, pair.enstar, family="aff")
-        for k in range(n):
-            assert phi_covariant(k, l) == Mat.basis_row(n, n - 1 - k)
+        assert phi_rows(l) == [Mat.basis_row(n, i) for i in range(n)]
 
 
 def test_phi_covariance():
@@ -120,14 +119,7 @@ def test_phi_covariance():
             a = sample_group(alg, rng, 3)
             gi = inverse(a.g)
             moved = coad(a, l)
-            for k in range(n):
-                assert phi_covariant(k, moved) == phi_covariant(k, l) * gi
-
-
-def test_phi_rejects_bad_index():
-    l = DualPoint(Mat.identity(2), Mat.row([1, 0]), family="aff")
-    with pytest.raises(ValueError):
-        phi_covariant(2, l)
+            assert phi_rows(moved) == [r * gi for r in phi_rows(l)]
 
 
 # -- glvv generators ------------------------------------------------------------------
@@ -176,8 +168,6 @@ def test_F_rejects_bad_index():
         for view in (F_invariant, F_bordered):
             with pytest.raises(ValueError, match="generator index out of range"):
                 view(k, l)
-        with pytest.raises(ValueError, match="covariant index out of range"):
-            phi_covariant(k, l)
 
 
 # -- orthogonal generators -------------------------------------------------------------
@@ -281,24 +271,6 @@ def test_exotic_character():
             assert exotic_phi(coad(r, l)) == -exotic_phi(l)
 
 
-def test_pfaff_vector():
-    rng = Rng(76)
-    assert pfaff_vector(Mat.zero(3, 3)) == Mat.zero(3, 1)
-    for n in (3, 5):
-        for _ in range(15):
-            y = sample_skew(rng, n, 3)
-            pf = pfaff_vector(y)
-            w = Mat([[rng.int_between(-3, 3) for _ in range(n)]])
-            assert (w * pf)[0, 0] == exotic_phi(DualPoint(y, w, family="iso"))
-            q = sample_orthogonal(rng, n, 3, -1 if rng.coin() else 1)
-            assert pfaff_vector(q * y * inverse(q)) == det(q) * (q * pf)
-
-
-def test_pfaff_vector_rejects_even():
-    with pytest.raises(ValueError):
-        pfaff_vector(Mat.zero(4, 4))
-
-
 # -- the generator table ---------------------------------------------------------------
 
 def table_ids(fam, n):
@@ -325,9 +297,9 @@ def test_generators_table(fam):
 # -- slices ------------------------------------------------------------------------------
 
 def test_t_slice_values():
-    assert t_slice((1, 1), 1) == 1
-    assert t_slice((F(3),), F(2)) == 3 * 4
-    assert t_slice((2, 3), 1) == 2 * 9
+    assert poly.value(poly.t_slice(3), [1, 1, 1]) == 1
+    assert poly.value(poly.t_slice(2), [F(3), F(2)]) == 3 * 4
+    assert poly.value(poly.t_slice(3), [2, 3, 1]) == 2 * 9
 
 
 def test_isl_slice_matches_t():
@@ -335,7 +307,8 @@ def test_isl_slice_matches_t():
         for a1 in (-2, 1, 2):
             for b in (-2, -1, 1, 2):
                 a = (a1,) * (n - 1)
-                assert f_bar(slice_isl(a, b)) == F_SLICE_SIGN * t_slice(a, b)
+                t = poly.value(poly.t_slice(n), [*a, b])
+                assert f_bar(slice_isl(a, b)) == F_SLICE_SIGN * t
 
 
 def test_so_slice_shapes_and_values():
@@ -343,11 +316,11 @@ def test_so_slice_shapes_and_values():
     l = slice_so((2, 3), 7, alg)
     assert l.y.is_skew()
     assert l.wstar == 7 * Mat.basis_row(5, 4)
-    assert phi_slice(0, (2, 3), 7) == 49
-    assert phi_slice(1, (2, 3), 7) == 49 * (4 + 9)
-    assert exotic_slice((2, 3), 7) == 7 * 2 * 3
+    assert poly.value(poly.phi_slice(5, 0), [2, 3, 7]) == 49
+    assert poly.value(poly.phi_slice(5, 1), [2, 3, 7]) == 49 * (4 + 9)
+    assert poly.value(poly.exotic_slice(5), [2, 3, 7]) == 7 * 2 * 3
     # the top index is the square of the product form at every n
-    assert phi_slice(2, (2, 3), 7) == 49 * 36
+    assert poly.value(poly.phi_slice(5, 2), [2, 3, 7]) == 49 * 36
 
 
 def test_psi_slice_sign():
@@ -357,22 +330,24 @@ def test_psi_slice_sign():
         a = (2,) * ell
         l = slice_so(a, 3, alg)
         for k in range(ell + 1):
-            assert psi_invariant(k, l) == PSI_SLICE_SIGN * phi_slice(k, a, 3)
+            phi = poly.value(poly.phi_slice(n, k), [*a, 3])
+            assert psi_invariant(k, l) == PSI_SLICE_SIGN * phi
 
 
 def test_exotic_slice_sign():
     for n in (1, 3, 5):
         alg = Algebra("iso", n)
         a = (2,) * alg.ell
-        assert exotic_phi(slice_so(a, 3, alg)) == EXOTIC_SLICE_SIGN * exotic_slice(a, 3)
+        exotic = poly.value(poly.exotic_slice(n), [*a, 3])
+        assert exotic_phi(slice_so(a, 3, alg)) == EXOTIC_SLICE_SIGN * exotic
 
 
 def test_top_slice_polynomial_is_the_square_of_the_exotic_one():
     for n in (1, 3, 5, 7):
         ell = (n - 1) // 2
         for params in itertools.product((-2, -1, 1, 2), repeat=ell + 1):
-            a, a0 = params[:-1], params[-1]
-            assert phi_slice(ell, a, a0) == exotic_slice(a, a0) ** 2
+            assert poly.value(poly.phi_slice(n, ell), params) \
+                == poly.value(poly.exotic_slice(n), params) ** 2
 
 
 def test_slice_so_validates():
@@ -384,18 +359,14 @@ def test_slice_so_validates():
 
 def test_slices_refuse_inexact_parameters():
     # a float, a string or anything else raises the kernel's TypeError in
-    # every slice point and closed form; exact rationals stay exact
+    # every slice point; exact rationals stay exact
     alg = Algebra("iso", 5)
-    slices = (slice_isl, t_slice, lambda a, a0: slice_so(a, a0, alg),
-              lambda a, a0: phi_slice(1, a, a0), exotic_slice)
-    for make in slices:
+    for make in (slice_isl, lambda a, a0: slice_so(a, a0, alg)):
         for bad in (0.5, 0.1, "1", None):
             for a, a0 in (((1, bad), 2), ((bad, 1), 2), ((1, 2), bad)):
                 with pytest.raises(TypeError, match="exact entries are int or Fraction"):
                     make(a, a0)
-    assert t_slice((F(1, 2),), 2) == 2
     assert slice_isl((F(1, 10),), 1).y == Mat([[0, 0], [F(1, 10), 0]])
-    assert exotic_slice((F(1, 3), 2), F(3, 2)) == 1
 
 
 # -- orbit machinery ------------------------------------------------------------------------
@@ -419,6 +390,15 @@ def test_orbit_normal_third_component():
             assert normal.wstar == Mat.basis_row(n, n - 1)
             assert normal.xi == pi_projection(l)
             assert F_all(normal) == F_all(l)
+
+
+@pytest.mark.parametrize("bound", (0, -1))
+def test_sample_open_b_refuses_a_bound_below_one(bound):
+    rng = Rng(79)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            sample_open_b(rng, n, bound)
+    assert rng.next_u64() == Rng(79).next_u64()
 
 
 def test_orbit_roundtrip():

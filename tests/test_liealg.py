@@ -13,7 +13,7 @@ from coadinv.liealg import (FAMILIES, Ad, Algebra, DualPoint, GroupElem, Rng,
                             commutator_form, compose, dual_from_json,
                             dual_to_json, embed_M, group_from_json,
                             group_to_json, index_of, k_bracket,
-                            pairing, sample_dual, sample_group, sample_int_mat,
+                            pairing, sample_dual, sample_gl, sample_group, sample_int_mat,
                             sample_orthogonal, sample_skew, sample_sl,
                             sample_triple, theta, triple_zero)
 
@@ -175,6 +175,28 @@ def test_sample_dual_shapes():
     assert l.y.trace() == 0
     c = sample_dual(Algebra("io", 4), rng, 3)
     assert c.y.is_skew()
+
+
+@pytest.mark.parametrize("bound", (0, -1))
+def test_samplers_refuse_a_bound_below_one(bound):
+    # every sampler draws through sample_int_mat, sample_skew or sample_sl,
+    # which refuse before they draw, also at n = 1, where sample_skew and
+    # sample_sl draw nothing
+    rng = Rng(36)
+    draws = [lambda: sample_int_mat(rng, 2, 3, bound)]
+    for n in (1, 3):
+        draws += [lambda n=n: sample_skew(rng, n, bound), lambda n=n: sample_sl(rng, n, bound),
+                  lambda n=n: sample_gl(rng, n, bound), lambda n=n: sample_triple(rng, n, bound),
+                  lambda n=n: sample_orthogonal(rng, n, bound, -1)]
+        for fam in FAMILIES:
+            alg = Algebra(fam, n)
+            draws += [lambda alg=alg: sample_dual(alg, rng, bound),
+                      lambda alg=alg: sample_group(alg, rng, bound),
+                      lambda alg=alg: index_of(alg, 3, rng, bound)]
+    for draw in draws:
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            draw()
+    assert rng.next_u64() == Rng(36).next_u64()
 
 
 # -- coadjoint actions --------------------------------------------------------------

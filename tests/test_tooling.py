@@ -144,14 +144,12 @@ def test_each_slice_is_proved_once_and_stated_once():
     assert _call_sites("verify.py", lambda node: _called(node, "_slice_signs")) \
         == ["_suite_slices", "resolve_sign"]
     assert _call_sites("verify.py", lambda node: _called(node, "resolve_sign")) == []
-    # each closed slice form is stated in poly alone: invariants evaluates it
+    # each closed slice form is stated in poly alone: invariants defines none
     path = os.path.join(SRC, "invariants.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=path)
-    funcs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
-    for name in ("t_slice", "phi_slice", "exotic_slice"):
-        assert [node for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)
-                and getattr(getattr(node.func, "value", None), "id", None) == "poly"], name
+    funcs = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert funcs.isdisjoint({"t_slice", "phi_slice", "exotic_slice"})
     found = []
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path, encoding="utf-8") as fh:
@@ -253,3 +251,52 @@ def test_perfbench_names_exist_in_the_package():
                 if not _resolves(module, node.attr):
                     missing.append("%s: %s.%s" % (script, module, node.attr))
     assert missing == []
+
+
+# definitions no package code or benchmark script reads, each with its reason
+KEPT = {
+    "main_entry": "the console script in pyproject.toml",
+    "rat": "the exact scalar parser the README documents",
+    "compose": "the tests' oracle for coad",
+    "pairing": "the tests' oracle for coad",
+    "Ad": "the tests' oracle for coad",
+}
+
+
+def _names_read(tree):
+    # (name, enclosing top-level definition) of every name and attribute read
+    return [(getattr(node, "id", None) or getattr(node, "attr", None),
+             getattr(top, "name", None))
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def test_every_definition_has_a_caller():
+    # code that has no caller is deleted: every module-level function and
+    # class of the package is read outside its own body by the package
+    # (its __init__ re-exports do not count), or by the benchmark harness,
+    # or is kept in KEPT with its reason
+    defined, read = [], []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)
+        if module == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        defined += [(module, top.name) for top in tree.body
+                    if isinstance(top, (ast.FunctionDef, ast.ClassDef))]
+        read += [(module, name, top) for name, top in _names_read(tree)]
+    outside = set(KEPT)
+    for path in glob.glob(os.path.join(PERFBENCH, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        outside.update(name for name, _ in _names_read(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                outside.update(a.name for a in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) in ("LAYERS", "_EXTRA") for t in node.targets):
+                outside.update(fn for fns in ast.literal_eval(node.value).values() for fn in fns)
+    unread = ["%s:%s" % (module, name) for module, name in defined if name not in outside
+              and not any(n == name and (m, top) != (module, name) for m, n, top in read)]
+    assert unread == []

@@ -150,13 +150,14 @@ def _grid_sign(pair, n, k=None):
     grid's four values per variable once n >= 4."""
     if pair == "f-vs-t":
         def sides(a, b):
-            return inv.f_bar(inv.slice_isl(a, b)), inv.t_slice(a, b)
+            return inv.f_bar(inv.slice_isl(a, b)), poly.value(poly.t_slice(n), [*a, b])
         m = n
     elif pair == "psi-vs-phi":
         alg = Algebra("io", n)
 
         def sides(a, a0):
-            return inv.psi_invariant(k, inv.slice_so(a, a0, alg)), inv.phi_slice(k, a, a0)
+            return (inv.psi_invariant(k, inv.slice_so(a, a0, alg)),
+                    poly.value(poly.phi_slice(n, k), [*a, a0]))
         m = alg.ell + 1
     else:
         alg = Algebra("iso", n)
@@ -165,7 +166,7 @@ def _grid_sign(pair, n, k=None):
             point = inv.slice_so(a, a0, alg)
             if pair == "exotic-sq-vs-psi":
                 return inv.exotic_phi(point) ** 2, inv.psi_invariant(alg.ell, point)
-            return inv.exotic_phi(point), inv.exotic_slice(a, a0)
+            return inv.exotic_phi(point), poly.value(poly.exotic_slice(n), [*a, a0])
         m = alg.ell + 1
     signs = set()
     values = (-2, -1, 1, 2) if 4 ** m <= 1300 else (-1, 1, 2)
