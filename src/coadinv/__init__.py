@@ -12,10 +12,10 @@ from .liealg import (Algebra, DualPoint, FAMILIES, GroupElem, Rng, bracket_b,
                      sample_group, theta)
 from .invariants import (CanonicalPair, EXOTIC_SLICE_SIGN, EXOTIC_SQUARE_SIGN,
                          F_SLICE_SIGN, F_all, F_bordered, F_bordered_all, F_invariant,
-                         NotInOpenOrbit, PSI_SLICE_SIGN, exotic_phi, f_bar, f_invariant,
-                         f_krylov, generators, krylov_rows, lower_shift, orbit_normalize,
-                         phi_rows, pi_projection, psi_all, psi_bordered, psi_bordered_all,
-                         psi_invariant, sample_open_b, slice_isl, slice_so)
+                         GENERATORS, NotInOpenOrbit, PSI_SLICE_SIGN, exotic_phi, f_bar,
+                         f_invariant, f_krylov, generators, krylov_rows, lower_shift,
+                         orbit_normalize, phi_rows, pi_projection, psi_all, psi_bordered,
+                         psi_bordered_all, psi_invariant, sample_open_b, slice_isl, slice_so)
 
 from .verify import (SUITES, SuiteConfig, VerifyReport, resolve_sign, run_all, run_suite,
                      suite_range)

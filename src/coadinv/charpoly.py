@@ -156,11 +156,11 @@ def directional_coeff(F: Callable, base, direction, order: int, degree_bound: in
     Evaluates at t = 0..degree_bound + 1 and solves the Vandermonde system
     exactly, so the answer is an identity, not an approximation.  The bound
     must be at least the true degree of the restriction; callers pass a
-    documented worst case (deg p_k = k; downstream generators document
-    theirs).  The one node past the bound is a check: the interpolant's
-    coefficient of t**(degree_bound + 1) must vanish, otherwise the bound
-    was too small and ExactnessError is raised.  base and direction only
-    need + and scalar *.
+    documented worst case (deg p_k = k; invariants.GENERATORS holds the
+    generators').  The one node past the bound is a check: the
+    interpolant's coefficient of t**(degree_bound + 1) must vanish,
+    otherwise the bound was too small and ExactnessError is raised.  base
+    and direction only need + and scalar *.
     """
     if order < 0 or order > degree_bound:
         raise ValueError("order must lie in 0..degree_bound")

@@ -69,30 +69,24 @@ def _value_entry(name: str, value, k=None) -> dict:
     return out
 
 
-# single ids: name -> (the families whose dual it lives on, that dual's
-# name, evaluator); the indexed ids F and psi take the index first
-_SINGLE_IDS = {
-    "f": (("aff",), "aff", inv.f_invariant),
-    "fbar": (("isl",), "isl", inv.f_bar),
-    "phi": (("iso",), "iso", inv.exotic_phi),
-    "F": (("glvv",), "glvv", inv.F_invariant),
-    "psi": (("io", "iso"), "orthogonal", inv.psi_invariant),
-}
-_WHICH_RE = re.compile(r"(?P<name>f|fbar|phi)|(?P<indexed>F|psi)(?P<k>[0-9]+)")
+_WHICH_RE = re.compile(r"(?P<name>[A-Za-z]+)(?P<k>[0-9]*)")
 
 
 def _eval_one(point, which: str) -> dict:
+    """One id of inv.GENERATORS: a row's name, followed by the index when
+    the row is indexed."""
     m = _WHICH_RE.fullmatch(which)
-    if not m:
+    name, k = m.group("name", "k") if m else (None, "")
+    homes = {fam: row for fam, rows in inv.GENERATORS.items() for row in rows if row[0] == name}
+    if {indexed for _, indexed, *_ in homes.values()} != {bool(k)}:
         raise ValueError("unknown invariant id %r" % (which,))
-    name = m.group("name") or m.group("indexed")
-    families, dual, evaluate = _SINGLE_IDS[name]
-    if point.family not in families:
+    if point.family not in homes:
+        dual = next(iter(homes)) if len(homes) == 1 else "orthogonal"
         raise ValueError("invariant %r lives on the %s dual" % (name, dual))
-    if m.group("k") is None:
-        return _value_entry(name, evaluate(point))
-    k = int(m.group("k"))
-    return _value_entry(name, evaluate(k, point), k)
+    *_, evaluate = homes[point.family]
+    if not k:
+        return _value_entry(name, evaluate(point)[0])
+    return _value_entry(name, inv._entry(evaluate(point), int(k)), int(k))
 
 
 def cmd_eval(args) -> int:

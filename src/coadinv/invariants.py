@@ -2,10 +2,8 @@
 parameter slices used to identify them, the open-orbit normal form and the
 fiber projection.
 
-Degree facts callers of exact interpolation rely on: the determinant
-semi-invariant has degree n(n+1)/2, the glvv generators have degree k + 2,
-the orthogonal generators degree 2k + 2, and the odd-size exotic generator
-degree ell + 1.
+GENERATORS is the generator table: each family's generators, their
+counts, degrees and characters are stated there and nowhere else.
 
 Sign conventions are never assumed: every slice comparison and the square
 of the exotic generator carry a frozen sign constant, proved by an identity
@@ -94,11 +92,7 @@ def phi_rows(l: DualPoint) -> list:
 
 
 def f_invariant(l: DualPoint) -> Rat:
-    """Determinant of the stacked row covariants, highest index on top.
-
-    Degree n(n+1)/2.  Multiplying by det(g) undoes the coadjoint action:
-    f(coad(g,u) l) * det(g) = f(l).
-    """
+    """Determinant of the stacked row covariants, highest index on top."""
     rows = _covariants(l)[0][::-1]
     # each row's denominator factors out of the determinant
     return det(Mat.from_num_den([r for r, _ in rows], 1)) / prod(e for _, e in rows)
@@ -133,7 +127,7 @@ def f_bar(l: DualPoint) -> Rat:
 
 def F_all(l: DualPoint) -> tuple:
     """All n generators wstar B_k(y) xi from one characteristic recursion,
-    index 0 first; F_k has degree k + 2."""
+    index 0 first."""
     (x,), dx = l.xi.transpose().num_den()
     return tuple(Fraction(sum(map(mul, r, x)), e * dx) for r, e in _covariants(l)[0])
 
@@ -164,7 +158,7 @@ def pi_projection(l: DualPoint) -> Mat:
 
 def psi_all(l: DualPoint) -> tuple:
     """Generators psi_k = -wstar B_{2k}(y) wstar^T, k = 0..ell (2k <= n-1),
-    from one characteristic recursion; psi_k has degree 2k + 2."""
+    from one characteristic recursion."""
     (w,), dw = l.wstar.num_den()
     return tuple(Fraction(-sum(map(mul, r, w)), e * dw) for r, e in _covariants(l)[0][::2])
 
@@ -187,35 +181,43 @@ def psi_bordered(k: int, l: DualPoint) -> Rat:
 
 def exotic_phi(l: DualPoint) -> Rat:
     """Odd-size exotic generator: the Pfaffian of the bordered skew matrix
-    [[y, -wstar^T], [wstar, 0]].
-
-    Linear in wstar, degree ell + 1 overall.  Its square is
-    EXOTIC_SQUARE_SIGN times psi_ell; under the orthogonal action it picks
-    up det(g)."""
+    [[y, -wstar^T], [wstar, 0]]; its square is EXOTIC_SQUARE_SIGN times
+    psi_ell."""
     if l.n % 2 == 0:
         raise ValueError("exotic invariant only for odd n")
     return pfaffian(bordered(l.y, -l.wstar.transpose(), l.wstar, 0))
 
 
-def generators(l: DualPoint) -> list:
-    """The generator table of the point's family, evaluated at the point:
-    [(name, k, value), ...] with k = None for f, fbar and phi.
+# The generator table: family -> one row (name, indexed, count(n),
+# degree(n, k), character, evaluator) per generator id.  At size n a row
+# holds count(n) generators, the k-th homogeneous of degree degree(n, k)
+# (k = 0 when unindexed).  The character is the factor a generator picks up
+# under the family's group: "1", "1/det g" or "det g".  phi flips sign
+# under a reflection, so it is no generator of io; at odd n it takes the
+# place of iso's psi_ell, which is EXOTIC_SQUARE_SIGN phi^2 there.  The
+# evaluator returns the row's all-index tuple, which may run past count(n),
+# and looks its function up when called, so a patched module attribute is
+# what runs.
+GENERATORS = {
+    "aff": (("f", False, lambda n: 1, lambda n, k: n * (n + 1) // 2, "1/det g",
+             lambda l: (f_invariant(l),)),),
+    "isl": (("fbar", False, lambda n: 1, lambda n, k: n * (n + 1) // 2, "1",
+             lambda l: (f_bar(l),)),),
+    "glvv": (("F", True, lambda n: n, lambda n, k: k + 2, "1", lambda l: F_all(l)),),
+    "io": (("psi", True, lambda n: (n + 1) // 2, lambda n, k: 2 * k + 2, "1",
+            lambda l: psi_all(l)),),
+    "iso": (("psi", True, lambda n: n // 2, lambda n, k: 2 * k + 2, "1", lambda l: psi_all(l)),
+            ("phi", False, lambda n: n % 2, lambda n, k: (n + 1) // 2, "det g",
+             lambda l: (exotic_phi(l),))),
+}
 
-    aff has f, isl fbar, glvv F_0..F_{n-1} and io psi_0..psi_ell.  iso
-    has psi_0..psi_ell at even n; at odd n phi takes the place of psi_ell,
-    which is EXOTIC_SQUARE_SIGN phi^2 there.  phi flips sign under a
-    reflection, so it is no generator of io."""
-    fam = l.family
-    if fam == "aff":
-        return [("f", None, f_invariant(l))]
-    if fam == "isl":
-        return [("fbar", None, f_bar(l))]
-    if fam == "glvv":
-        return [("F", k, v) for k, v in enumerate(F_all(l))]
-    psis = [("psi", k, v) for k, v in enumerate(psi_all(l))]
-    if fam == "iso" and l.n % 2 == 1:
-        return psis[:-1] + [("phi", None, exotic_phi(l))]
-    return psis
+
+def generators(l: DualPoint) -> list:
+    """The point's rows of GENERATORS, evaluated: [(name, k, value), ...]
+    with k = None for an unindexed generator."""
+    return [(name, k if indexed else None, v)
+            for name, indexed, count, _, _, evaluate in GENERATORS[l.family] if count(l.n)
+            for k, v in enumerate(evaluate(l)[:count(l.n)])]
 
 
 # -- parameter slices ------------------------------------------------------------

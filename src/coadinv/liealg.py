@@ -271,12 +271,10 @@ def reflection(n: int) -> Mat:
 def sample_orthogonal(rng: Rng, n: int, bound: int, det_sign: int = 1) -> Mat:
     """Random orthogonal matrix: Cayley of a random skew, times the
     reflection when det_sign = -1.  Orthogonality is exact."""
-    q = cayley(sample_skew(rng, n, bound))
-    if det_sign == -1:
-        q = q * reflection(n)
-    elif det_sign != 1:
+    if det_sign not in (1, -1):  # refused before any draw
         raise ValueError("det_sign must be +1 or -1")
-    return q
+    q = cayley(sample_skew(rng, n, bound))
+    return q * reflection(n) if det_sign == -1 else q
 
 
 def sample_group(alg: Algebra, rng: Rng, bound: int) -> GroupElem:

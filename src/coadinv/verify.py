@@ -211,12 +211,13 @@ def _suite_exotic_sign(unit: _Unit):
         l = sample_dual(unit.alg, unit.rng, unit.bound)
         q = sample_orthogonal(unit.rng, n, unit.bound, 1)
         u = sample_int_mat(unit.rng, n, 1, unit.bound)
-        phi = inv.exotic_phi(l)
+        phi, a = inv.exotic_phi(l), GroupElem.orthogonal(q, u)
         unit.check("exotic generator fixed under the special action",
-                   inv.exotic_phi(coad(GroupElem.orthogonal(q, u), l)), phi, point=l)
+                   inv.exotic_phi(coad(a, l)), phi, point=l, elem=a)
+        # the witness keeps the rotation a; the reflected element is rebuilt from it
         r = GroupElem.orthogonal(q * reflection(n), u)
         unit.check("exotic generator flips under a reflection",
-                   inv.exotic_phi(coad(r, l)), -phi, point=l)
+                   inv.exotic_phi(coad(r, l)), -phi, point=l, elem=a)
         seen = seen or phi != 0
         draws += 1
     unit.check_once("a nonzero exotic value was exercised", seen)
@@ -238,7 +239,7 @@ def _suite_dual_path(unit: _Unit):
                            inv.f_invariant(shifted), f, point=l, shift=c)
         elif fam == "glvv":
             grads, bord = inv.F_all(l), inv.F_bordered_all(l)
-            for k in range(n):
+            for k in range(len(grads)):
                 unit.check("generator via gradients vs bordered coefficients (k=%d)" % k,
                            grads[k], bord[k], point=l)
             a = unit.coeff()
@@ -247,7 +248,7 @@ def _suite_dual_path(unit: _Unit):
                        (ok, witness), (True, None), point=l, corner=a)
         else:
             grads, bord = inv.psi_all(l), inv.psi_bordered_all(l)
-            for k in range((n - 1) // 2 + 1):
+            for k in range(len(grads)):
                 unit.check("orthogonal generator via gradients vs bordered (k=%d)" % k,
                            grads[k], bord[k], point=l)
 
@@ -289,7 +290,10 @@ def _directions(alg: Algebra) -> list:
 def _suite_independence(unit: _Unit):
     alg, n = unit.alg, unit.n
     directions = _directions(alg)
-    expected = n if alg.family == "glvv" else alg.ell + 1
+    rows = [(count(n), degree) for _, _, count, degree, _, _ in inv.GENERATORS[alg.family]]
+    expected = sum(c for c, _ in rows)
+    # the interpolation nodes cover the largest declared degree
+    degree_bound = max(degree(n, k) for c, degree in rows for k in range(c))
     draws = _RETRY_CAP
     for _ in range(unit.samples):
         # the full-rank locus is dense; degenerate sample points are
@@ -298,7 +302,7 @@ def _suite_independence(unit: _Unit):
         # sample draws once, and is still checked
         for _attempt in range(draws):
             point = sample_dual(alg, unit.rng, unit.bound)
-            got = _jacobian_rank(point, directions, n + 1)
+            got = _jacobian_rank(point, directions, degree_bound)
             if got == expected:
                 break
         else:
@@ -309,9 +313,10 @@ def _suite_independence(unit: _Unit):
 
 def _suite_index(unit: _Unit):
     alg, fam, n = unit.alg, unit.alg.family, unit.n
-    # aff is paired with its open orbit, glvv has one generator per size;
-    # isl, io and iso are frozen from the rank oracle
-    expected = alg.ell + 1 if fam in ("io", "iso") else {"aff": 0, "glvv": n, "isl": 1}[fam]
+    # the invariant generators count the index (det g is 1 on iso's group);
+    # aff's semi-invariant is paired with its open orbit instead
+    expected = sum(count(n) for _, _, count, _, character, _ in inv.GENERATORS[fam]
+                   if character != "1/det g")
     got = index_of(alg, min(unit.samples, 5), unit.rng, unit.bound)
     # the rank at any point bounds the generic rank from below, so an
     # estimate above the frozen value may be a degenerate draw: draw on
@@ -326,7 +331,7 @@ def _suite_index(unit: _Unit):
         for _ in range(unit.samples):
             l = inv.sample_open_b(unit.rng, n, unit.bound)
             unit.check("commutator form has rank dim - n on the open set",
-                       rank(commutator_form(alg, l)), alg.dim - n, point=l)
+                       rank(commutator_form(alg, l)), alg.dim - expected, point=l)
 
 
 _SLICE_CHECKS = {  # sign pair: the slices suite's check name and frozen constant

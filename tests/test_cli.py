@@ -150,6 +150,14 @@ def test_exactness_failure_exits_one(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["eval", "--input", path])
     assert code == 1
     assert err.startswith("error:") and "exactness" in err
+    # single ids run the patched function too: the table looks it up when called
+    monkeypatch.setattr(cli.inv, "psi_all", broken)
+    io = sample_dual(Algebra("io", 3), Rng(2), 3)
+    io_path = write_point(tmp_path, dual_to_json(Algebra("io", 3), io), "io.json")
+    for which, point in (("F1", path), ("psi0", io_path), ("all", io_path)):
+        code, out, err = run_cli(capsys, ["eval", "--which", which, "--input", point])
+        assert (code, out) == (1, ""), which
+        assert err.startswith("error:") and "exactness" in err
 
 
 def test_eval_shape_mismatch(tmp_path, capsys):
@@ -547,7 +555,8 @@ def test_eval_reads_integer_entries(tmp_path, capsys):
 PACKAGE_NAMES = [
     "Algebra", "CanonicalPair", "CharData", "DualPoint", "EXOTIC_SLICE_SIGN",
     "EXOTIC_SQUARE_SIGN", "ExactnessError", "FAMILIES", "F_SLICE_SIGN", "F_all",
-    "F_bordered", "F_bordered_all", "F_invariant", "GroupElem", "Mat", "NotInOpenOrbit",
+    "F_bordered", "F_bordered_all", "F_invariant", "GENERATORS", "GroupElem", "Mat",
+    "NotInOpenOrbit",
     "PSI_SLICE_SIGN", "Rat", "Rng", "SUITES", "SuiteConfig", "VerifyReport", "bordered",
     "bordered_char_identities", "bordered_gradients", "bracket_b", "char_data", "charpoly",
     "coad", "commutator_form", "compose", "det", "directional_coeff", "dual_from_json",

@@ -11,7 +11,7 @@ from coadinv.charpoly import bordered, char_data
 from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
                                 EXOTIC_SQUARE_SIGN, F_SLICE_SIGN, F_all,
                                 F_bordered, F_bordered_all, F_invariant,
-                                NotInOpenOrbit, PSI_SLICE_SIGN, exotic_phi,
+                                GENERATORS, NotInOpenOrbit, PSI_SLICE_SIGN, exotic_phi,
                                 f_bar, f_invariant,
                                 f_krylov, generators, krylov_rows, lower_shift,
                                 orbit_normalize, phi_rows, pi_projection,
@@ -292,6 +292,54 @@ def test_generators_table(fam):
         assert ids == table_ids(fam, n), n
         for name, k, value in table:
             assert value == (single[name](l) if k is None else single[name](k, l))
+
+
+GENERATOR_ROWS = [(fam, row) for fam, rows in GENERATORS.items() for row in rows]
+
+
+def _scaled(l, c):
+    return DualPoint(c * l.y, c * l.wstar, c * l.xi, l.family)
+
+
+@pytest.mark.parametrize("fam, row", GENERATOR_ROWS,
+                         ids=["%s-%s" % (fam, row[0]) for fam, row in GENERATOR_ROWS])
+def test_generator_degrees_by_homogeneity(fam, row):
+    # F(c l) = c^degree F(l) at points where every generator of the row is
+    # nonzero, so a declared degree off by one fails
+    _, _, count, degree, _, evaluate = row
+    for n in range(1, 7):
+        if not count(n):
+            continue
+        rng = Rng(6).child(fam, row[0], n)
+        for _ in range(20):
+            l = sample_dual(Algebra(fam, n), rng, 3)
+            values = evaluate(l)[:count(n)]
+            if all(values):
+                break
+        assert all(values), (n, values)
+        for c in (2, 3):
+            assert evaluate(_scaled(l, c))[:count(n)] == tuple(
+                c ** degree(n, k) * v for k, v in enumerate(values)), (n, c)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_generator_characters(fam):
+    # each generator picks up its declared character under the group; an
+    # orthogonal element is also tried times a reflection, where phi flips
+    chi = {"1": lambda d: 1, "1/det g": lambda d: 1 / F(d), "det g": lambda d: d}
+    for n in range(1, 5):
+        rng = Rng(7).child(fam, n)
+        for _ in range(3):
+            l, a = sample_dual(Algebra(fam, n), rng, 3), sample_group(Algebra(fam, n), rng, 3)
+            elems = [a]
+            if fam in ("io", "iso"):
+                elems.append(GroupElem.orthogonal(a.g * reflection(n), a.u))
+            for b in elems:
+                image, d = coad(b, l), det(b.g)
+                for _, _, count, _, character, evaluate in GENERATORS[fam]:
+                    m = count(n)
+                    assert not m or evaluate(image)[:m] == tuple(
+                        chi[character](d) * v for v in evaluate(l)[:m]), (n, character)
 
 
 # -- slices ------------------------------------------------------------------------------

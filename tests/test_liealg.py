@@ -169,6 +169,14 @@ def test_sample_orthogonal_exact():
         assert det(r) == -1
 
 
+def test_sample_orthogonal_refuses_a_bad_sign_before_it_draws():
+    rng = Rng(5)
+    with pytest.raises(ValueError, match="det_sign must be"):
+        sample_orthogonal(rng, 3, 3, 0)
+    fresh = Rng(5)
+    assert [rng.next_u64() for _ in range(4)] == [fresh.next_u64() for _ in range(4)]
+
+
 def test_sample_dual_shapes():
     rng = Rng(33)
     l = sample_dual(Algebra("isl", 3), rng, 3)

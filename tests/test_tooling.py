@@ -4,6 +4,7 @@ import ast
 import glob
 import importlib
 import os
+import re
 import sys
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "coadinv")
@@ -159,6 +160,37 @@ def test_each_slice_is_proved_once_and_stated_once():
                                                  getattr(node, "id", None),
                                                  getattr(node, "attr", None))]
     assert found == []
+
+
+def _docstrings(tree):
+    return [ast.get_docstring(node) or "" for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))]
+
+
+def test_the_generator_table_is_stated_once():
+    # invariants.GENERATORS alone states each family's generators, counts,
+    # degrees and characters: the CLI keeps no id table, the suites read
+    # their counts and the Jacobian's degree bound off it, and no docstring
+    # restates a degree
+    trees = {}
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read(), filename=path)
+    assert "_SINGLE_IDS" not in {getattr(t, "id", None) for t in ast.walk(trees["cli.py"])}
+    funcs = {top.name: top for top in trees["verify.py"].body if isinstance(top, ast.FunctionDef)}
+    for name in ("_suite_independence", "_suite_index"):
+        nodes = list(ast.walk(funcs[name]))
+        assert any(getattr(node, "attr", None) == "GENERATORS" for node in nodes), name
+        assert not [node for node in nodes if isinstance(node, ast.Dict)
+                    or getattr(node, "attr", None) == "ell"], name
+    bounds = [call.args[2] for call in ast.walk(trees["verify.py"])
+              if _called(call, "_jacobian_rank")]
+    assert bounds and not [b for b in bounds if isinstance(b, ast.BinOp)]
+    stated = re.compile(r"degree\s+(?:k \+ 2|2k \+ 2|ell \+ 1|n\(n ?\+ ?1\)/2)")
+    found = ["%s: %s" % (module, m.group()) for module, tree in sorted(trees.items())
+             for doc in _docstrings(tree) for m in stated.finditer(doc)]
+    assert found == []
+    assert not [doc for doc in _docstrings(trees["invariants.py"]) if "degree " in doc]
 
 
 def test_orbit_normalize_never_inverts_g():

@@ -6,13 +6,13 @@ import pytest
 
 from coadinv import invariants as inv
 from coadinv.charpoly import interp_coeffs
-from coadinv.exactmat import ExactnessError, Mat, mat_to_json, rank
+from coadinv.exactmat import ExactnessError, Mat, det, mat_to_json, rank, rat_str
 from coadinv.invariants import (EXOTIC_SLICE_SIGN, EXOTIC_SQUARE_SIGN,
                                 F_SLICE_SIGN, PSI_SLICE_SIGN)
 from coadinv import poly, verify
-from coadinv.liealg import (Algebra, DualPoint, Rng, algebra_basis, dual_from_json,
-                            dual_to_json, group_from_json, group_to_json,
-                            sample_dual, sample_triple)
+from coadinv.liealg import (Algebra, DualPoint, GroupElem, Rng, algebra_basis, coad,
+                            dual_from_json, dual_to_json, group_from_json, group_to_json,
+                            reflection, sample_dual, sample_triple)
 from coadinv.verify import (SUITES, SuiteConfig, VerifyReport, _Unit, default_plan,
                             resolve_sign, run_all, run_suite, suite_range)
 
@@ -102,6 +102,33 @@ def test_failure_witnesses_are_replayable():
     assert dual_from_json(witness["inputs"]["point"]) == (alg, l)
     assert group_from_json(witness["inputs"]["elem"]) == (alg, a)
     assert json.dumps(report.to_json())  # serializable
+
+
+def test_exotic_sign_witnesses_replay(monkeypatch):
+    # a planted fault fails both exotic checks; each witness holds the point
+    # and the rotation, and the flip check's reflected element is rebuilt
+    # from the rotation
+    real = inv.exotic_phi
+
+    def faulty(l):
+        return real(l) + l.wstar[0, 0]
+    monkeypatch.setattr(inv, "exotic_phi", faulty)
+    report = run_suite("exotic-sign", SuiteConfig(algebra="iso", n_lo=3, n_hi=3,
+                                                  samples=4, seed=1))
+    for check in ("exotic generator fixed under the special action",
+                  "exotic generator flips under a reflection"):
+        witness = next(w for w in report.failures if w["check"] == check)
+        assert sorted(witness["inputs"]) == ["elem", "point"]
+        alg, l = dual_from_json(witness["inputs"]["point"])
+        elem_alg, a = group_from_json(witness["inputs"]["elem"])
+        assert elem_alg == alg and det(a.g) == 1
+        if check.endswith("reflection"):
+            lhs = faulty(coad(GroupElem.orthogonal(a.g * reflection(3), a.u), l))
+            rhs = -faulty(l)
+        else:
+            lhs, rhs = faulty(coad(a, l)), faulty(l)
+        assert lhs != rhs
+        assert (rat_str(lhs), rat_str(rhs)) == (witness["lhs"], witness["rhs"])
 
 
 def test_index_suite_reports_values():
