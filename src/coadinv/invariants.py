@@ -263,7 +263,7 @@ def sample_open_b(rng: Rng, n: int, bound: int) -> DualPoint:
 def orbit_normalize(l: DualPoint):
     """Normalize a point of the open set to the base pair.
 
-    Returns (elem, normal): elem = (g, u, 0) with rows
+    Returns (elem, normal): elem = (g, u, 0), an aff element, with rows
     g = (wstar B_{n-1}(y); ...; wstar) and the closed-form translation
     u = -(p_n(y), ..., p_1(y))^T, and normal = coad(elem, l), which is
     (J, e_n*, g xi) in l's family (an io/iso point is refused as coad
@@ -285,7 +285,7 @@ def orbit_normalize(l: DualPoint):
                           for k in reversed(range(n))], rows[-1][1])
     u = Mat.from_num_den([[-p[k - 1] * d ** (n - k)] for k in range(n, 0, -1)], d ** n)
     try:
-        elem = GroupElem(g, u, Mat.zero(1, n))
+        elem = GroupElem(g, u, family="aff")
     except ValueError:  # the shapes hold, so g is singular
         raise NotInOpenOrbit("not in open orbit") from None
     base = CanonicalPair.of_size(n)

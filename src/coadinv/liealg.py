@@ -13,9 +13,10 @@ group-element type and one coadjoint action.  A DualPoint is a glvv dual
 triple (y, wstar, xi) tagged with its family, whose constraints it checks
 when built: xi = 0 for aff and isl, also tr(y) = 0 for isl, and y skew with
 xi = -wstar^T for io and iso (the points fixed by the involution theta).
-A GroupElem is a glvv element (g, u, vstar): vstar = 0 for aff and isl,
-and (g, u, -u^T) with g orthogonal for io and iso.  The bracket, the
-pairing and the commutator form are those of glvv throughout.
+A GroupElem is a glvv element (g, u, vstar) tagged with its family, whose
+group it checks when built: vstar = 0 for aff and isl, (g, u, -u^T) with g
+orthogonal for io and iso, and det g = 1 for isl and iso.  The bracket,
+the pairing and the commutator form are those of glvv throughout.
 
 Group elements abbreviate the fixed factorization
 (e, u, 0) * (e, 0, vstar) * (g, 0, 0); the action and the adjoint flow
@@ -116,28 +117,34 @@ class DualPoint(Record):
 
 
 class GroupElem(Record):
-    """Element (g, u, vstar) of the glvv group, g invertible.  The aff and
-    isl groups are the elements with vstar = 0 (det g = 1 for isl); the
-    orthogonal groups are the elements built by orthogonal()."""
+    """Element (g, u, vstar) of the glvv group tagged with the family whose
+    group it lies in.  A missing vstar is the family's fill, -u^T for
+    io/iso and zero otherwise.  The group's constraints are checked here,
+    once: g orthogonal for io/iso, det g != 0, and det g = 1 for isl/iso."""
 
-    __slots__ = ("g", "u", "vstar")
+    __slots__ = ("g", "u", "vstar", "family")
 
-    def __init__(self, g: Mat, u: Mat, vstar: Mat):
+    def __init__(self, g: Mat, u: Mat, vstar: Mat = None, family: str = "glvv"):
+        if family not in FAMILIES:
+            raise ValueError("unknown algebra family %r" % (family,))
         if not g.is_square():
             raise ValueError("g must be square")
         n = g.rows
         _want_shape(u, n, 1, "u")
+        orth = family in ("io", "iso")
+        fill = -u.transpose() if orth else Mat.zero(1, n)
+        vstar = fill if vstar is None else vstar
         _want_shape(vstar, 1, n, "vstar")
-        if det(g) == 0:
-            raise ValueError("singular")
-        self._set(g, u, vstar)
-
-    @staticmethod
-    def orthogonal(g: Mat, u: Mat) -> "GroupElem":
-        """The io/iso element (g, u), embedded as (g, u, -u^T); needs g^T g = I."""
-        if g.transpose() * g != Mat.identity(g.rows):
+        if family != "glvv" and vstar != fill:
+            raise ValueError("%s element needs vstar = %s" % (family, "-u^T" if orth else "0"))
+        if orth and g.transpose() * g != Mat.identity(n):
             raise ValueError("non-orthogonal")
-        return GroupElem(g, u, -u.transpose())
+        d = det(g)
+        if d == 0:
+            raise ValueError("singular")
+        if family in ("isl", "iso") and d != 1:
+            raise ValueError("an %s group element needs det g = 1" % family)
+        self._set(g, u, vstar, family)
 
     @property
     def n(self) -> int:
@@ -145,8 +152,9 @@ class GroupElem(Record):
 
 
 def compose(b1: GroupElem, b2: GroupElem) -> GroupElem:
-    return GroupElem(b1.g * b2.g, b1.u + b1.g * b2.u,
-                     b1.vstar + b2.vstar * inverse(b1.g))
+    """The product law; each group is closed under it, so keeps a shared family."""
+    return GroupElem(b1.g * b2.g, b1.u + b1.g * b2.u, b1.vstar + b2.vstar * inverse(b1.g),
+                     b1.family if b1.family == b2.family else "glvv")
 
 
 # -- deterministic splittable randomness ------------------------------------
@@ -284,11 +292,11 @@ def sample_group(alg: Algebra, rng: Rng, bound: int) -> GroupElem:
     u = sample_int_mat(rng, n, 1, bound)
     if fam in ("io", "iso"):
         sign = -1 if fam == "io" and rng.coin() else 1
-        return GroupElem.orthogonal(sample_orthogonal(rng, n, bound, sign), u)
+        return GroupElem(sample_orthogonal(rng, n, bound, sign), u, family=fam)
     if fam == "glvv":
         return GroupElem(sample_gl(rng, n, bound), u, sample_int_mat(rng, 1, n, bound))
     g = sample_sl(rng, n, bound) if fam == "isl" else sample_gl(rng, n, bound)
-    return GroupElem(g, u, Mat.zero(1, n))
+    return GroupElem(g, u, family=fam)
 
 
 def sample_dual(alg: Algebra, rng: Rng, bound: int) -> DualPoint:
@@ -562,17 +570,14 @@ def dual_from_json(obj):
 
 
 def group_to_json(alg: Algebra, elem: GroupElem) -> dict:
-    """JSON of an element of the algebra's group, refused as group_from_json
-    refuses it.  Outside glvv its vstar must be the family's fill, which is
-    left out: -u^T for io/iso, else 0."""
-    fill = -elem.u.transpose() if alg.family in ("io", "iso") else Mat.zero(1, elem.n)
-    if elem.n != alg.n or alg.family != "glvv" and elem.vstar != fill:
+    """JSON of an element of the algebra's group and size; the filled
+    vstar of aff/isl/io/iso is left out."""
+    if (elem.family, elem.n) != (alg.family, alg.n):
         raise ValueError("the element is no %s group element of size %d" % (alg.family, alg.n))
     out = {"algebra": alg.family, "n": alg.n,
            "g": mat_to_json(elem.g), "u": mat_to_json(elem.u)}
     if alg.family == "glvv":
         out["vstar"] = mat_to_json(elem.vstar)
-    group_from_json(out)  # the reader's checks of group membership
     return out
 
 
@@ -581,18 +586,11 @@ def group_from_json(obj):
     if alg.family != "glvv" and "vstar" in obj:
         raise ValueError("%s group JSON takes no 'vstar' component" % alg.family)
     try:
-        g = mat_from_json(obj["g"])
-        u = mat_from_json(obj["u"])
-        if alg.family == "glvv":
-            elem = GroupElem(g, u, mat_from_json(obj["vstar"]))
-        elif alg.family in ("io", "iso"):
-            elem = GroupElem.orthogonal(g, u)
-        else:
-            elem = GroupElem(g, u, Mat.zero(1, g.rows))
+        g, u = mat_from_json(obj["g"]), mat_from_json(obj["u"])
+        vstar = mat_from_json(obj["vstar"]) if alg.family == "glvv" else None
+        elem = GroupElem(g, u, vstar, alg.family)
     except KeyError as exc:
         raise ValueError("group JSON is missing a component") from exc
     if elem.n != alg.n:
         raise ValueError("group element size does not match n")
-    if alg.family in ("isl", "iso") and det(g) != 1:
-        raise ValueError("an %s group element needs det g = 1" % alg.family)
     return alg, elem

@@ -108,7 +108,7 @@ class _Unit:
         return self.alg.n
 
     def check(self, name: str, lhs, rhs, **inputs):
-        _record(self.report, self.alg, name, self.n, lhs, rhs, inputs)
+        _record(self.report, name, self.n, lhs, rhs, inputs)
 
     def check_once(self, name: str, ok: bool):
         """A run-level claim, checked once after the last unit (witness
@@ -124,12 +124,12 @@ class _Unit:
         return Fraction(self.rng.int_between(-self.bound, self.bound))
 
 
-def _record(report: VerifyReport, alg, name: str, n: int, lhs, rhs, inputs: dict):
+def _record(report: VerifyReport, name: str, n: int, lhs, rhs, inputs: dict):
     report.checks_run += 1
     if lhs != rhs:
         witness = {"check": name, "n": n, "lhs": _render(lhs), "rhs": _render(rhs)}
         if inputs:
-            witness["inputs"] = {key: _encode(alg, v) for key, v in inputs.items()}
+            witness["inputs"] = {key: _encode(v) for key, v in inputs.items()}
         report.failures.append(witness)
 
 
@@ -141,12 +141,12 @@ def _render(value) -> str:
     return repr(value)
 
 
-def _encode(alg: Algebra, value):
-    """Replayable JSON of one witness input, chosen by its type."""
-    if isinstance(value, DualPoint):
-        return dual_to_json(Algebra(value.family, value.n), value)
-    if isinstance(value, GroupElem):
-        return group_to_json(alg, value)
+def _encode(value):
+    """Replayable JSON of one witness input, chosen by its type; points and
+    elements are written under their own family."""
+    if isinstance(value, (DualPoint, GroupElem)):
+        write = dual_to_json if isinstance(value, DualPoint) else group_to_json
+        return write(Algebra(value.family, value.n), value)
     if isinstance(value, Mat):
         return mat_to_json(value)
     if isinstance(value, Fraction):
@@ -211,11 +211,11 @@ def _suite_exotic_sign(unit: _Unit):
         l = sample_dual(unit.alg, unit.rng, unit.bound)
         q = sample_orthogonal(unit.rng, n, unit.bound, 1)
         u = sample_int_mat(unit.rng, n, 1, unit.bound)
-        phi, a = inv.exotic_phi(l), GroupElem.orthogonal(q, u)
+        phi, a = inv.exotic_phi(l), GroupElem(q, u, family=unit.alg.family)
         unit.check("exotic generator fixed under the special action",
                    inv.exotic_phi(coad(a, l)), phi, point=l, elem=a)
         # the witness keeps the rotation a; the reflected element is rebuilt from it
-        r = GroupElem.orthogonal(q * reflection(n), u)
+        r = GroupElem(q * reflection(n), u, family="io")
         unit.check("exotic generator flips under a reflection",
                    inv.exotic_phi(coad(r, l)), -phi, point=l, elem=a)
         seen = seen or phi != 0
@@ -622,7 +622,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> VerifyReport:
         spec.func(_Unit(Algebra(fam, n), Rng(cfg.seed).child(*key, n), samples,
                         cfg.coeff_bound, report, once))
     for check, ok in once.items():
-        _record(report, None, check, 0, ok, True, {})
+        _record(report, check, 0, ok, True, {})
     if not report.checks_run:
         raise ValueError("suite %r on %s checks nothing at n in %d..%d"
                          % (name, fam, cfg.n_lo, cfg.n_hi))

@@ -115,8 +115,8 @@ def test_criterion_07_odd_even_dichotomy():
             l = sample_dual(alg, rng, 3)
             q = sample_orthogonal(rng, n, 3, 1)
             u = sample_int_mat(rng, n, 1, 3)
-            assert exotic_phi(coad(GroupElem.orthogonal(q, u), l)) == exotic_phi(l)
-            r = GroupElem.orthogonal(q * reflection(n), u)
+            assert exotic_phi(coad(GroupElem(q, u, family="iso"), l)) == exotic_phi(l)
+            r = GroupElem(q * reflection(n), u, family="io")
             assert exotic_phi(coad(r, l)) == -exotic_phi(l)
     print("\nACCEPTANCE 7 PASS: odd restrictions vanish; exotic square and "
           "Pfaffian square identities; reflection flips the sign, rotations fix it")

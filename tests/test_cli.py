@@ -484,6 +484,35 @@ def test_verify_refuses_an_inverted_size_range(capsys, monkeypatch):
     assert consulted == [] and runs == []
 
 
+
+@pytest.mark.parametrize("n, refusal", [
+    (1, "'independence' on glvv supports n in 2..5"),
+    (2, "'exotic-sign' on io checks odd n only"),
+    (4, "'exotic-sign' on io checks odd n only"),
+    (5, "'theta' on glvv supports n in 1..4"),
+], ids=["n1", "n2", "n4", "n5"])
+def test_verify_all_at_one_size_needs_every_suite_to_hold_it(capsys, monkeypatch, n, refusal):
+    # --all --n N runs the whole plan at N alone, so a size one suite does
+    # not check is refused before any suite runs
+    runs = count_suite_runs(monkeypatch)
+    code, out, err = run_cli(capsys, ["verify", "--all", "--n", str(n), "--samples", "1"])
+    assert (code, out, runs) == (2, "", [])
+    assert refusal in err
+
+
+def test_verify_all_runs_at_size_three_and_one_suite_anywhere(capsys, monkeypatch):
+    runs = []
+    real = verify.run_suite
+    monkeypatch.setattr(verify, "run_suite", lambda name, cfg: runs.append(
+        (name, cfg.algebra, cfg.n_lo, cfg.n_hi)) or real(name, cfg))
+    code, _, _ = run_cli(capsys, ["verify", "--all", "--n", "3", "--samples", "1"])
+    assert code == 0
+    assert runs == [(name, fam, 3, 3) for name, fam in verify.default_plan()]
+    # --suite X --n N bypasses the suite's default range
+    del runs[:]
+    code, _, _ = run_cli(capsys, ["verify", "--suite", "theta", "--n", "5", "--samples", "1"])
+    assert code == 0 and runs == [("theta", "glvv", 5, 5)]
+
 def test_verify_independence_checks_size_one(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--suite", "independence", "--algebra", "glvv",
                                     "--n", "1", "--samples", "5"])

@@ -266,8 +266,8 @@ def test_exotic_character():
             l = sample_dual(alg, rng, 3)
             u = sample_int_mat(rng, n, 1, 3)
             q = sample_orthogonal(rng, n, 3, 1)
-            assert exotic_phi(coad(GroupElem.orthogonal(q, u), l)) == exotic_phi(l)
-            r = GroupElem.orthogonal(q * reflection(n), u)
+            assert exotic_phi(coad(GroupElem(q, u, family="iso"), l)) == exotic_phi(l)
+            r = GroupElem(q * reflection(n), u, family="io")
             assert exotic_phi(coad(r, l)) == -exotic_phi(l)
 
 
@@ -333,7 +333,7 @@ def test_generator_characters(fam):
             l, a = sample_dual(Algebra(fam, n), rng, 3), sample_group(Algebra(fam, n), rng, 3)
             elems = [a]
             if fam in ("io", "iso"):
-                elems.append(GroupElem.orthogonal(a.g * reflection(n), a.u))
+                elems.append(GroupElem(a.g * reflection(n), a.u, family="io"))
             for b in elems:
                 image, d = coad(b, l), det(b.g)
                 for _, _, count, _, character, evaluate in GENERATORS[fam]:
@@ -425,6 +425,7 @@ def test_orbit_normalize_already_normal():
         elem, normal = orbit_normalize(l)
         assert elem.g == Mat.identity(n)
         assert elem.u == Mat.zero(n, 1)
+        assert elem.family == "aff" and elem.vstar == Mat.zero(1, n)
         assert normal == l
 
 

@@ -193,6 +193,49 @@ def test_the_generator_table_is_stated_once():
     assert not [doc for doc in _docstrings(trees["invariants.py"]) if "degree " in doc]
 
 
+
+def _methods(tree):
+    # (qualified name, node) of every top-level function and method
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            yield from (("%s.%s" % (top.name, f.name), f) for f in top.body
+                        if isinstance(f, ast.FunctionDef))
+
+
+def test_group_membership_is_stated_once():
+    # GroupElem's constructor alone states a family's group: no other code
+    # raises its refusals, no second constructor builds io/iso elements,
+    # the writer reads nothing back, and a witness input is encoded under
+    # its own family, so the encoder takes no algebra
+    raised, funcs = {}, {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for name, func in _methods(tree):
+            funcs["%s:%s" % (module, name)] = func
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Raise):
+                    continue
+                text = " ".join(c.value for c in ast.walk(node)
+                                if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                for message in ("non-orthogonal", "det g = 1"):
+                    if message in text:
+                        raised.setdefault(message, []).append("%s:%s" % (module, name))
+    site = ["liealg.py:GroupElem.__init__"]
+    assert raised == {"non-orthogonal": site, "det g = 1": site}
+    from coadinv.liealg import GroupElem
+    assert not hasattr(GroupElem, "orthogonal")
+    assert not [node for node in ast.walk(funcs["liealg.py:group_to_json"])
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", "").endswith("_from_json")]
+    for name in ("_record", "_encode"):
+        args = funcs["verify.py:%s" % name].args.args
+        assert not [a for a in args if a.arg == "alg"
+                    or getattr(a.annotation, "id", None) == "Algebra"], name
+
 def test_orbit_normalize_never_inverts_g():
     # the normal form's landing is checked as J g = g y + u wstar and
     # e_n* g = wstar: neither orbit_normalize nor a helper it reaches calls
@@ -224,6 +267,20 @@ def test_det_and_rank_share_one_elimination():
             callers[os.path.basename(path)] = sites
     assert callers == {"exactmat.py": ["det", "rank"]}
 
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def test_readme_python_blocks_run():
+    # each python example of the README runs as written, in a fresh namespace
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    blocks = list(re.finditer(r"^```python\n(.*?)^```", text, re.S | re.M))
+    assert len(blocks) >= 3
+    for block in blocks:
+        where = "README.md, python block at line %d" % (text.count("\n", 0, block.start()) + 1)
+        exec(compile(block.group(1), where, "exec"), {})
 
 def test_package_stays_within_the_line_bound():
     # src/coadinv may grow to 2,640 lines (a symbolic poly.py is counted on
@@ -292,6 +349,7 @@ KEPT = {
     "compose": "the tests' oracle for coad",
     "pairing": "the tests' oracle for coad",
     "Ad": "the tests' oracle for coad",
+    "group_from_json": "the reader of witness elements, which the replay tests use",
 }
 
 

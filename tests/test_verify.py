@@ -123,13 +123,34 @@ def test_exotic_sign_witnesses_replay(monkeypatch):
         elem_alg, a = group_from_json(witness["inputs"]["elem"])
         assert elem_alg == alg and det(a.g) == 1
         if check.endswith("reflection"):
-            lhs = faulty(coad(GroupElem.orthogonal(a.g * reflection(3), a.u), l))
+            lhs = faulty(coad(GroupElem(a.g * reflection(3), a.u, family="io"), l))
             rhs = -faulty(l)
         else:
             lhs, rhs = faulty(coad(a, l)), faulty(l)
         assert lhs != rhs
         assert (rat_str(lhs), rat_str(rhs)) == (witness["lhs"], witness["rhs"])
 
+
+
+def test_orbit_fibration_witnesses_replay(monkeypatch):
+    # a planted fault in the fiber projection fails the normal-form check;
+    # its witness holds the glvv point and the affine element under their
+    # own families, and both sides rebuild from them
+    real = inv.pi_projection
+    monkeypatch.setattr(inv, "pi_projection", lambda l: real(l) * 2)
+    report = run_suite("orbit-fibration", SuiteConfig(algebra="glvv", n_lo=2, n_hi=2,
+                                                      samples=4, seed=1))
+    witness = report.failures[0]
+    assert witness["check"] == "normal form third component is the fiber projection"
+    alg, l = dual_from_json(witness["inputs"]["point"])
+    elem_alg, a = group_from_json(witness["inputs"]["elem"])
+    assert alg == Algebra("glvv", 2) and elem_alg == Algebra("aff", 2)
+    assert "vstar" not in witness["inputs"]["elem"] and a.family == "aff"
+    normal = inv.orbit_normalize(l)[1]
+    assert (repr(normal.xi), repr(inv.pi_projection(l))) == (witness["lhs"], witness["rhs"])
+    # the element replays the passing checks of the same draw
+    moved = coad(a, l)
+    assert inv.orbit_normalize(moved)[1] == normal and real(moved) == real(l)
 
 def test_index_suite_reports_values():
     report = run_suite("index", quick_cfg("glvv", n_lo=2, n_hi=3, samples=3))
