@@ -191,23 +191,24 @@ def exotic_phi(l: DualPoint) -> Rat:
 # The generator table: family -> one row (name, indexed, count(n),
 # degree(n, k), character, evaluator) per generator id.  At size n a row
 # holds count(n) generators, the k-th homogeneous of degree degree(n, k)
-# (k = 0 when unindexed).  The character is the factor a generator picks up
-# under the family's group: "1", "1/det g" or "det g".  phi flips sign
-# under a reflection, so it is no generator of io; at odd n it takes the
-# place of iso's psi_ell, which is EXOTIC_SQUARE_SIGN phi^2 there.  The
-# evaluator returns the row's all-index tuple, which may run past count(n),
-# and looks its function up when called, so a patched module attribute is
+# (k = 0 when unindexed).  The character is an integer exponent e: under
+# the family's group a generator picks up det(g)^e, so f has e = -1, phi
+# e = 1 and every other generator e = 0.  phi flips sign under a
+# reflection, so it is no generator of io; at odd n it takes the place of
+# iso's psi_ell, which is EXOTIC_SQUARE_SIGN phi^2 there.  The evaluator
+# returns the row's all-index tuple, which may run past count(n), and
+# looks its function up when called, so a patched module attribute is
 # what runs.
 GENERATORS = {
-    "aff": (("f", False, lambda n: 1, lambda n, k: n * (n + 1) // 2, "1/det g",
+    "aff": (("f", False, lambda n: 1, lambda n, k: n * (n + 1) // 2, -1,
              lambda l: (f_invariant(l),)),),
-    "isl": (("fbar", False, lambda n: 1, lambda n, k: n * (n + 1) // 2, "1",
+    "isl": (("fbar", False, lambda n: 1, lambda n, k: n * (n + 1) // 2, 0,
              lambda l: (f_bar(l),)),),
-    "glvv": (("F", True, lambda n: n, lambda n, k: k + 2, "1", lambda l: F_all(l)),),
-    "io": (("psi", True, lambda n: (n + 1) // 2, lambda n, k: 2 * k + 2, "1",
+    "glvv": (("F", True, lambda n: n, lambda n, k: k + 2, 0, lambda l: F_all(l)),),
+    "io": (("psi", True, lambda n: (n + 1) // 2, lambda n, k: 2 * k + 2, 0,
             lambda l: psi_all(l)),),
-    "iso": (("psi", True, lambda n: n // 2, lambda n, k: 2 * k + 2, "1", lambda l: psi_all(l)),
-            ("phi", False, lambda n: n % 2, lambda n, k: (n + 1) // 2, "det g",
+    "iso": (("psi", True, lambda n: n // 2, lambda n, k: 2 * k + 2, 0, lambda l: psi_all(l)),
+            ("phi", False, lambda n: n % 2, lambda n, k: (n + 1) // 2, 1,
              lambda l: (exotic_phi(l),))),
 }
 

@@ -157,17 +157,27 @@ def _encode(value):
 
 # -- property bodies: each runs once per unit ------------------------------------
 
-def _suite_semi_invariance_f(unit: _Unit):
+def _values(p: DualPoint) -> tuple:
+    """The point's generator values, in the order of its GENERATORS rows."""
+    return tuple(value for _, _, value in inv.generators(p))
+
+
+def _suite_invariance(unit: _Unit):
+    alg, n = unit.alg, unit.n
+    # each value's exponent e off GENERATORS: under the group it picks up det(g)^e
+    exps = [e for _, _, count, _, e, _ in inv.GENERATORS[alg.family] for _ in range(count(n))]
     for _ in range(unit.samples):
         l, a = unit.pair()
-        image = coad(a, l)
-        if unit.alg.family == "isl":
-            unit.check("f_bar constant under the special affine action",
-                       inv.f_bar(image), inv.f_bar(l), point=l, elem=a)
-        else:
-            unit.check("f(coad(a) l) * det(g) = f(l)",
-                       inv.f_invariant(image) * det(a.g), inv.f_invariant(l),
-                       point=l, elem=a)
+        at_point = expected = _values(l)
+        if any(exps):  # det g is a Fraction, so each power stays exact
+            d = det(a.g)
+            expected = tuple(v * d ** e for v, e in zip(at_point, exps))
+        unit.check("generators pick up det(g)^e under the action",
+                   _values(coad(a, l)), expected, point=l, elem=a)
+        if alg.family == "glvv":
+            vonly = GroupElem(Mat.identity(n), Mat.zero(n, 1), a.vstar)
+            unit.check("generators constant under the covector translation",
+                       _values(coad(vonly, l)), at_point, point=l, vstar=a.vstar)
 
 
 def _suite_covariance_phi(unit: _Unit):
@@ -180,29 +190,11 @@ def _suite_covariance_phi(unit: _Unit):
                        lr, rr, point=l, elem=a)
 
 
-def _suite_invariance_F(unit: _Unit):
-    n = unit.n
-    for _ in range(unit.samples):
-        l, b = unit.pair()
-        gens = inv.F_all(l)
-        unit.check("generators constant under the full action",
-                   inv.F_all(coad(b, l)), gens, point=l, elem=b)
-        vonly = GroupElem(Mat.identity(n), Mat.zero(n, 1), b.vstar)
-        unit.check("generators constant under the covector translation",
-                   inv.F_all(coad(vonly, l)), gens, point=l, vstar=b.vstar)
-
-
-def _suite_invariance_psi(unit: _Unit):
-    for _ in range(unit.samples):
-        l, a = unit.pair()
-        unit.check("orthogonal generators constant under the action",
-                   inv.psi_all(coad(a, l)), inv.psi_all(l), point=l, elem=a)
-
-
 def _suite_exotic_sign(unit: _Unit):
     n = unit.n
     if n % 2 == 0:
         return  # the exotic generator lives at odd sizes
+    e = next(e for name, _, _, _, e, _ in inv.GENERATORS["iso"] if name == "phi")
     seen = False
     draws = 0
     # past the samples, draw on (up to the cap) until a nonzero value shows:
@@ -217,7 +209,7 @@ def _suite_exotic_sign(unit: _Unit):
         # the witness keeps the rotation a; the reflected element is rebuilt from it
         r = GroupElem(q * reflection(n), u, family="io")
         unit.check("exotic generator flips under a reflection",
-                   inv.exotic_phi(coad(r, l)), -phi, point=l, elem=a)
+                   inv.exotic_phi(coad(r, l)), det(r.g) ** e * phi, point=l, elem=a)
         seen = seen or phi != 0
         draws += 1
     unit.check_once("a nonzero exotic value was exercised", seen)
@@ -262,16 +254,14 @@ def _jacobian_rank(point, directions, degree_bound: int) -> int:
     the rows taken so far reach it: the rest cannot raise it, and the
     value is the rank of the full Jacobian.  A point of lower rank runs
     every direction."""
-    def values(p):
-        return [value for _, _, value in inv.generators(p)]
     y, w, xi, fam = point.y, point.wstar, point.xi, point.family
-    at_point = values(point)
+    at_point = _values(point)
     full = len(at_point)
     rows = []
     for dy, dw, dxi in directions:
         nodes = (DualPoint(y + t * dy, w + t * dw, xi + t * dxi if fam == "glvv" else None, fam)
                  for t in range(1, degree_bound + 1))
-        samples = [at_point] + [values(p) for p in nodes]
+        samples = [at_point] + [_values(p) for p in nodes]
         rows.append([interp_coeffs([s[i] for s in samples])[1] for i in range(full)])
         # one row per direction: the transposed Jacobian, of the same rank
         if len(rows) >= full and rank(Mat(rows)) == full:
@@ -313,10 +303,10 @@ def _suite_independence(unit: _Unit):
 
 def _suite_index(unit: _Unit):
     alg, fam, n = unit.alg, unit.alg.family, unit.n
-    # the invariant generators count the index (det g is 1 on iso's group);
-    # aff's semi-invariant is paired with its open orbit instead
-    expected = sum(count(n) for _, _, count, _, character, _ in inv.GENERATORS[fam]
-                   if character != "1/det g")
+    # the generators of exponent e >= 0 count the index (phi's det g is 1
+    # on iso's group); aff's semi-invariant f, e = -1, is paired with its
+    # open orbit instead
+    expected = sum(count(n) for _, _, count, _, e, _ in inv.GENERATORS[fam] if e >= 0)
     got = index_of(alg, min(unit.samples, 5), unit.rng, unit.bound)
     # the rank at any point bounds the generic rank from below, so an
     # estimate above the frozen value may be a degenerate draw: draw on
@@ -534,7 +524,7 @@ class _SuiteSpec(Record):
 
 SUITES = {
     "semi-invariance-f": _SuiteSpec(
-        _suite_semi_invariance_f,
+        _suite_invariance,
         "the determinant of the covariant rows transforms by 1/det(g)",
         ("aff", "isl"), (1, 5)),
     "covariance-phi": _SuiteSpec(
@@ -542,11 +532,11 @@ SUITES = {
         "row covariants transform by right multiplication with g^-1",
         ("aff",), (1, 5)),
     "invariance-F": _SuiteSpec(
-        _suite_invariance_F,
+        _suite_invariance,
         "generators w* B_k(y) xi are constant on coadjoint orbits",
         ("glvv",), (1, 5)),
     "invariance-psi": _SuiteSpec(
-        _suite_invariance_psi,
+        _suite_invariance,
         "generators -w* B_2k(y) w*^T are constant under the orthogonal action",
         ("io", "iso"), (1, 5)),
     "exotic-sign": _SuiteSpec(

@@ -324,9 +324,9 @@ def test_generator_degrees_by_homogeneity(fam, row):
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_generator_characters(fam):
-    # each generator picks up its declared character under the group; an
-    # orthogonal element is also tried times a reflection, where phi flips
-    chi = {"1": lambda d: 1, "1/det g": lambda d: 1 / F(d), "det g": lambda d: d}
+    # each generator picks up det(g)^e, e its declared exponent, under the
+    # group; an orthogonal element is also tried times a reflection, where
+    # phi flips
     for n in range(1, 5):
         rng = Rng(7).child(fam, n)
         for _ in range(3):
@@ -336,10 +336,10 @@ def test_generator_characters(fam):
                 elems.append(GroupElem(a.g * reflection(n), a.u, family="io"))
             for b in elems:
                 image, d = coad(b, l), det(b.g)
-                for _, _, count, _, character, evaluate in GENERATORS[fam]:
+                for _, _, count, _, e, evaluate in GENERATORS[fam]:
                     m = count(n)
                     assert not m or evaluate(image)[:m] == tuple(
-                        chi[character](d) * v for v in evaluate(l)[:m]), (n, character)
+                        d ** e * v for v in evaluate(l)[:m]), (n, e)
 
 
 # -- slices ------------------------------------------------------------------------------

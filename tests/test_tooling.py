@@ -170,15 +170,17 @@ def _docstrings(tree):
 def test_the_generator_table_is_stated_once():
     # invariants.GENERATORS alone states each family's generators, counts,
     # degrees and characters: the CLI keeps no id table, the suites read
-    # their counts and the Jacobian's degree bound off it, and no docstring
-    # restates a degree
+    # their counts, exponents and the Jacobian's degree bound off it, one
+    # body checks every character, no docstring restates a degree, and no
+    # source spells a character as a string
     trees = {}
     for path in glob.glob(os.path.join(SRC, "*.py")):
         with open(path, encoding="utf-8") as fh:
             trees[os.path.basename(path)] = ast.parse(fh.read(), filename=path)
     assert "_SINGLE_IDS" not in {getattr(t, "id", None) for t in ast.walk(trees["cli.py"])}
     funcs = {top.name: top for top in trees["verify.py"].body if isinstance(top, ast.FunctionDef)}
-    for name in ("_suite_independence", "_suite_index"):
+    for name in ("_suite_independence", "_suite_index", "_suite_invariance",
+                 "_suite_exotic_sign"):
         nodes = list(ast.walk(funcs[name]))
         assert any(getattr(node, "attr", None) == "GENERATORS" for node in nodes), name
         assert not [node for node in nodes if isinstance(node, ast.Dict)
@@ -191,6 +193,18 @@ def test_the_generator_table_is_stated_once():
              for doc in _docstrings(tree) for m in stated.finditer(doc)]
     assert found == []
     assert not [doc for doc in _docstrings(trees["invariants.py"]) if "degree " in doc]
+    assert not [node for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value in ("1/det g", "det g")]
+    from coadinv.verify import SUITES
+    assert {SUITES[name].func.__name__ for name in
+            ("semi-invariance-f", "invariance-F", "invariance-psi")} == {"_suite_invariance"}
+    assert funcs.keys().isdisjoint({"_suite_semi_invariance_f", "_suite_invariance_F",
+                                    "_suite_invariance_psi"})
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.S | re.M)
+    shown = {node.name for block in blocks for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("_suite_")}
+    assert shown and shown <= funcs.keys()
 
 
 

@@ -165,6 +165,75 @@ def test_invariance_suite_pinned_config():
     assert report.checks_run == 200  # full action plus covector translation
 
 
+def _with_exponent(monkeypatch, fam, name, e):
+    # plant a wrong character: the family's row `name` declares exponent e
+    rows = tuple(row[:4] + (e,) + row[5:] if row[0] == name else row
+                 for row in inv.GENERATORS[fam])
+    monkeypatch.setitem(inv.GENERATORS, fam, rows)
+
+
+def test_a_wrong_character_fails_verify(monkeypatch):
+    # the suites read each character off GENERATORS, so a wrong exponent
+    # there is a failed check, not a silently passing run
+    aff = SuiteConfig(algebra="aff", n_lo=1, n_hi=3, samples=5, seed=1)
+    iso = SuiteConfig(algebra="iso", n_lo=3, n_hi=3, samples=5, seed=1)
+    assert run_suite("semi-invariance-f", aff).passed
+    assert run_suite("exotic-sign", iso).passed
+    _with_exponent(monkeypatch, "aff", "f", 0)
+    _with_exponent(monkeypatch, "iso", "phi", 0)
+    assert run_suite("semi-invariance-f", aff).failures
+    flips = {w["check"] for w in run_suite("exotic-sign", iso).failures}
+    assert flips == {"exotic generator flips under a reflection"}
+
+
+@pytest.mark.parametrize("suite, fam", [(name, fam) for name in
+                                        ("semi-invariance-f", "invariance-F", "invariance-psi")
+                                        for fam in SUITES[name].families])
+def test_invariance_witnesses_replay(monkeypatch, suite, fam):
+    # a planted non-invariant fault fails the one invariance body on every
+    # family; the first witness rebuilds its point and element, and both
+    # sides, recomputed through the library, render as its tuples
+    real = inv.generators
+
+    def faulty(l):
+        (name, k, v), *rest = real(l)
+        return [(name, k, v + l.wstar[0, 0])] + rest
+    monkeypatch.setattr(inv, "generators", faulty)
+    report = run_suite(suite, SuiteConfig(algebra=fam, n_lo=1, n_hi=3, samples=4, seed=1))
+    witness = report.failures[0]
+    assert witness["check"] == "generators pick up det(g)^e under the action"
+    alg, l = dual_from_json(witness["inputs"]["point"])
+    elem_alg, a = group_from_json(witness["inputs"]["elem"])
+    assert alg == elem_alg == Algebra(fam, witness["n"])
+    exps = [e for _, _, count, _, e, _ in inv.GENERATORS[fam] for _ in range(count(alg.n))]
+    lhs = [v for _, _, v in faulty(coad(a, l))]
+    rhs = [v * det(a.g) ** e for (_, _, v), e in zip(faulty(l), exps)]
+    assert lhs != rhs
+    assert [witness["lhs"], witness["rhs"]] == [
+        "(" + ", ".join(rat_str(v) for v in side) + ")" for side in (lhs, rhs)]
+
+
+def test_no_check_compares_a_float(monkeypatch):
+    # 1.0 == Fraction(1) holds, so a float side would pass unnoticed: every
+    # leaf of every compared side is exact
+    real, leaves = verify._record, set()
+
+    def spy(report, name, n, lhs, rhs, inputs):
+        stack = [lhs, rhs]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, (tuple, list)):
+                stack.extend(value)
+            else:
+                leaves.add(type(value))
+        real(report, name, n, lhs, rhs, inputs)
+    monkeypatch.setattr(verify, "_record", spy)
+    reports = run_all(seed=1, samples=2, n_max=3)
+    assert sum(r.checks_run for r in reports) == 268
+    assert float not in leaves
+    assert leaves <= {Fraction, Mat, int, bool, type(None)}
+
+
 def test_resolve_sign_frozen_values():
     assert resolve_sign("f-vs-t", 2) == F_SLICE_SIGN == 1
     assert resolve_sign("f-vs-t", 4) == F_SLICE_SIGN
