@@ -165,8 +165,8 @@ def psi_all(l: DualPoint) -> tuple:
 
 def psi_bordered_all(l: DualPoint) -> tuple:
     """The same generators through the bordered coefficients: p_{2k+2} of
-    [[y, -wstar^T], [wstar, 0]] minus p_{2k+2}(y); never reads B_k(y)."""
-    return bordered_gradients(l.y, -l.wstar.transpose(), l.wstar)[::2]
+    [[y, xi], [wstar, 0]], xi = -wstar^T, minus p_{2k+2}(y); never reads B_k(y)."""
+    return bordered_gradients(l.y, l.xi, l.wstar)[::2]
 
 
 def psi_invariant(k: int, l: DualPoint) -> Rat:
@@ -181,11 +181,11 @@ def psi_bordered(k: int, l: DualPoint) -> Rat:
 
 def exotic_phi(l: DualPoint) -> Rat:
     """Odd-size exotic generator: the Pfaffian of the bordered skew matrix
-    [[y, -wstar^T], [wstar, 0]]; its square is EXOTIC_SQUARE_SIGN times
-    psi_ell."""
+    [[y, xi], [wstar, 0]], xi = -wstar^T; its square is EXOTIC_SQUARE_SIGN
+    times psi_ell."""
     if l.n % 2 == 0:
         raise ValueError("exotic invariant only for odd n")
-    return pfaffian(bordered(l.y, -l.wstar.transpose(), l.wstar, 0))
+    return pfaffian(bordered(l.y, l.xi, l.wstar, 0))
 
 
 # The generator table: family -> one row (name, indexed, count(n),

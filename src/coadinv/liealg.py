@@ -9,14 +9,12 @@ Families (the "n" is the matrix size everywhere):
     iso   same algebra, special orthogonal group upstairs
 
 Every family lives inside glvv, so there is one dual-point type, one
-group-element type and one coadjoint action.  A DualPoint is a glvv dual
-triple (y, wstar, xi) tagged with its family, whose constraints it checks
-when built: xi = 0 for aff and isl, also tr(y) = 0 for isl, and y skew with
-xi = -wstar^T for io and iso (the points fixed by the involution theta).
-A GroupElem is a glvv element (g, u, vstar) tagged with its family, whose
-group it checks when built: vstar = 0 for aff and isl, (g, u, -u^T) with g
-orthogonal for io and iso, and det g = 1 for isl and iso.  The bracket,
-the pairing and the commutator form are those of glvv throughout.
+group-element type and one coadjoint action.  A DualPoint (y, wstar, xi)
+and a GroupElem (g, u, vstar) are glvv triples tagged with a family, whose
+constraints they check when built.  One rule, _third, fixes the third
+component of both: free on glvv, minus the second's transpose on io/iso
+(the triples fixed by the involution theta) and zero on aff/isl.  The
+bracket, the pairing and the commutator form are those of glvv throughout.
 
 Group elements abbreviate the fixed factorization
 (e, u, 0) * (e, 0, vstar) * (g, 0, 0); the action and the adjoint flow
@@ -78,38 +76,42 @@ def _want_shape(m: Mat, rows: int, cols: int, what: str):
                          % (what, rows, cols, m.rows, m.cols))
 
 
+def _third(family: str, second: Mat, third, record) -> Mat:
+    """The third component of a record's triple: a missing one is the
+    family's fill, -second^T on io/iso and zero otherwise; a supplied one
+    is shape-checked and, off glvv, must equal the fill."""
+    _, name2, name3, _ = record.__slots__
+    if third is not None:
+        _want_shape(third, second.cols, second.rows, name3)
+        if family == "glvv":
+            return third
+    orth = family in ("io", "iso")
+    fill = -second.transpose() if orth else Mat.zero(second.cols, second.rows)
+    if third is not None and third != fill:
+        raise ValueError("%s %s needs %s = %s"
+                         % (family, record._noun, name3, "-%s^T" % name2 if orth else "0"))
+    return fill
+
+
 class DualPoint(Record):
     """A value (y, wstar, xi) of the glvv dual, with no arithmetic -- y is
-    n x n, wstar 1 x n, xi n x 1 -- tagged with the family whose dual it
-    lies in.  A missing xi is the family's fill, -wstar^T for io/iso and
-    zero otherwise.  The family's constraints are checked here, once."""
+    n x n, wstar 1 x n, xi n x 1 -- tagged with its family and checked once:
+    tr(y) = 0 for isl, y skew for io/iso, then xi by _third."""
 
     __slots__ = ("y", "wstar", "xi", "family")
+    _noun, _doc, _kind = "point", "point", "point"  # the names messages use
 
     def __init__(self, y: Mat, wstar: Mat, xi: Mat = None, family: str = "glvv"):
         if family not in FAMILIES:
             raise ValueError("unknown algebra family %r" % (family,))
         if not y.is_square():
             raise ValueError("y must be square")
-        n = y.rows
-        _want_shape(wstar, 1, n, "wstar")
-        orth = family in ("io", "iso")
-        # the fill is right by construction; only a supplied xi is checked
-        supplied = xi is not None
-        if supplied:
-            _want_shape(xi, n, 1, "xi")
-        else:
-            xi = -wstar.transpose() if orth else Mat.zero(n, 1)
-        if supplied and family in ("aff", "isl") and xi != Mat.zero(n, 1):
-            raise ValueError("%s point needs xi = 0" % family)
+        _want_shape(wstar, 1, y.rows, "wstar")
         if family == "isl" and y.trace() != 0:
             raise ValueError("isl point needs tr(y) = 0")
-        if orth:
-            if not y.is_skew():
-                raise ValueError("y must be skew-symmetric")
-            if supplied and xi != -wstar.transpose():
-                raise ValueError("%s point needs xi = -wstar^T" % family)
-        self._set(y, wstar, xi, family)
+        if family in ("io", "iso") and not y.is_skew():
+            raise ValueError("y must be skew-symmetric")
+        self._set(y, wstar, _third(family, wstar, xi, DualPoint), family)
 
     @property
     def n(self) -> int:
@@ -118,11 +120,11 @@ class DualPoint(Record):
 
 class GroupElem(Record):
     """Element (g, u, vstar) of the glvv group tagged with the family whose
-    group it lies in.  A missing vstar is the family's fill, -u^T for
-    io/iso and zero otherwise.  The group's constraints are checked here,
-    once: g orthogonal for io/iso, det g != 0, and det g = 1 for isl/iso."""
+    group it lies in.  Checked here, once: g orthogonal for io/iso,
+    det g != 0 and det g = 1 for isl/iso, then vstar by _third."""
 
     __slots__ = ("g", "u", "vstar", "family")
+    _noun, _doc, _kind = "element", "group", "group element"
 
     def __init__(self, g: Mat, u: Mat, vstar: Mat = None, family: str = "glvv"):
         if family not in FAMILIES:
@@ -131,29 +133,28 @@ class GroupElem(Record):
             raise ValueError("g must be square")
         n = g.rows
         _want_shape(u, n, 1, "u")
-        orth = family in ("io", "iso")
-        fill = -u.transpose() if orth else Mat.zero(1, n)
-        vstar = fill if vstar is None else vstar
-        _want_shape(vstar, 1, n, "vstar")
-        if family != "glvv" and vstar != fill:
-            raise ValueError("%s element needs vstar = %s" % (family, "-u^T" if orth else "0"))
-        if orth and g.transpose() * g != Mat.identity(n):
+        if family in ("io", "iso") and g.transpose() * g != Mat.identity(n):
             raise ValueError("non-orthogonal")
         d = det(g)
         if d == 0:
             raise ValueError("singular")
         if family in ("isl", "iso") and d != 1:
             raise ValueError("an %s group element needs det g = 1" % family)
-        self._set(g, u, vstar, family)
+        self._set(g, u, _third(family, u, vstar, GroupElem), family)
 
     @property
     def n(self) -> int:
         return self.g.rows
 
 
+def _g_inverse(b: GroupElem) -> Mat:
+    # g^T on io/iso, whose constructor checked g^T g = I
+    return b.g.transpose() if b.family in ("io", "iso") else inverse(b.g)
+
+
 def compose(b1: GroupElem, b2: GroupElem) -> GroupElem:
     """The product law; each group is closed under it, so keeps a shared family."""
-    return GroupElem(b1.g * b2.g, b1.u + b1.g * b2.u, b1.vstar + b2.vstar * inverse(b1.g),
+    return GroupElem(b1.g * b2.g, b1.u + b1.g * b2.u, b1.vstar + b2.vstar * _g_inverse(b1),
                      b1.family if b1.family == b2.family else "glvv")
 
 
@@ -341,7 +342,7 @@ def coad(b: GroupElem, l: DualPoint) -> DualPoint:
     """
     if b.n != l.n:
         raise ValueError("size mismatch between element and point")
-    gi = inverse(b.g)
+    gi = _g_inverse(b)
     w = l.wstar * gi
     xi = b.g * l.xi
     y = b.g * l.y * gi - xi * b.vstar + b.u * w
@@ -514,7 +515,7 @@ def ad_translation(u: Mat, vstar: Mat, t):
 
 def Ad(b: GroupElem, t):
     """Adjoint action of (g, u, vstar) through the fixed factorization."""
-    gi = inverse(b.g)
+    gi = _g_inverse(b)
     x, uu, vv = t
     t = (b.g * x * gi, b.g * uu, vv * gi)
     t = ad_translation(Mat.zero(b.n, 1), b.vstar, t)
@@ -523,74 +524,61 @@ def Ad(b: GroupElem, t):
 
 # -- JSON codecs --------------------------------------------------------------
 
-def algebra_from_json(obj) -> Algebra:
+@cache
+def _json_keys(record, family: str) -> tuple:
+    """(read, refused): the record's JSON keys on the family -- its fields,
+    the third on glvv alone, an aff/isl point's covector as vstar -- and the
+    other fields and vstar, which the reader refuses as it would drop them."""
+    fields = record.__slots__[:3]
+    read = fields if family == "glvv" else fields[:2]
+    if record is DualPoint and family in ("aff", "isl"):
+        read = (fields[0], "vstar")
+    return read, tuple(key for key in dict.fromkeys(fields[::-1] + ("vstar",))
+                       if key not in read)
+
+
+def _to_json(alg: Algebra, value) -> dict:
+    if (value.family, value.n) != (alg.family, alg.n):
+        raise ValueError("the %s is no %s %s of size %d"
+                         % (value._noun, alg.family, value._kind, alg.n))
+    read, _ = _json_keys(type(value), alg.family)
+    return {"algebra": alg.family, "n": alg.n,
+            **{key: mat_to_json(m) for key, m in zip(read, value._fields())}}
+
+
+def _from_json(record, obj):
     try:
-        return Algebra(str(obj["algebra"]), json_size(obj, "n"))
+        alg = Algebra(str(obj["algebra"]), json_size(obj, "n"))
     except (KeyError, TypeError) as exc:
-        raise ValueError("point JSON needs an algebra family and a size n") from exc
-
-
-def _covector_key(family: str) -> str:
-    # the aff/isl covector keeps its historical JSON name
-    return "vstar" if family in ("aff", "isl") else "wstar"
+        raise ValueError("%s JSON needs an algebra family and a size n" % record._doc) from exc
+    read, refused = _json_keys(record, alg.family)
+    for key in refused:
+        if key in obj:
+            raise ValueError("%s %s JSON takes no %r component" % (alg.family, record._doc, key))
+    try:
+        value = record(*[mat_from_json(obj[key]) for key in read], family=alg.family)
+    except KeyError as exc:
+        raise ValueError("%s JSON is missing a component" % record._doc) from exc
+    if value.n != alg.n:
+        raise ValueError("%s size does not match n" % record._kind)
+    return alg, value
 
 
 def dual_to_json(alg: Algebra, point: DualPoint) -> dict:
-    """JSON of a point of the algebra's family and size; the filled xi of
-    aff/isl/io/iso is left out."""
-    if (point.family, point.n) != (alg.family, alg.n):
-        raise ValueError("the point is no %s point of size %d" % (alg.family, alg.n))
-    out = {"algebra": alg.family, "n": alg.n, "y": mat_to_json(point.y),
-           _covector_key(alg.family): mat_to_json(point.wstar)}
-    if alg.family == "glvv":
-        out["xi"] = mat_to_json(point.xi)
-    return out
+    """JSON of a point of the algebra's family and size, without a filled xi."""
+    return _to_json(alg, point)
 
 
 def dual_from_json(obj):
     """Parse a dual point; returns (Algebra, DualPoint)."""
-    alg = algebra_from_json(obj)
-    fam = alg.family
-    # a component the family fills, or its covector under the other name,
-    # would be dropped unread
-    read = ("wstar", "xi") if fam == "glvv" else (_covector_key(fam),)
-    for key in ("xi", "wstar", "vstar"):
-        if key in obj and key not in read:
-            raise ValueError("%s point JSON takes no %r component" % (fam, key))
-    try:
-        y = mat_from_json(obj["y"])
-        wstar = mat_from_json(obj[_covector_key(fam)])
-        xi = mat_from_json(obj["xi"]) if fam == "glvv" else None
-        point = DualPoint(y, wstar, xi, fam)
-    except KeyError as exc:
-        raise ValueError("point JSON is missing a component") from exc
-    if point.n != alg.n:
-        raise ValueError("point size does not match n")
-    return alg, point
+    return _from_json(DualPoint, obj)
 
 
 def group_to_json(alg: Algebra, elem: GroupElem) -> dict:
-    """JSON of an element of the algebra's group and size; the filled
-    vstar of aff/isl/io/iso is left out."""
-    if (elem.family, elem.n) != (alg.family, alg.n):
-        raise ValueError("the element is no %s group element of size %d" % (alg.family, alg.n))
-    out = {"algebra": alg.family, "n": alg.n,
-           "g": mat_to_json(elem.g), "u": mat_to_json(elem.u)}
-    if alg.family == "glvv":
-        out["vstar"] = mat_to_json(elem.vstar)
-    return out
+    """JSON of an element of the algebra's group and size, without a filled vstar."""
+    return _to_json(alg, elem)
 
 
 def group_from_json(obj):
-    alg = algebra_from_json(obj)
-    if alg.family != "glvv" and "vstar" in obj:
-        raise ValueError("%s group JSON takes no 'vstar' component" % alg.family)
-    try:
-        g, u = mat_from_json(obj["g"]), mat_from_json(obj["u"])
-        vstar = mat_from_json(obj["vstar"]) if alg.family == "glvv" else None
-        elem = GroupElem(g, u, vstar, alg.family)
-    except KeyError as exc:
-        raise ValueError("group JSON is missing a component") from exc
-    if elem.n != alg.n:
-        raise ValueError("group element size does not match n")
-    return alg, elem
+    """Parse a group element; returns (Algebra, GroupElem)."""
+    return _from_json(GroupElem, obj)

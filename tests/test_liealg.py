@@ -270,6 +270,39 @@ def test_group_elem_checks_its_family_once():
         with pytest.raises(ValueError, match="singular|non-orthogonal"):
             GroupElem(Mat.zero(2, 2), u, family=fam)
 
+@pytest.mark.parametrize("fam", ["io", "iso"])
+def test_orthogonal_elements_invert_by_transpose(fam):
+    # the constructor checks g^T g = I and Mat is canonical, so the exact
+    # inverse and the transpose are one value
+    rng = Rng(52)
+    for n in range(1, 9):
+        for _ in range(3):
+            b = sample_group(Algebra(fam, n), rng, 3)
+            assert inverse(b.g) == b.g.transpose()
+
+
+def test_coad_compose_and_ad_form_no_inverse_on_orthogonal_groups(monkeypatch):
+    calls = []
+
+    def spy(a):
+        calls.append(a)
+        return inverse(a)
+
+    monkeypatch.setattr("coadinv.exactmat.inverse", spy)
+    monkeypatch.setattr("coadinv.liealg.inverse", spy)
+    rng = Rng(53)
+    for fam in FAMILIES:
+        alg = Algebra(fam, 3)
+        b1, b2, l = sample_group(alg, rng, 3), sample_group(alg, rng, 3), sample_dual(alg, rng, 3)
+        t = sample_triple(rng, 3, 3)
+        del calls[:]
+        coad(b1, l)
+        compose(b1, b2)
+        Ad(b1, t)
+        # the spy sees the exact inverse where it is still formed
+        assert len(calls) == (0 if fam in ("io", "iso") else 3), fam
+
+
 def test_coad_C_rejects_non_orthogonal():
     with pytest.raises(ValueError, match="orthogonal"):
         GroupElem(Mat.diag([2, 1]), Mat.zero(2, 1), family="io")
@@ -516,6 +549,14 @@ def test_group_json_writer_refuses_what_the_reader_refuses():
             for _ in range(3):
                 e = sample_group(alg, rng, 3)
                 assert group_from_json(group_to_json(alg, e)) == (alg, e)
+
+
+@pytest.mark.parametrize("read, doc", [(dual_from_json, "point"), (group_from_json, "group")])
+def test_json_readers_name_their_document(read, doc):
+    # a document without a family or without a size is refused under its own name
+    for obj in ({"n": 2}, {"algebra": "aff"}, [], "aff"):
+        with pytest.raises(ValueError, match="^%s JSON needs an algebra family and a size n$" % doc):
+            read(obj)
 
 
 def test_dual_json_rejects_mismatch():

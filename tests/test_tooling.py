@@ -250,6 +250,54 @@ def test_group_membership_is_stated_once():
         assert not [a for a in args if a.arg == "alg"
                     or getattr(a.annotation, "id", None) == "Algebra"], name
 
+
+def _negated_transposes(func):
+    # the operand of each -m.transpose() in the function
+    return [node.operand.func.value for node in ast.walk(func)
+            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and _called(node.operand, "transpose")]
+
+
+def test_the_third_component_is_stated_once():
+    # one rule, liealg._third, fills a point's xi and an element's vstar:
+    # no code negates the transpose of a record's wstar or u, and in liealg
+    # only _third and the involution theta negate a transpose; one reader
+    # raises the JSON refusals, and each public codec is a one-statement
+    # view of the one reader or the one writer
+    funcs, raised = {}, {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for name, func in _methods(tree):
+            funcs["%s:%s" % (module, name)] = func
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Raise):
+                    continue
+                text = " ".join(c.value for c in ast.walk(node)
+                                if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                for message in ("takes no .* component", "is missing a component"):
+                    if re.search(message, text):
+                        raised.setdefault(message, []).append("%s:%s" % (module, name))
+    fields = [site for site, func in funcs.items() for operand in _negated_transposes(func)
+              if getattr(operand, "attr", None) in ("wstar", "u")]
+    assert fields == []
+    negating = {site for site, func in funcs.items()
+                if site.startswith("liealg.py:") and _negated_transposes(func)}
+    assert negating == {"liealg.py:_third", "liealg.py:theta"}
+    reader = ["liealg.py:_from_json"]
+    assert raised == {"takes no .* component": reader, "is missing a component": reader}
+    callees = {}
+    for name in ("dual_to_json", "group_to_json", "dual_from_json", "group_from_json"):
+        body = funcs["liealg.py:" + name].body
+        if ast.get_docstring(funcs["liealg.py:" + name]) is not None:
+            body = body[1:]
+        assert len(body) == 1 and isinstance(body[0], ast.Return), name
+        assert isinstance(body[0].value, ast.Call), name
+        callees.setdefault(name.split("_")[1], set()).add(ast.unparse(body[0].value.func))
+    assert callees == {"to": {"_to_json"}, "from": {"_from_json"}}
+
+
 def test_orbit_normalize_never_inverts_g():
     # the normal form's landing is checked as J g = g y + u wstar and
     # e_n* g = wstar: neither orbit_normalize nor a helper it reaches calls
@@ -295,6 +343,7 @@ def test_readme_python_blocks_run():
     for block in blocks:
         where = "README.md, python block at line %d" % (text.count("\n", 0, block.start()) + 1)
         exec(compile(block.group(1), where, "exec"), {})
+
 
 def test_package_stays_within_the_line_bound():
     # src/coadinv may grow to 2,640 lines (a symbolic poly.py is counted on
