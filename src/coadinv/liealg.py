@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache
 
 from .charpoly import bordered
-from .exactmat import (ExactnessError, Mat, Rat, Record, det, inverse, json_size,
+from .exactmat import (ExactnessError, Mat, Rat, Record, _make, det, inverse, json_size,
                        mat_from_json, mat_to_json, rank, scalar)
 
 FAMILIES = ("aff", "isl", "glvv", "io", "iso")
@@ -161,6 +161,7 @@ def compose(b1: GroupElem, b2: GroupElem) -> GroupElem:
 # -- deterministic splittable randomness ------------------------------------
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # the stream's counter step
 
 
 def _mix64(z: int) -> int:
@@ -180,21 +181,31 @@ class Rng:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         return _mix64(self._state)
 
-    def int_between(self, lo: int, hi: int) -> int:
-        """Uniform integer in the inclusive range [lo, hi]."""
+    def _draws(self, count: int, lo: int, hi: int) -> list:
+        """count uniform integers in the inclusive range [lo, hi]: the
+        values, order and final state of count int_between calls, with the
+        range checked and the rejection limit found once, before any draw."""
         if hi < lo:
             raise ValueError("empty range")
         span = hi - lo + 1
         if span > 1 << 64:  # one 64-bit draw cannot cover it
             raise ValueError("range wider than 2^64")
         limit = (1 << 64) - ((1 << 64) % span)
-        while True:
-            u = self.next_u64()
+        out, state = [], self._state
+        while len(out) < count:
+            state = (state + _GAMMA) & _MASK64
+            u = _mix64(state)
             if u < limit:
-                return lo + (u % span)
+                out.append(lo + u % span)
+        self._state = state
+        return out
+
+    def int_between(self, lo: int, hi: int) -> int:
+        """Uniform integer in the inclusive range [lo, hi]."""
+        return self._draws(1, lo, hi)[0]
 
     def coin(self) -> bool:
         return self.next_u64() & 1 == 1
@@ -213,22 +224,34 @@ class Rng:
 
 # -- sampling ----------------------------------------------------------------
 
-def sample_int_mat(rng: Rng, rows: int, cols: int, bound: int) -> Mat:
+def _entries(rng: Rng, count: int, bound: int) -> list:
+    # one batch of entries in [-bound, bound]; a bound below 1 is refused
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    return Mat.from_num_den([[rng.int_between(-bound, bound) for _ in range(cols)]
-                             for _ in range(rows)], 1)
+    return rng._draws(count, -bound, bound)
+
+
+def _int_mat(flat: list, cols: int) -> Mat:
+    """The matrix of integer entries in row-major order, cols to a row,
+    built straight into Mat's canonical form: integer rows over 1."""
+    if not flat or cols < 1:
+        raise ValueError("matrix needs at least one row and one column")
+    return _make(len(flat) // cols, cols, tuple(zip(*[iter(flat)] * cols)), 1)
+
+
+def sample_int_mat(rng: Rng, rows: int, cols: int, bound: int) -> Mat:
+    return _int_mat(_entries(rng, rows * cols, bound), cols)
 
 
 def sample_skew(rng: Rng, n: int, bound: int) -> Mat:
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    m = [[0] * n for _ in range(n)]
+    """Skew integer matrix; the entries above the diagonal are drawn row by row."""
+    draws = iter(_entries(rng, n * (n - 1) // 2, bound))
+    m = [0] * (n * n)
     for i in range(n):
         for j in range(i + 1, n):
-            m[i][j] = v = rng.int_between(-bound, bound)
-            m[j][i] = -v
-    return Mat.from_num_den(m, 1)
+            m[i * n + j] = v = next(draws)
+            m[j * n + i] = -v
+    return _int_mat(m, n)
 
 
 def sample_gl(rng: Rng, n: int, bound: int) -> Mat:
@@ -257,7 +280,7 @@ def sample_sl(rng: Rng, n: int, bound: int) -> Mat:
         c = rng.int_between(-bound, bound)
         for row in g:
             row[j] += c * row[i]
-    return Mat.from_num_den(g, 1)
+    return _int_mat([v for row in g for v in row], n)
 
 
 def cayley(s: Mat) -> Mat:
@@ -306,17 +329,20 @@ def sample_dual(alg: Algebra, rng: Rng, bound: int) -> DualPoint:
     fam = alg.family
     if fam in ("io", "iso"):
         return DualPoint(sample_skew(rng, n, bound), sample_int_mat(rng, 1, n, bound), family=fam)
-    y = sample_int_mat(rng, n, n, bound)
-    if fam == "isl":
-        a = [list(row) for row in y.num_den()[0]]
-        a[n - 1][n - 1] = -sum(a[i][i] for i in range(n - 1))
-        y = Mat.from_num_den(a, 1)
+    y = _entries(rng, n * n, bound)
+    if fam == "isl":  # the last diagonal entry cancels the trace
+        y[-1] = -sum(y[:-1:n + 1])
     wstar = sample_int_mat(rng, 1, n, bound)
     xi = sample_int_mat(rng, n, 1, bound) if fam == "glvv" else None
-    return DualPoint(y, wstar, xi, fam)
+    return DualPoint(_int_mat(y, n), wstar, xi, fam)
 
 
 # -- the coadjoint action -----------------------------------------------------
+
+def _traceless(y: Mat) -> Mat:
+    # project_traceless on y alone, so that coad builds one isl image
+    return y - (y.trace() / y.rows) * Mat.identity(y.rows)
+
 
 def project_traceless(l: DualPoint) -> DualPoint:
     """Projection onto the isl dual: y -> y - (tr(y)/n) I.
@@ -324,8 +350,7 @@ def project_traceless(l: DualPoint) -> DualPoint:
     The determinant semi-invariant does not see scalar shifts of y, so
     this is the well-defined quotient representative; a traceless point
     is left as it is."""
-    n = l.n
-    return DualPoint(l.y - (l.y.trace() / n) * Mat.identity(n), l.wstar, l.xi, "isl")
+    return DualPoint(_traceless(l.y), l.wstar, l.xi, "isl")
 
 
 def coad(b: GroupElem, l: DualPoint) -> DualPoint:
@@ -335,8 +360,8 @@ def coad(b: GroupElem, l: DualPoint) -> DualPoint:
         (e, 0, v):  (y, w, xi) -> (y - xi v, w, xi)
         (e, u, 0):  (y, w, xi) -> (y + u w, w, xi)
 
-    The image is a point of l's family.  For isl the aff image is
-    projected onto the isl dual, which is the isl coadjoint action.  The
+    The image is a point of l's family.  For isl the trace is projected
+    out of the aff image's y, which is the isl coadjoint action.  The
     element's group is not tested, but an image that leaves the family's
     dual (a non-orthogonal g on an io point, say) fails the point's checks.
     """
@@ -346,9 +371,7 @@ def coad(b: GroupElem, l: DualPoint) -> DualPoint:
     w = l.wstar * gi
     xi = b.g * l.xi
     y = b.g * l.y * gi - xi * b.vstar + b.u * w
-    if l.family == "isl":
-        return project_traceless(DualPoint(y, w, xi, "aff"))
-    return DualPoint(y, w, xi, l.family)
+    return DualPoint(_traceless(y) if l.family == "isl" else y, w, xi, l.family)
 
 
 # the per-family names, still imported by the benchmark harness

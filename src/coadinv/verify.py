@@ -388,7 +388,7 @@ def _suite_embed_M(unit: _Unit):
         t = sample_triple(unit.rng, n, unit.bound)
         unit.check("embedding preserves brackets into the contracted algebra",
                    embed_M(bracket_b(s, t)), k_bracket(embed_M(s), embed_M(t)), s=s, t=t)
-    span = Mat([[embed_M(b)[i, j] for i in range(n + 1) for j in range(n + 1)]
+    span = Mat([[v for row in embed_M(b).to_lists() for v in row]
                 for b in algebra_basis(unit.alg)])
     unit.check("embedded image has codimension 1", (n + 1) ** 2 - rank(span), 1)
     unit.check("zero maps to zero", embed_M(triple_zero(n)), Mat.zero(n + 1, n + 1))

@@ -13,8 +13,9 @@ from coadinv.liealg import (FAMILIES, Ad, Algebra, DualPoint, GroupElem, Rng,
                             commutator_form, compose, dual_from_json,
                             dual_to_json, embed_M, group_from_json,
                             group_to_json, index_of, k_bracket,
-                            pairing, sample_dual, sample_gl, sample_group, sample_int_mat,
-                            sample_orthogonal, sample_skew, sample_sl,
+                            pairing, project_traceless, sample_dual, sample_gl,
+                            sample_group, sample_int_mat, sample_orthogonal,
+                            sample_skew, sample_sl,
                             sample_triple, theta, triple_zero)
 
 
@@ -62,6 +63,54 @@ def test_rng_refuses_a_range_wider_than_one_draw():
         [raw.next_u64() for _ in range(4)]
     rng = Rng(2)
     assert abs(rng.int_between(-(2 ** 63 - 1), 2 ** 63 - 1)) < 2 ** 63
+
+
+def _raw_draws(rng, count, lo, hi):
+    # the rejection draw stated on next_u64, and how many raw draws it took
+    span = hi - lo + 1
+    limit = 2 ** 64 - 2 ** 64 % span
+    out, raw = [], 0
+    while len(out) < count:
+        u = rng.next_u64()
+        raw += 1
+        if u < limit:
+            out.append(lo + u % span)
+    return out, raw
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 5), (-3, 3), (-2 ** 62, 2 ** 62),
+                                    (-2 ** 63, 2 ** 63 - 1)])
+@pytest.mark.parametrize("count", (0, 1, 7, 64))
+def test_batched_draws_are_successive_single_draws(count, lo, hi):
+    # spans 1, 7, 2^63 + 1 and 2^64: one batch gives the values, the order
+    # and the final state of count int_between calls on an equal stream
+    for seed in (0, 3, 2 ** 64 - 1):
+        batch, single, raw = Rng(seed), Rng(seed), Rng(seed)
+        values = batch._draws(count, lo, hi)
+        assert values == [single.int_between(lo, hi) for _ in range(count)]
+        expected, raws = _raw_draws(raw, count, lo, hi)
+        assert values == expected
+        assert batch._state == single._state == raw._state
+        if hi - lo + 1 == 2 ** 63 + 1 and count == 64:
+            assert raws > count  # about half of the raw draws are rejected
+
+
+def test_batched_draws_refuse_a_bad_range_before_they_draw():
+    # past 2^64 values the rejection limit is 0 and no draw would ever
+    # return, so the calls run in a child process that a hang cannot outlive
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("from coadinv.liealg import Rng\n"
+            "for lo, hi in ((3, 2), (-2 ** 63, 2 ** 63)):\n"
+            "    rng = Rng(1)\n"
+            "    try:\n"
+            "        rng._draws(4, lo, hi)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc, rng._state == Rng(1)._state)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["empty range True", "range wider than 2^64 True"]
 
 
 # -- types ---------------------------------------------------------------------
@@ -158,6 +207,24 @@ def test_integer_samplers_equal_mat_of_their_draws():
             assert rng.next_u64() == replay.next_u64()
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_samplers_build_canonical_rows(n):
+    # each integer sampler builds its rows straight into Mat's canonical
+    # form: a tuple-of-lists row or a stray denominator would slip past
+    # neither the equality nor the hash of the checked constructor
+    for bound in (1, 3, 2 ** 62):
+        rng = Rng(100 * n + bound % 97)
+        mats = [sample_int_mat(rng, n, n, bound), sample_int_mat(rng, 1, n, bound),
+                sample_int_mat(rng, n, 1, bound), sample_skew(rng, n, bound),
+                sample_sl(rng, n, bound), sample_gl(rng, n, bound)]
+        mats += [sample_dual(Algebra(fam, n), rng, bound).y for fam in ("aff", "isl", "glvv")]
+        for m in mats:
+            a, d = m.num_den()
+            checked = Mat.from_num_den(a, 1)
+            assert d == 1 and m == checked and hash(m) == hash(checked)
+            assert all(type(v) is int for row in a for v in row)
+
+
 def test_sample_orthogonal_exact():
     rng = Rng(32)
     for n in range(1, 6):
@@ -187,9 +254,9 @@ def test_sample_dual_shapes():
 
 @pytest.mark.parametrize("bound", (0, -1))
 def test_samplers_refuse_a_bound_below_one(bound):
-    # every sampler draws through sample_int_mat, sample_skew or sample_sl,
-    # which refuse before they draw, also at n = 1, where sample_skew and
-    # sample_sl draw nothing
+    # every sampler draws through one batch of entries or sample_sl, which
+    # refuse before they draw, also at n = 1, where sample_skew and sample_sl
+    # draw nothing
     rng = Rng(36)
     draws = [lambda: sample_int_mat(rng, 2, 3, bound)]
     for n in (1, 3):
@@ -229,6 +296,26 @@ def test_translation_part_of_affine_action():
     assert moved.y == l.y + u * l.wstar
     assert moved.wstar == l.wstar
     assert moved.xi == Mat.zero(n, 1) and moved.family == "aff"
+
+
+def test_isl_coad_builds_one_point(monkeypatch):
+    # the trace is projected out of the image's y before its one DualPoint
+    # is built; the image is the projected aff image of the same point
+    rng = Rng(37)
+    alg = Algebra("isl", 3)
+    l, b = sample_dual(alg, rng, 3), sample_group(alg, rng, 3)
+    projected = project_traceless(coad(b, DualPoint(l.y, l.wstar, family="aff")))
+    built = []
+    init = DualPoint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DualPoint, "__init__", counted)
+    image = coad(b, l)
+    assert len(built) == 1
+    assert image == projected and image.family == "isl"
 
 
 @pytest.mark.parametrize("fam", FAMILIES)

@@ -251,6 +251,30 @@ def test_group_membership_is_stated_once():
                     or getattr(a.annotation, "id", None) == "Algebra"], name
 
 
+def test_the_splitmix_finalizer_is_stated_once():
+    # the batched draw calls _mix64 once per raw draw instead of inlining
+    # it: the two splitmix64 multipliers appear once in the package, inside
+    # _mix64, and the batched samplers never fall back to one int_between
+    # call per entry, directly or through a helper
+    multipliers = {0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in multipliers]
+        if os.path.basename(path) == "liealg.py":
+            funcs = dict(_methods(tree))
+    assert sorted(found) == sorted(multipliers)
+    assert {node.value for node in ast.walk(funcs["_mix64"])
+            if isinstance(node, ast.Constant)} >= multipliers
+    for sampler in ("sample_int_mat", "sample_skew"):
+        reached = {sampler} | _reaches("liealg.py", sampler)
+        calls = [node for name in reached for node in ast.walk(funcs[name])]
+        assert not [node for node in calls if _called(node, "int_between")], sampler
+        assert [node for node in calls if _called(node, "_draws")], sampler
+
+
 def _negated_transposes(func):
     # the operand of each -m.transpose() in the function
     return [node.operand.func.value for node in ast.walk(func)

@@ -36,6 +36,22 @@ def test_every_suite_passes_quick():
         assert report.claim
 
 
+def test_embed_M_embeds_each_basis_element_once(monkeypatch):
+    # one glvv unit at n = 4 with one sample: three embeddings for the
+    # bracket check, one per basis element (dim 24) for the span, one for zero
+    calls = []
+    embed = verify.embed_M
+
+    def counted(t):
+        calls.append(t)
+        return embed(t)
+
+    monkeypatch.setattr(verify, "embed_M", counted)
+    report = run_suite("embed-M", SuiteConfig("glvv", n_lo=4, n_hi=4, samples=1, seed=9))
+    assert report.passed
+    assert len(calls) == 3 + Algebra("glvv", 4).dim + 1 == 28
+
+
 def test_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope", quick_cfg("glvv"))
