@@ -10,8 +10,10 @@ one positive common denominator d, in lowest terms (gcd(d, all entries of
 A) = 1).  The form is canonical, so equality and hashing compare (A, d)
 directly, and all arithmetic is integer arithmetic: a product is one
 integer matmul over d_a d_b, and the elimination kernels run fraction-free
-(Bareiss) on A with exact division by the previous pivot.  Entries read
-back through the accessors are fractions.Fraction values.
+(Bareiss) on A with exact division by the previous pivot: det, rank and
+inverse share one elimination, and the Pfaffian, which pivots on 2 x 2
+blocks, keeps its own.  Entries read back through the accessors are
+fractions.Fraction values.
 
 JSON encoding used repo-wide:
     {"rows": r, "cols": c, "entries": [["p/q", ...], ...]}
@@ -26,6 +28,7 @@ from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -311,14 +314,18 @@ def scalar(a: Mat) -> Rat:
     return a[0, 0]
 
 
-def _bareiss(a: Mat) -> tuple:
-    """(rank, sign, pivot) of A by fraction-free Bareiss elimination to row
-    echelon form: row pivoting, and exact division by the previous pivot,
-    which keeps every entry a minor of A.  sign is the parity of the row
-    swaps and pivot the last pivot, so a square A of full rank has
-    det(A) = sign * pivot."""
-    m = [list(row) for row in a._a]
-    nr, nc = a.rows, a.cols
+def _bareiss(rows, nc: int) -> tuple:
+    """(rank, sign, pivot, m) of integer rows by fraction-free Bareiss
+    elimination on their first nc columns: row pivoting, and exact
+    division by the previous pivot, which keeps every entry a minor.  sign
+    is the parity of the row swaps, pivot the last pivot and m the
+    eliminated rows.  Rows wider than nc carry a right-hand side, and the
+    rows above each pivot are cleared too (Gauss-Jordan); otherwise it
+    stops at row echelon form.  Only the columns right of the pivot are
+    updated: no later step reads the others.  A square part of full rank
+    has det = sign * pivot."""
+    m = [list(row) for row in rows]
+    nr, width = len(m), len(m[0])
     r = 0
     sign = 1
     prev = 1
@@ -333,16 +340,16 @@ def _bareiss(a: Mat) -> tuple:
             sign = -sign
         row_r = m[r]
         pivot = row_r[c]
-        for i in range(r + 1, nr):
+        for i in range(r + 1, nr) if width == nc else chain(range(r), range(r + 1, nr)):
             row_i = m[i]
             f = row_i[c]
-            for j in range(c + 1, nc):
+            for j in range(c + 1, width):
                 row_i[j] = (row_i[j] * pivot - f * row_r[j]) // prev
         prev = pivot
         r += 1
         if r == nr:
             break
-    return r, sign, prev
+    return r, sign, prev, m
 
 
 def det(a: Mat) -> Rat:
@@ -350,44 +357,32 @@ def det(a: Mat) -> Rat:
     of the Bareiss elimination, and 0 below full rank."""
     if not a.is_square():
         raise ValueError("determinant of a non-square matrix")
-    r, sign, pivot = _bareiss(a)
+    r, sign, pivot, _ = _bareiss(a._a, a.cols)
     return Fraction(sign * pivot, a._d ** a.rows) if r == a.rows else Fraction(0)
 
 
 def rank(a: Mat) -> int:
     """Exact rank over the rationals: rank(A), by the Bareiss elimination."""
-    return _bareiss(a)[0]
+    return _bareiss(a._a, a.cols)[0]
+
+
+def _solve(a: Mat, b: Mat) -> Mat:
+    """A^-1 B for a square A, by the Bareiss elimination of [A | B]: the
+    integer right-hand side ends as R = p A^-1 B, p the last pivot, so
+    (A / d_a)^-1 (B / d_b) = d_a R / (p d_b).  Raises on singular A."""
+    n = a.rows
+    r, _, pivot, m = _bareiss([ra + rb for ra, rb in zip(a._a, b._a)], n)
+    if r < n:
+        raise ValueError("singular")
+    d = a._d
+    return _normal(n, b.cols, tuple(tuple([d * v for v in row[n:]]) for row in m), pivot * b._d)
 
 
 def inverse(a: Mat) -> Mat:
-    """Exact inverse; raises on singular input.
-
-    Fraction-free Gauss-Jordan on [A | I]: each step updates every other
-    row as (p row_i - f row_pivot) / p_prev, exactly.  It ends on [p I | R]
-    with A^-1 = R / p, so (A / d)^-1 = d R / p.
-    """
+    """Exact inverse, the solve A^-1 I; raises on singular input."""
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
-    n = a.rows
-    m = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(a._a)]
-    prev = 1
-    for c in range(n):
-        for i in range(c, n):
-            if m[i][c] != 0:
-                m[c], m[i] = m[i], m[c]
-                break
-        else:
-            raise ValueError("singular")
-        row_c = m[c]
-        pivot = row_c[c]
-        for i in range(n):
-            if i != c:
-                row_i = m[i]
-                f = row_i[c]
-                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row_i, row_c)]
-        prev = pivot
-    d = a._d
-    return _normal(n, n, tuple(tuple([d * v for v in row[n:]]) for row in m), prev)
+    return _solve(a, Mat.identity(a.rows))
 
 
 def pfaffian(a: Mat) -> Rat:

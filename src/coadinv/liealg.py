@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache
 
 from .charpoly import bordered
-from .exactmat import (ExactnessError, Mat, Rat, Record, _make, det, inverse, json_size,
+from .exactmat import (ExactnessError, Mat, Rat, Record, _make, _solve, det, inverse, json_size,
                        mat_from_json, mat_to_json, rank, scalar)
 
 FAMILIES = ("aff", "isl", "glvv", "io", "iso")
@@ -284,7 +284,8 @@ def sample_sl(rng: Rng, n: int, bound: int) -> Mat:
 
 
 def cayley(s: Mat) -> Mat:
-    """Cayley transform (I - S)(I + S)^-1 of a skew matrix.
+    """Cayley transform (I - S)(I + S)^-1 of a skew matrix, as the one
+    solve (I + S)^-1 (I - S): the two factors commute.
 
     Always defined over the rationals (det(I + S) >= 1 for skew S) and
     returns a special orthogonal matrix, exactly.
@@ -292,7 +293,7 @@ def cayley(s: Mat) -> Mat:
     if not s.is_skew():
         raise ValueError("cayley needs a skew matrix")
     ident = Mat.identity(s.rows)
-    return (ident - s) * inverse(ident + s)
+    return _solve(ident + s, ident - s)
 
 
 def reflection(n: int) -> Mat:
@@ -370,7 +371,9 @@ def coad(b: GroupElem, l: DualPoint) -> DualPoint:
     gi = _g_inverse(b)
     w = l.wstar * gi
     xi = b.g * l.xi
-    y = b.g * l.y * gi - xi * b.vstar + b.u * w
+    y = b.g * l.y * gi + b.u * w
+    if l.family not in ("aff", "isl"):  # their xi is zero
+        y = y - xi * b.vstar
     return DualPoint(_traceless(y) if l.family == "isl" else y, w, xi, l.family)
 
 

@@ -10,11 +10,19 @@ denominators and include zero and negative entries:
     pfaffian      expansion along the first row (pfaffian_expand)
     rank, inverse Fraction Gauss-Jordan
 
+det, rank and inverse share one Bareiss elimination, so they also meet the
+references on the inputs that elimination is most likely to get wrong: a
+row swap at every pivot, a defect that shows only at the last pivot,
+entries up to +-2^70 at n <= 9, and wide matrices behind zero columns.
+There det is also taken by Laplace expansion (laplace_det), which reaches
+n = 9.
+
 sympy, when installed, cross-checks det, p_k and the Pfaffian for n <= 4.
 The canonical form (d > 0, gcd(d, A) = 1) is asserted on every result, and
 equal matrices built by different paths compare and hash equal.
 """
 
+import functools
 import itertools
 from fractions import Fraction as F
 from math import gcd
@@ -36,6 +44,11 @@ def rand_rat(rng):
     if rng.int_between(0, 3) == 0:
         return F(0)
     return F(rng.int_between(-9, 9), DENOMINATORS[rng.int_between(0, len(DENOMINATORS) - 1)])
+
+
+def nonzero_rat(rng):
+    return F(rng.int_between(1, 9) * (1 if rng.coin() else -1),
+             DENOMINATORS[rng.int_between(0, len(DENOMINATORS) - 1)])
 
 
 def rand_rows(rng, rows, cols):
@@ -273,6 +286,148 @@ def test_inverse_against_gauss_jordan():
         assert_canonical(got)
         assert got.to_lists() == expected
     assert singular >= 10  # the zero-row and repeated-row cases
+
+
+# -- the cases the shared elimination is most likely to break ---------------------------
+
+def laplace_det(rows):
+    """Leibniz's sum grouped by expansion along the rows, each minor on the
+    remaining columns computed once: n 2^n terms, so n = 9 stays quick."""
+    n = len(rows)
+
+    @functools.cache
+    def minor(i, cols):  # rows i.. on the columns of the bit set cols
+        if i == n:
+            return F(1)
+        total, sign = F(0), 1
+        for j in range(n):
+            if cols >> j & 1:
+                total += sign * rows[i][j] * minor(i + 1, cols & ~(1 << j))
+                sign = -sign
+        return total
+
+    return minor(0, (1 << n) - 1)
+
+
+def swaps(rows):
+    """The pivots of a first-nonzero-row echelon form on Fractions that
+    needed a row swap."""
+    m = [list(r) for r in rows]
+    r, swapped = 0, []
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            swapped.append(c)
+            m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return swapped
+
+
+def swap_cases(seed):
+    """(rows, det) for n = 2..8 that need a row swap at every pivot but the
+    last: a first row zero but for its last entry x, above n - 1 dense rows
+    [L U | c] with L unit lower and U upper triangular of nonzero diagonal.
+    The first row sinks one place at each pivot, and expanding along it
+    gives det = (-1)^(n-1) x prod diag U."""
+    rng = Rng(seed)
+    for n in range(2, 9):
+        for _ in range(3):
+            u = [[rand_rat(rng) if j > i else F(0) for j in range(n - 1)] for i in range(n - 1)]
+            value = F((-1) ** (n - 1))
+            for i in range(n - 1):
+                u[i][i] = nonzero_rat(rng)
+                value *= u[i][i]
+            lower = [[F(int(i == j)) if j >= i else rand_rat(rng) for j in range(n - 1)]
+                     for i in range(n - 1)]
+            x = nonzero_rat(rng)
+            rows = [[F(0)] * (n - 1) + [x]]
+            rows += [row + [rand_rat(rng)] for row in fraction_matmul(lower, u)]
+            yield rows, value * x
+
+
+def late_defect_cases(seed):
+    """n x n rows for n = 1..8 of rank n - 1 whose leading k x k minors are
+    nonzero for k < n: L U with a dense unit lower L and an upper U whose
+    last diagonal entry alone is zero."""
+    rng = Rng(seed)
+    for n in range(1, 9):
+        for _ in range(3):
+            u = [[rand_rat(rng) if j > i else F(0) for j in range(n)] for i in range(n)]
+            for i in range(n - 1):
+                u[i][i] = nonzero_rat(rng)
+            lower = [[F(int(i == j)) if j >= i else rand_rat(rng) for j in range(n)]
+                     for i in range(n)]
+            yield fraction_matmul(lower, u)
+
+
+def test_a_row_swap_at_every_pivot():
+    for rows, value in swap_cases(40):
+        n = len(rows)
+        assert swaps(rows) == list(range(n - 1))
+        m = Mat(rows)
+        assert det(m) == laplace_det(rows) == value
+        if n <= 5:
+            assert det(m) == leibniz_det(rows)
+        assert rank(m) == gauss_jordan(rows)[0] == n
+        got = inverse(m)
+        assert_canonical(got)
+        assert got.to_lists() == gauss_jordan_inverse(rows)
+
+
+def test_a_defect_at_the_last_pivot():
+    for rows in late_defect_cases(41):
+        n = len(rows)
+        assert swaps(rows) == []
+        m = Mat(rows)
+        assert det(m) == laplace_det(rows) == 0
+        assert rank(m) == gauss_jordan(rows)[0] == n - 1
+        assert gauss_jordan_inverse(rows) is None
+        with pytest.raises(ValueError, match="^singular$"):
+            inverse(m)
+
+
+def test_extreme_entries_against_the_references():
+    # entries up to +-2^70 at n = 1..9; each A also ranks with w as an extra
+    # column (more columns than rows) and behind two zero columns
+    for a, w in extreme_cases(42):
+        rows = [[F(v) for v in row] for row in a]
+        m = Mat(a)
+        assert det(m) == laplace_det(rows)
+        assert rank(m) == gauss_jordan(rows)[0]
+        expected = gauss_jordan_inverse(rows)
+        if expected is None:
+            with pytest.raises(ValueError, match="^singular$"):
+                inverse(m)
+        else:
+            assert inverse(m).to_lists() == expected
+        for wide in ([row + [F(v)] for row, v in zip(rows, w)],
+                     [[F(0), F(0)] + row for row in rows]):
+            assert rank(Mat(wide)) == gauss_jordan(wide)[0]
+
+
+def test_wide_ranks_behind_zero_columns():
+    rng = Rng(43)
+    for _ in range(60):
+        nr = rng.int_between(1, 5)
+        nc, zeros = rng.int_between(nr + 1, 8), rng.int_between(1, 3)
+        r = rng.int_between(0, nr)
+        rows = low_rank_rows(rng, nr, nc, r) if r else [[F(0)] * nc for _ in range(nr)]
+        rows = [[F(0)] * zeros + row for row in rows]
+        assert rank(Mat(rows)) == gauss_jordan(rows)[0]
+
+
+def test_refusals_keep_their_type_and_text():
+    for call, text in ((det, "determinant of a non-square matrix"),
+                       (inverse, "inverse of a non-square matrix")):
+        with pytest.raises(ValueError, match="^%s$" % text):
+            call(Mat.zero(2, 3))
+    with pytest.raises(ValueError, match="^singular$"):
+        inverse(Mat.zero(3, 3))
 
 
 def test_pfaffian_against_expansion():

@@ -3,11 +3,12 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from coadinv.exactmat import Mat, det, inverse, mat_to_json, rank
+from coadinv.exactmat import Mat, det, inverse, mat_mul, mat_to_json, rank
 from coadinv.liealg import (FAMILIES, Ad, Algebra, DualPoint, GroupElem, Rng,
                             algebra_basis, bracket_b, cayley, coad,
                             commutator_form, compose, dual_from_json,
@@ -158,6 +159,21 @@ def test_cayley_example():
     q = cayley(Mat([[0, 1], [-1, 0]]))
     assert q.transpose() * q == Mat.identity(2)
     assert det(q) == 1
+
+
+def test_cayley_is_the_solve_of_its_factors():
+    # the solve (I + S)^-1 (I - S) is the product (I - S)(I + S)^-1 exactly,
+    # on integer and on rational skew matrices
+    rng = Rng(54)
+    for n in range(1, 9):
+        ident = Mat.identity(n)
+        for _ in range(4):
+            s = sample_skew(rng, n, 3)
+            for skew in (s, Fraction(2, 3) * s):
+                q = cayley(skew)
+                assert q == (ident - skew) * inverse(ident + skew)
+                assert q.transpose() * q == ident
+                assert det(q) == 1
 
 
 def test_sample_sl_has_det_one():
@@ -388,6 +404,25 @@ def test_coad_compose_and_ad_form_no_inverse_on_orthogonal_groups(monkeypatch):
         Ad(b1, t)
         # the spy sees the exact inverse where it is still formed
         assert len(calls) == (0 if fam in ("io", "iso") else 3), fam
+
+
+def test_coad_skips_the_zero_product_on_aff_and_isl(monkeypatch):
+    # an aff or isl point has xi = 0, so coad forms no xi vstar product:
+    # five matrix products where every other family takes six
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr("coadinv.exactmat.mat_mul", spy)
+    rng = Rng(55)
+    for fam in FAMILIES:
+        alg = Algebra(fam, 3)
+        b, l = sample_group(alg, rng, 3), sample_dual(alg, rng, 3)
+        del calls[:]
+        coad(b, l)
+        assert len(calls) == (5 if fam in ("aff", "isl") else 6), fam
 
 
 def test_coad_C_rejects_non_orthogonal():

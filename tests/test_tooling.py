@@ -336,23 +336,34 @@ def test_orbit_normalize_never_inverts_g():
     assert len(sites("det")) <= 1
 
 
-def test_det_and_rank_share_one_elimination():
-    # one Bareiss elimination serves det and rank, which run no loop of
-    # their own, and no module outside exactmat calls it
+def test_det_rank_inverse_and_cayley_share_one_elimination():
+    # one Bareiss elimination serves det, rank and the solve behind inverse
+    # and cayley: none of them runs a loop of its own, no module outside
+    # exactmat calls it, and cayley solves instead of inverting and
+    # multiplying
     path = os.path.join(SRC, "exactmat.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=path)
     funcs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
-    for name in ("det", "rank"):
-        assert not [node for node in ast.walk(funcs[name])
-                    if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    # _solve alone builds rows by comprehension: [A | B] and d_a R
+    for name in ("det", "rank", "inverse", "_solve"):
+        kinds = (ast.For, ast.While) + ((ast.comprehension,) if name != "_solve" else ())
+        assert not [node for node in ast.walk(funcs[name]) if isinstance(node, kinds)], name
     callers = {}
     for path in glob.glob(os.path.join(SRC, "*.py")):
         sites = _call_sites(os.path.basename(path), lambda node: _called(node, "_bareiss"))
         if sites:
             callers[os.path.basename(path)] = sites
-    assert callers == {"exactmat.py": ["det", "rank"]}
-
+    assert callers == {"exactmat.py": ["_solve", "det", "rank"]}
+    path = os.path.join(SRC, "liealg.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    cayley = next(top for top in tree.body
+                  if isinstance(top, ast.FunctionDef) and top.name == "cayley")
+    assert not [node for node in ast.walk(cayley)
+                if _called(node, "inverse") or _called(node, "mat_mul")
+                or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)]
+    assert [node for node in ast.walk(cayley) if _called(node, "_solve")]
 
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
