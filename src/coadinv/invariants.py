@@ -15,15 +15,15 @@ in module poly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import prod
 from operator import mul
 
 from .charpoly import _char_int, _unpack, bordered, bordered_gradients
-from .exactmat import ExactnessError, Mat, Rat, Record, _exact, det, pfaffian
-# project_traceless is re-exported: it is part of this module's interface
-from .liealg import (_RETRY_CAP, Algebra, DualPoint, GroupElem, Rng, project_traceless,
-                     sample_dual)
+from .exactmat import ExactnessError, Mat, Rat, _exact, det, pfaffian
+# lower_shift and project_traceless are re-exported: they are part of this
+# module's interface
+from .liealg import (_RETRY_CAP, Algebra, CanonicalPair, DualPoint, GroupElem, Rng,
+                     lower_shift, project_traceless, sample_dual)
 
 # Frozen sign conventions, proved by the verify module as identities of
 # integer polynomials in the slice parameters and locked by regression
@@ -39,28 +39,6 @@ EXOTIC_SQUARE_SIGN = -1  # exotic generator squared vs psi_ell
 class NotInOpenOrbit(ValueError):
     """Raised when a point with vanishing determinant semi-invariant is
     handed to the open-orbit normal form."""
-
-
-# -- canonical pair -----------------------------------------------------------
-
-def lower_shift(n: int) -> Mat:
-    """The principal nilpotent J with ones on the first subdiagonal, so the
-    row action shifts basis covectors down by one index."""
-    return Mat([[int(i == j + 1) for j in range(n)] for i in range(n)])
-
-
-class CanonicalPair(Record):
-    """The base point (J, e_n*) of the open affine orbit."""
-
-    __slots__ = ("J", "enstar")
-
-    def __init__(self, J: Mat, enstar: Mat):
-        self._set(J, enstar)
-
-    @staticmethod
-    @cache
-    def of_size(n: int) -> "CanonicalPair":
-        return CanonicalPair(lower_shift(n), Mat.basis_row(n, n - 1))
 
 
 # -- affine covariants and the determinant semi-invariant ---------------------

@@ -21,9 +21,10 @@ Group elements abbreviate the fixed factorization
 through it, and the product law is
 (g1, u1, v1) (g2, u2, v2) = (g1 g2, u1 + g1 u2, v1 + v2 g1^-1).
 
-The module also provides deterministic seeded sampling, the
-commutator-form index, the minus-transpose involution of the glvv algebra
-and its bordered-matrix embedding into gl(n+1).
+The module also provides the base pair (J, e_n*), deterministic seeded
+sampling, the commutator-form index at the base pair, the minus-transpose
+involution of the glvv algebra and its bordered-matrix embedding into
+gl(n+1).
 """
 
 from __future__ import annotations
@@ -116,6 +117,26 @@ class DualPoint(Record):
     @property
     def n(self) -> int:
         return self.y.rows
+
+
+def lower_shift(n: int) -> Mat:
+    """The principal nilpotent J with ones on the first subdiagonal, so the
+    row action shifts basis covectors down by one index."""
+    return Mat([[int(i == j + 1) for j in range(n)] for i in range(n)])
+
+
+class CanonicalPair(Record):
+    """The base point (J, e_n*) of the open affine orbit."""
+
+    __slots__ = ("J", "enstar")
+
+    def __init__(self, J: Mat, enstar: Mat):
+        self._set(J, enstar)
+
+    @staticmethod
+    @cache
+    def of_size(n: int) -> "CanonicalPair":
+        return CanonicalPair(lower_shift(n), Mat.basis_row(n, n - 1))
 
 
 class GroupElem(Record):
@@ -370,9 +391,10 @@ def coad(b: GroupElem, l: DualPoint) -> DualPoint:
         raise ValueError("size mismatch between element and point")
     gi = _g_inverse(b)
     w = l.wstar * gi
-    xi = b.g * l.xi
     y = b.g * l.y * gi + b.u * w
-    if l.family not in ("aff", "isl"):  # their xi is zero
+    xi = None  # aff/isl: _third fills the zero xi
+    if l.family not in ("aff", "isl"):
+        xi = b.g * l.xi
         y = y - xi * b.vstar
     return DualPoint(_traceless(y) if l.family == "isl" else y, w, xi, l.family)
 
@@ -513,19 +535,17 @@ def commutator_form(alg: Algebra, point: DualPoint) -> Mat:
     return Mat.from_num_den(m, den)
 
 
-def index_of(alg: Algebra, samples: int, rng: Rng, bound: int = 3) -> int:
-    """dim minus the maximal rank of the commutator form over random
-    integer dual points."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    best = 0
-    dim = alg.dim
-    for _ in range(samples):
-        point = sample_dual(alg, rng, bound)
-        best = max(best, rank(commutator_form(alg, point)))
-        if dim - best == 0:
-            break
-    return dim - best
+def index_of(alg: Algebra) -> int:
+    """dim minus the rank of the commutator form at one point: the family's
+    view of the base pair (J, e_n*), with y = J - J^T on io/iso and
+    xi = e_1 on glvv.  The rank at any point bounds the generic rank from
+    below, so the value bounds the index from above; at this point it
+    reaches the index of every family."""
+    n, fam = alg.n, alg.family
+    base = CanonicalPair.of_size(n)
+    y = base.J - base.J.transpose() if fam in ("io", "iso") else base.J
+    xi = Mat.basis_col(n, 0) if fam == "glvv" else None
+    return alg.dim - rank(commutator_form(alg, DualPoint(y, base.enstar, xi, fam)))
 
 
 # -- adjoint action on triples (independent check of the coadjoint) ----------

@@ -27,8 +27,8 @@ from . import invariants as inv
 from . import poly
 from .charpoly import (bordered_char_identities, char_data, directional_coeff,
                        interp_coeffs)
-from .exactmat import (ExactnessError, Mat, Record, det, inverse, mat_to_json, rank,
-                       rat_str, scalar)
+from .exactmat import (ExactnessError, Mat, Record, det, mat_to_json, rank, rat_str,
+                       scalar)
 from .liealg import (_RETRY_CAP, FAMILIES, Algebra, DualPoint, GroupElem, Rng,
                      algebra_basis, bracket_b, coad, commutator_form,
                      dual_to_json, embed_M, group_to_json, index_of, k_bracket,
@@ -183,11 +183,11 @@ def _suite_invariance(unit: _Unit):
 def _suite_covariance_phi(unit: _Unit):
     for _ in range(unit.samples):
         l, a = unit.pair()
-        gi = inverse(a.g)
-        right = [row * gi for row in inv.phi_rows(l)]
-        for k, (lr, rr) in enumerate(zip(inv.phi_rows(coad(a, l)), right)):
+        # phi_k(coad(a, l)) = phi_k(l) g^-1, checked as phi_k(coad(a, l)) g =
+        # phi_k(l): GroupElem proved det g != 0, and no inverse is formed
+        for k, (lr, rr) in enumerate(zip(inv.phi_rows(coad(a, l)), inv.phi_rows(l))):
             unit.check("row covariant transforms by g^-1 (k=%d)" % (unit.n - 1 - k),
-                       lr, rr, point=l, elem=a)
+                       lr * a.g, rr, point=l, elem=a)
 
 
 def _suite_exotic_sign(unit: _Unit):
@@ -307,13 +307,8 @@ def _suite_index(unit: _Unit):
     # on iso's group); aff's semi-invariant f, e = -1, is paired with its
     # open orbit instead
     expected = sum(count(n) for _, _, count, _, e, _ in inv.GENERATORS[fam] if e >= 0)
-    got = index_of(alg, min(unit.samples, 5), unit.rng, unit.bound)
-    # the rank at any point bounds the generic rank from below, so an
-    # estimate above the frozen value may be a degenerate draw: draw on
-    for _ in range(_RETRY_CAP):
-        if got <= expected:
-            break
-        got = min(got, index_of(alg, 1, unit.rng, unit.bound))
+    # one exact rank at the base pair bounds the index from above
+    got = index_of(alg)
     unit.report.notes.append("%s n=%d: index %d" % (fam, n, got))
     unit.check("index equals the frozen value %d" % expected, got, expected)
     if fam == "glvv":

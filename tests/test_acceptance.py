@@ -70,8 +70,8 @@ def test_criterion_04_algebraic_independence():
 def test_criterion_05_index_and_regularity():
     rng = Rng(SEED)
     for n in range(2, 6):
-        assert index_of(Algebra("aff", n), 3, rng) == 0, n
-        assert index_of(Algebra("glvv", n), 3, rng) == n, n
+        assert index_of(Algebra("aff", n)) == 0, n
+        assert index_of(Algebra("glvv", n)) == n, n
     for n in range(2, 6):
         alg = Algebra("glvv", n)
         for _ in range(20):

@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 
 from coadinv.exactmat import Mat, det, inverse, mat_mul, mat_to_json, rank
+from coadinv.invariants import GENERATORS
 from coadinv.liealg import (FAMILIES, Ad, Algebra, DualPoint, GroupElem, Rng,
                             algebra_basis, bracket_b, cayley, coad,
                             commutator_form, compose, dual_from_json,
@@ -282,8 +283,7 @@ def test_samplers_refuse_a_bound_below_one(bound):
         for fam in FAMILIES:
             alg = Algebra(fam, n)
             draws += [lambda alg=alg: sample_dual(alg, rng, bound),
-                      lambda alg=alg: sample_group(alg, rng, bound),
-                      lambda alg=alg: index_of(alg, 3, rng, bound)]
+                      lambda alg=alg: sample_group(alg, rng, bound)]
     for draw in draws:
         with pytest.raises(ValueError, match="bound must be >= 1"):
             draw()
@@ -407,8 +407,8 @@ def test_coad_compose_and_ad_form_no_inverse_on_orthogonal_groups(monkeypatch):
 
 
 def test_coad_skips_the_zero_product_on_aff_and_isl(monkeypatch):
-    # an aff or isl point has xi = 0, so coad forms no xi vstar product:
-    # five matrix products where every other family takes six
+    # an aff or isl point has xi = 0, so coad forms neither g xi nor xi
+    # vstar: four matrix products where every other family takes six
     calls = []
 
     def spy(a, b):
@@ -422,7 +422,7 @@ def test_coad_skips_the_zero_product_on_aff_and_isl(monkeypatch):
         b, l = sample_group(alg, rng, 3), sample_dual(alg, rng, 3)
         del calls[:]
         coad(b, l)
-        assert len(calls) == (5 if fam in ("aff", "isl") else 6), fam
+        assert len(calls) == (4 if fam in ("aff", "isl") else 6), fam
 
 
 def test_coad_C_rejects_non_orthogonal():
@@ -533,15 +533,12 @@ def test_embedded_image_is_an_ideal():
 # -- index -------------------------------------------------------------------------
 
 def test_index_values():
-    rng = Rng(47)
-    for n in range(2, 5):
-        assert index_of(Algebra("aff", n), 3, rng) == 0
-        assert index_of(Algebra("glvv", n), 3, rng) == n
-        assert index_of(Algebra("isl", n), 3, rng) == 1
-    for n in range(2, 6):
-        expected = (n - 1) // 2 + 1
-        assert index_of(Algebra("io", n), 3, rng) == expected
-        assert index_of(Algebra("iso", n), 3, rng) == expected
+    # the base pair reaches the index the generator table counts: the rows
+    # of exponent e >= 0 (aff's semi-invariant f has e = -1)
+    for n in range(1, 9):
+        for fam in FAMILIES:
+            expected = sum(count(n) for _, _, count, _, e, _ in GENERATORS[fam] if e >= 0)
+            assert index_of(Algebra(fam, n)) == expected, (fam, n)
 
 
 def test_commutator_form_is_skew():

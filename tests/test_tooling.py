@@ -3,6 +3,7 @@
 import ast
 import glob
 import importlib
+import inspect
 import os
 import re
 import sys
@@ -334,6 +335,33 @@ def test_orbit_normalize_never_inverts_g():
 
     assert sites("inverse") == [] and sites("coad") == []
     assert len(sites("det")) <= 1
+
+
+def test_the_index_is_one_rank_at_the_base_pair(monkeypatch):
+    # index_of is a function of the algebra alone: it takes no stream, and
+    # neither it nor a liealg helper it reaches draws; _suite_index ranks
+    # once through it, with no sample cap of its own and no re-draw loop
+    liealg = importlib.import_module("coadinv.liealg")
+    assert list(inspect.signature(liealg.index_of).parameters) == ["alg"]
+
+    def refuse(*args):
+        raise AssertionError("index_of drew from a stream")
+    monkeypatch.setattr(liealg.Rng, "next_u64", refuse)
+    monkeypatch.setattr(liealg.Rng, "_draws", refuse)
+    for fam in liealg.FAMILIES:
+        liealg.index_of(liealg.Algebra(fam, 3))
+    reached = {"index_of"} | _reaches("liealg.py", "index_of")
+    assert not [name for name in reached if name.startswith("sample_") or name == "_entries"]
+    assert not [site for site in _call_sites("liealg.py", lambda node: _called(node, "Rng"))
+                if site in reached]
+    path = os.path.join(SRC, "verify.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    body = next(top for top in tree.body
+                if isinstance(top, ast.FunctionDef) and top.name == "_suite_index")
+    names = {getattr(node, "id", None) for node in ast.walk(body)}
+    assert "_RETRY_CAP" not in names and "min" not in names
+    assert len([node for node in ast.walk(body) if _called(node, "index_of")]) == 1
 
 
 def test_det_rank_inverse_and_cayley_share_one_elimination():

@@ -147,6 +147,30 @@ def test_exotic_sign_witnesses_replay(monkeypatch):
         assert (rat_str(lhs), rat_str(rhs)) == (witness["lhs"], witness["rhs"])
 
 
+def test_covariance_phi_witnesses_replay(monkeypatch):
+    # a planted fault in the row covariants fails the covariance check; the
+    # witness holds the aff point and element, and both sides, the moved
+    # row times g and the row at the point, rebuild from them
+    real = inv.phi_rows
+
+    def faulty(l):
+        top, *rest = real(l)
+        return [top + l.wstar * l.wstar[0, 0]] + rest
+    monkeypatch.setattr(inv, "phi_rows", faulty)
+    report = run_suite("covariance-phi", SuiteConfig(algebra="aff", n_lo=2, n_hi=2,
+                                                     samples=4, seed=1))
+    witness = report.failures[0]
+    assert witness["check"] == "row covariant transforms by g^-1 (k=1)"
+    assert sorted(witness["inputs"]) == ["elem", "point"]
+    alg, l = dual_from_json(witness["inputs"]["point"])
+    elem_alg, a = group_from_json(witness["inputs"]["elem"])
+    assert alg == elem_alg == Algebra("aff", 2)
+    lhs, rhs = faulty(coad(a, l))[0] * a.g, faulty(l)[0]
+    assert lhs != rhs
+    assert (repr(lhs), repr(rhs)) == (witness["lhs"], witness["rhs"])
+    # the unfaulted rows pass at the same draw
+    assert real(coad(a, l))[0] * a.g == real(l)[0]
+
 
 def test_orbit_fibration_witnesses_replay(monkeypatch):
     # a planted fault in the fiber projection fails the normal-form check;
