@@ -6,7 +6,7 @@ from .exactmat import (ExactnessError, Mat, Rat, det, inverse, mat_from_json,
 from .charpoly import (CharData, bordered, bordered_char_identities, bordered_gradients,
                        char_data, directional_coeff, interp_coeffs)
 from .liealg import (Algebra, DualPoint, FAMILIES, GroupElem, Rng, bracket_b,
-                     coad, commutator_form, compose, dual_from_json,
+                     coad, commutator_form, dual_from_json,
                      dual_to_json, embed_M, group_from_json, group_to_json,
                      index_of, k_bracket, project_traceless, sample_dual,
                      sample_group, theta)

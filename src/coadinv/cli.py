@@ -38,15 +38,27 @@ def _load_json(path: str):
 
 
 def _emit(obj, output):
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2) + "\n"
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
         except OSError as exc:
             raise ValueError("cannot write %s: %s" % (output, exc)) from exc
     else:
-        print(text)
+        _write_stdout(text)
+
+
+def _write_stdout(text: str):
+    """Write and flush stdout.  A closed stdout (a broken pipe) is refused
+    like an unwritable --output, and stdout then goes to the null device,
+    so the flush at interpreter exit finds nothing left to fail on."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError("cannot write stdout: %s" % exc) from exc
 
 
 def _check_writable(output):

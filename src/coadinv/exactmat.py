@@ -12,7 +12,9 @@ directly, and all arithmetic is integer arithmetic: a product is one
 integer matmul over d_a d_b, and the elimination kernels run fraction-free
 (Bareiss) on A with exact division by the previous pivot: det, rank and
 inverse share one elimination, and the Pfaffian, which pivots on 2 x 2
-blocks, keeps its own.  Entries read back through the accessors are
+blocks, keeps its own.  One private sparse elimination, on rows of
+nonzero integer entries, ranks the mostly-zero commutator form without a
+dense matrix.  Entries read back through the accessors are
 fractions.Fraction values.
 
 JSON encoding used repo-wide:
@@ -364,6 +366,42 @@ def det(a: Mat) -> Rat:
 def rank(a: Mat) -> int:
     """Exact rank over the rationals: rank(A), by the Bareiss elimination."""
     return _bareiss(a._a, a.cols)[0]
+
+
+def _sparse_rank(rows: list) -> int:
+    """Exact rank of integer rows held as {column: nonzero value} dicts,
+    which it consumes: the shortest row pivots on its entry of least size,
+    every other row holding that column becomes an integer combination
+    (row p/g - pivot f/g with g = gcd(p, f)) without it, and is divided by
+    the gcd of its entries.  For the mostly-zero commutator form; det,
+    rank and inverse keep the Bareiss elimination."""
+    r = 0
+    while rows:
+        lens = list(map(len, rows))
+        pivot = rows.pop(lens.index(min(lens)))
+        if not pivot:
+            continue  # a zero row, given or left by the elimination
+        c = min(pivot, key=lambda j: abs(pivot[j]))
+        p = pivot.pop(c)
+        r += 1
+        for row in [row for row in rows if c in row]:
+            f = row.pop(c)
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, v in pivot.items():
+                w = row.get(j, 0) - b * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+    return r
 
 
 def _solve(a: Mat, b: Mat) -> Mat:

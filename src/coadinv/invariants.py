@@ -231,11 +231,21 @@ def slice_so(a, a0, alg: Algebra) -> DualPoint:
 
 def sample_open_b(rng: Rng, n: int, bound: int) -> DualPoint:
     """Random glvv dual point with nonvanishing determinant semi-invariant."""
+    return _open_normal(rng, n, bound)[0]
+
+
+def _open_normal(rng: Rng, n: int, bound: int) -> tuple:
+    """(l, elem, normal): a random glvv dual point of the open set and its
+    orbit_normalize.  The rows of g are the row covariants, so det g is
+    f(l) and the normal form's refusal is the open-set test: each draw
+    runs one recursion and one determinant."""
     alg = Algebra("glvv", n)
     for _ in range(_RETRY_CAP):
         l = sample_dual(alg, rng, bound)
-        if f_invariant(l) != 0:
-            return l
+        try:
+            return (l, *orbit_normalize(l))
+        except NotInOpenOrbit:
+            pass
     raise RuntimeError("degenerate rng")
 
 

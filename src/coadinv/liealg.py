@@ -14,12 +14,13 @@ and a GroupElem (g, u, vstar) are glvv triples tagged with a family, whose
 constraints they check when built.  One rule, _third, fixes the third
 component of both: free on glvv, minus the second's transpose on io/iso
 (the triples fixed by the involution theta) and zero on aff/isl.  The
-bracket, the pairing and the commutator form are those of glvv throughout.
+bracket and the commutator form are those of glvv throughout.
 
 Group elements abbreviate the fixed factorization
-(e, u, 0) * (e, 0, vstar) * (g, 0, 0); the action and the adjoint flow
-through it, and the product law is
-(g1, u1, v1) (g2, u2, v2) = (g1 g2, u1 + g1 u2, v1 + v2 g1^-1).
+(e, u, 0) * (e, 0, vstar) * (g, 0, 0), and the action flows through it.
+The product law (g1, u1, v1) (g2, u2, v2) = (g1 g2, u1 + g1 u2,
+v1 + v2 g1^-1), the pairing and the adjoint action are the tests'
+independent checks of it (tests/oracles.py).
 
 The module also provides the base pair (J, e_n*), deterministic seeded
 sampling, the commutator-form index at the base pair, the minus-transpose
@@ -30,12 +31,11 @@ gl(n+1).
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 
 from .charpoly import bordered
-from .exactmat import (ExactnessError, Mat, Rat, Record, _make, _solve, det, inverse, json_size,
-                       mat_from_json, mat_to_json, rank, scalar)
+from .exactmat import (ExactnessError, Mat, Record, _make, _solve, _sparse_rank, det, inverse,
+                       json_size, mat_from_json, mat_to_json)
 
 FAMILIES = ("aff", "isl", "glvv", "io", "iso")
 
@@ -171,12 +171,6 @@ class GroupElem(Record):
 def _g_inverse(b: GroupElem) -> Mat:
     # g^T on io/iso, whose constructor checked g^T g = I
     return b.g.transpose() if b.family in ("io", "iso") else inverse(b.g)
-
-
-def compose(b1: GroupElem, b2: GroupElem) -> GroupElem:
-    """The product law; each group is closed under it, so keeps a shared family."""
-    return GroupElem(b1.g * b2.g, b1.u + b1.g * b2.u, b1.vstar + b2.vstar * _g_inverse(b1),
-                     b1.family if b1.family == b2.family else "glvv")
 
 
 # -- deterministic splittable randomness ------------------------------------
@@ -428,12 +422,6 @@ def bracket_b(t1, t2):
     return (x1 * x2 - x2 * x1, x1 * u2 - x2 * u1, -(v2 * x1) + v1 * x2)
 
 
-def pairing(l: DualPoint, t) -> Rat:
-    """<(y, wstar, xi), (x, u, vstar)> = tr(y x) + wstar u + vstar xi."""
-    x, u, v = t
-    return (l.y * x).trace() + scalar(l.wstar * u) + scalar(v * l.xi)
-
-
 def theta(t):
     """The involution (x, u, vstar) -> (-x^T, -vstar^T, -u^T).
 
@@ -456,8 +444,13 @@ def k_bracket(p: Mat, q: Mat) -> Mat:
     minus the border-border commutator, so the border brackets to zero."""
     if p.rows != q.rows or not p.is_square() or not q.is_square():
         raise ValueError("k_bracket needs equal square matrices")
-    core, edge = Mat.diag([1] * (p.rows - 1) + [0]), Mat.unit(p.rows, p.rows - 1, p.rows - 1)
-    p1, q1 = (core * x * edge + edge * x * core for x in (p, q))
+    m = p.rows - 1
+
+    def border(x):  # x with its block-diagonal part and its corner zeroed
+        a, d = x.num_den()
+        return Mat.from_num_den([[v if (i == m) != (j == m) else 0 for j, v in enumerate(row)]
+                                 for i, row in enumerate(a)], d)
+    p1, q1 = border(p), border(q)
     return (p * q - q * p) - (p1 * q1 - q1 * p1)
 
 
@@ -485,15 +478,17 @@ def algebra_basis(alg: Algebra):
 
 @cache
 def _structure_table(alg: Algebra) -> tuple:
-    """(dim, entries): each nonzero <l, [b_i, b_j]>, i < j, as (i, j, terms)
-    with integer (coordinate, coefficient) terms, built once per family
-    and size.
+    """(dim, table): table[c] holds each nonzero coefficient of coordinate c
+    of a point in <l, [b_i, b_j]>, i < j, as (i, j, integer), built once
+    per family and size, so a form is gathered from the nonzero
+    coordinates of its point alone.
 
     Through embed_M, glvv is gl(n+1) with e_k = E_kn, e^k = E_nk (0-based)
     and V, V* commuting, so its constants are [E_ij, E_kl] = d_jk E_il -
     d_li E_kj unless both units lie on the border; this gives
     [E_ij, e_k] = d_jk e_i and [E_ij, e^k] = -d_ki e^j.  A point pairs as
-    tr(L X) with L = embed_M((y, xi, wstar)), so E_ab reads L[b][a]."""
+    tr(L X) with L = embed_M((y, xi, wstar)), so E_ab reads L[b][a], the
+    coordinate b (n + 1) + a."""
     n, m = alg.n, alg.n + 1
     units = []
     for t in algebra_basis(alg):
@@ -501,7 +496,7 @@ def _structure_table(alg: Algebra) -> tuple:
         if d != 1:
             raise ExactnessError("algebra basis entries must be integers")
         units.append([(i, j, c) for i, row in enumerate(a) for j, c in enumerate(row) if c])
-    entries = []
+    table = [[] for _ in range(m * m)]
     for p, up in enumerate(units):
         for q in range(p + 1, len(units)):
             acc = Counter()
@@ -513,26 +508,44 @@ def _structure_table(alg: Algebra) -> tuple:
                         acc[l * m + i] += cp * cq
                     if l == i:
                         acc[j * m + k] -= cp * cq
-            terms = tuple((c, v) for c, v in acc.items() if v)
-            if terms:
-                entries.append((p, q, terms))
-    return len(units), tuple(entries)
+            for c, v in acc.items():
+                if v:
+                    table[c].append((p, q, v))
+    return len(units), tuple(map(tuple, table))
+
+
+def _form_rows(alg: Algebra, point: DualPoint):
+    """(dim, D, rows): M(l)_ij = <l, [b_i, b_j]> over the fixed basis as
+    rows of {j: nonzero integer} over one denominator D, summed over the
+    structure table at the nonzero coordinates of l."""
+    if point.n != alg.n:
+        raise ValueError("size mismatch between algebra and point")
+    d, table = _structure_table(alg)
+    a, den = embed_M((point.y, point.xi, point.wstar)).num_den()
+    acc = {}
+    for x, terms in zip([v for row in a for v in row], table):
+        if x:
+            for i, j, v in terms:
+                acc[i, j] = acc.get((i, j), 0) + v * x
+    rows = [{} for _ in range(d)]
+    for (i, j), s in acc.items():
+        if s:
+            rows[i][j] = s
+            rows[j][i] = -s
+    return d, den, rows
 
 
 def commutator_form(alg: Algebra, point: DualPoint) -> Mat:
-    """Skew matrix M(l)_ij = <l, [b_i, b_j]> over the fixed basis: each
-    entry is an integer sum over the structure table, gathered from the
-    coordinates of l over one denominator."""
-    if point.n != alg.n:
-        raise ValueError("size mismatch between algebra and point")
-    d, entries = _structure_table(alg)
-    a, den = embed_M((point.y, point.xi, point.wstar)).num_den()
-    coords = [v for row in a for v in row]
-    m = [[0] * d for _ in range(d)]
-    for i, j, terms in entries:
-        m[i][j] = s = sum([v * coords[c] for c, v in terms])
-        m[j][i] = -s
-    return Mat.from_num_den(m, den)
+    """Skew matrix M(l)_ij = <l, [b_i, b_j]> over the fixed basis: the
+    gathered rows, filled in."""
+    d, den, rows = _form_rows(alg, point)
+    return Mat.from_num_den([[row.get(j, 0) for j in range(d)] for row in rows], den)
+
+
+def _form_rank(alg: Algebra, point: DualPoint) -> int:
+    """rank M(l) by the sparse elimination of the gathered rows: no dense
+    matrix is built, and D scales every entry alike."""
+    return _sparse_rank(_form_rows(alg, point)[2])
 
 
 def index_of(alg: Algebra) -> int:
@@ -545,27 +558,7 @@ def index_of(alg: Algebra) -> int:
     base = CanonicalPair.of_size(n)
     y = base.J - base.J.transpose() if fam in ("io", "iso") else base.J
     xi = Mat.basis_col(n, 0) if fam == "glvv" else None
-    return alg.dim - rank(commutator_form(alg, DualPoint(y, base.enstar, xi, fam)))
-
-
-# -- adjoint action on triples (independent check of the coadjoint) ----------
-
-def ad_translation(u: Mat, vstar: Mat, t):
-    """Ad of the translation (e, u, vstar) on a triple: exact nilpotent
-    series id + ad Z + (1/2) ad Z ad Z for Z = (0, u, vstar)."""
-    z = (Mat.zero(u.rows, u.rows), u, vstar)
-    first = bracket_b(z, t)
-    second = bracket_b(z, first)
-    return tuple(a + b + Fraction(1, 2) * c for a, b, c in zip(t, first, second))
-
-
-def Ad(b: GroupElem, t):
-    """Adjoint action of (g, u, vstar) through the fixed factorization."""
-    gi = _g_inverse(b)
-    x, uu, vv = t
-    t = (b.g * x * gi, b.g * uu, vv * gi)
-    t = ad_translation(Mat.zero(b.n, 1), b.vstar, t)
-    return ad_translation(b.u, Mat.zero(1, b.n), t)
+    return alg.dim - _form_rank(alg, DualPoint(y, base.enstar, xi, fam))
 
 
 # -- JSON codecs --------------------------------------------------------------

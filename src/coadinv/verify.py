@@ -30,7 +30,7 @@ from .charpoly import (bordered_char_identities, char_data, directional_coeff,
 from .exactmat import (ExactnessError, Mat, Record, det, mat_to_json, rank, rat_str,
                        scalar)
 from .liealg import (_RETRY_CAP, FAMILIES, Algebra, DualPoint, GroupElem, Rng,
-                     algebra_basis, bracket_b, coad, commutator_form,
+                     _form_rank, algebra_basis, bracket_b, coad,
                      dual_to_json, embed_M, group_to_json, index_of, k_bracket,
                      reflection, sample_dual, sample_gl, sample_group,
                      sample_int_mat, sample_orthogonal, sample_skew,
@@ -52,8 +52,8 @@ class SuiteConfig(Record):
             raise ValueError("bound must be >= 1")
         if coeff_bound > 2 ** 63 - 1:  # [-bound, bound] must fit one 64-bit draw
             raise ValueError("bound must be <= 2^63 - 1")
-        if not 1 <= n_lo <= n_hi <= 8:
-            raise ValueError("n range must lie within 1..8")
+        if not 1 <= n_lo <= n_hi <= 16:
+            raise ValueError("n range must lie within 1..16")
         if not 0 <= seed <= 2 ** 64 - 1:  # Rng keeps 64 bits: another seed's stream
             raise ValueError("seed must lie within 0..2^64 - 1")
         self._set(algebra, n_lo, n_hi, samples, coeff_bound, seed)
@@ -312,11 +312,13 @@ def _suite_index(unit: _Unit):
     unit.report.notes.append("%s n=%d: index %d" % (fam, n, got))
     unit.check("index equals the frozen value %d" % expected, got, expected)
     if fam == "glvv":
-        # every point of the open set realizes the maximal orbit size
+        # every point of the open set realizes the maximal orbit size; the
+        # rank is constant on the orbit, so it is taken at the normal form
+        # (J, e_n*, g xi), where M is mostly zeros
         for _ in range(unit.samples):
-            l = inv.sample_open_b(unit.rng, n, unit.bound)
+            l, _, normal = inv._open_normal(unit.rng, n, unit.bound)
             unit.check("commutator form has rank dim - n on the open set",
-                       rank(commutator_form(alg, l)), alg.dim - expected, point=l)
+                       _form_rank(alg, normal), alg.dim - expected, point=l)
 
 
 _SLICE_CHECKS = {  # sign pair: the slices suite's check name and frozen constant
@@ -338,8 +340,7 @@ def _suite_orbit_fibration(unit: _Unit):
     n = unit.n
     aff = Algebra("aff", n)
     for _ in range(unit.samples):
-        l = inv.sample_open_b(unit.rng, n, unit.bound)
-        _, normal = inv.orbit_normalize(l)
+        l, _, normal = inv._open_normal(unit.rng, n, unit.bound)
         a = sample_group(aff, unit.rng, unit.bound)
         moved = coad(a, l)
         _, normal2 = inv.orbit_normalize(moved)

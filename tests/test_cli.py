@@ -226,6 +226,27 @@ def test_eval_unwritable_output(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_a_closed_stdout_is_a_usage_error(tmp_path):
+    # stdout is a pipe whose read end is closed: every command refuses the
+    # write as it refuses an unwritable --output, with one line and no
+    # traceback, and the flush at interpreter exit reports nothing more
+    path = os.pathsep.join(filter(None, [SRC_ROOT, os.environ.get("PYTHONPATH")]))
+    point = write_point(tmp_path, canonical_point_json(2, [1, 2]))
+    for argv in (["eval", "--input", point], ["orbit", "--input", point],
+                 ["verify", "--suite", "theta", "--n", "1", "--samples", "1"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "coadinv.cli"] + argv, stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=120,
+                                  env=dict(os.environ, PYTHONPATH=path))
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("error: cannot write stdout: "), argv
+        assert proc.stderr.count("\n") == 1 and "Broken pipe" in proc.stderr, argv
+
+
 def count_suite_runs(monkeypatch):
     runs = []
     real = verify.run_suite
@@ -588,7 +609,7 @@ PACKAGE_NAMES = [
     "NotInOpenOrbit",
     "PSI_SLICE_SIGN", "Rat", "Rng", "SUITES", "SuiteConfig", "VerifyReport", "bordered",
     "bordered_char_identities", "bordered_gradients", "bracket_b", "char_data", "charpoly",
-    "coad", "commutator_form", "compose", "det", "directional_coeff", "dual_from_json",
+    "coad", "commutator_form", "det", "directional_coeff", "dual_from_json",
     "dual_to_json", "embed_M", "exactmat", "exotic_phi", "f_bar",
     "f_invariant", "f_krylov", "generators", "group_from_json", "group_to_json", "index_of",
     "interp_coeffs", "invariants", "inverse", "k_bracket", "krylov_rows", "liealg",

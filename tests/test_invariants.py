@@ -441,6 +441,23 @@ def test_orbit_normal_third_component():
             assert F_all(normal) == F_all(l)
 
 
+def test_open_draws_are_the_semi_invariant_draws():
+    # sample_open_b tests each draw by normalizing it, since det g = f(l):
+    # it keeps the first draw with f != 0, leaves the stream where that
+    # draw left it, and the suites' _open_normal returns the draw's normal
+    # form alongside
+    for n in range(1, 6):
+        for seed in range(12):
+            rng, ref = Rng(seed).child("open", n), Rng(seed).child("open", n)
+            l = sample_dual(Algebra("glvv", n), ref, 1)
+            while f_invariant(l) == 0:
+                l = sample_dual(Algebra("glvv", n), ref, 1)
+            got, elem, normal = inv_module._open_normal(rng, n, 1)
+            assert got == l and rng.next_u64() == ref.next_u64()
+            assert (elem, normal) == orbit_normalize(l)
+            assert det(elem.g) == f_invariant(l)
+
+
 @pytest.mark.parametrize("bound", (0, -1))
 def test_sample_open_b_refuses_a_bound_below_one(bound):
     rng = Rng(79)
@@ -562,9 +579,11 @@ def test_orbit_normalize_catches_a_planted_fault(monkeypatch, fault):
             return rows[:-1] + [((r0 + 1, *rest), e)], p, d
         return [(tuple(2 * v for v in r), e) for r, e in rows], [2 * c for c in p], d
 
+    # the points are drawn before the fault is planted: sample_open_b
+    # normalizes each draw
+    points = [sample_open_b(Rng(83).child(n), n, 3) for n in range(2, 6)]
     monkeypatch.setattr(inv_module, "_covariants", planted)
-    for n in range(2, 6):
-        l = sample_open_b(Rng(83).child(n), n, 3)
+    for l in points:
         with pytest.raises(ExactnessError, match="^normal form did not land on the base pair$"):
             orbit_normalize(l)
 

@@ -25,14 +25,14 @@ equal matrices built by different paths compare and hash equal.
 import functools
 import itertools
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import pytest
 
 from coadinv.charpoly import _char_int, char_data
-from coadinv.exactmat import (Mat, det, inverse, mat_from_json, mat_mul, mat_to_json,
-                              pfaffian, rank)
+from coadinv.exactmat import (Mat, _sparse_rank, det, inverse, mat_from_json, mat_mul,
+                              mat_to_json, pfaffian, rank)
 from coadinv.invariants import _covariants
 from coadinv.liealg import DualPoint, Rng
 from test_exactmat import pfaffian_expand
@@ -419,6 +419,39 @@ def test_wide_ranks_behind_zero_columns():
         rows = low_rank_rows(rng, nr, nc, r) if r else [[F(0)] * nc for _ in range(nr)]
         rows = [[F(0)] * zeros + row for row in rows]
         assert rank(Mat(rows)) == gauss_jordan(rows)[0]
+
+
+# -- the sparse rank of the commutator form ---------------------------------------------
+
+def sparse_rows(rows):
+    """Rational rows as the {column: nonzero integer} dicts _sparse_rank
+    takes: each row is cleared of its denominators, which keeps the rank."""
+    out = []
+    for row in rows:
+        d = lcm(*[F(v).denominator for v in row])
+        out.append({j: int(F(v) * d) for j, v in enumerate(row) if v})
+    return out
+
+
+def test_sparse_rank_against_gauss_jordan():
+    # the dense rank's cases and references, plus the zero matrix, zero
+    # and repeated rows, wide and tall shapes and entries up to +-2^70
+    rng = Rng(44)
+    inputs = [rows for _, rows in cases(45)]
+    inputs += [rows for rows, _, _ in PIVOT_CASES] + [rows for rows, _ in SHAPED_CASES]
+    inputs += [[[F(0)] * 4] * 3, [[F(0)] * 2] * 5, [[F(6), F(4)], [F(-9), F(-6)]],
+               [[F(0), F(3), F(0)], [F(0), F(3), F(0)], [F(2), F(0), F(0)], [F(0)] * 3]]
+    for _ in range(120):
+        nr, nc = rng.int_between(1, 9), rng.int_between(1, 9)
+        r = rng.int_between(0, min(nr, nc))
+        inputs.append(low_rank_rows(rng, nr, nc, r) if r else [[F(0)] * nc] * nr)
+    for a, w in extreme_cases(46):
+        rows = [[F(v) for v in row] for row in a]
+        inputs += [rows, [row + [F(v)] for row, v in zip(rows, w)],
+                   [[F(0), F(0)] + row for row in rows], rows + [[F(v) for v in w]] + rows[:1]]
+    for rows in inputs:
+        assert _sparse_rank(sparse_rows(rows)) == gauss_jordan(rows)[0] == rank(Mat(rows))
+    assert _sparse_rank([]) == _sparse_rank([{}, {}]) == 0
 
 
 def test_refusals_keep_their_type_and_text():

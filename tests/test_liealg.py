@@ -9,16 +9,18 @@ from math import gcd
 import pytest
 
 from coadinv.exactmat import Mat, det, inverse, mat_mul, mat_to_json, rank
-from coadinv.invariants import GENERATORS
-from coadinv.liealg import (FAMILIES, Ad, Algebra, DualPoint, GroupElem, Rng,
+from coadinv.invariants import GENERATORS, orbit_normalize, sample_open_b
+from coadinv.liealg import (FAMILIES, Algebra, CanonicalPair, DualPoint, GroupElem, Rng,
+                            _form_rank,
                             algebra_basis, bracket_b, cayley, coad,
-                            commutator_form, compose, dual_from_json,
+                            commutator_form, dual_from_json,
                             dual_to_json, embed_M, group_from_json,
                             group_to_json, index_of, k_bracket,
-                            pairing, project_traceless, sample_dual, sample_gl,
+                            project_traceless, sample_dual, sample_gl,
                             sample_group, sample_int_mat, sample_orthogonal,
                             sample_skew, sample_sl,
                             sample_triple, theta, triple_zero)
+from oracles import Ad, compose, pairing
 
 
 # -- randomness ---------------------------------------------------------------
@@ -532,13 +534,48 @@ def test_embedded_image_is_an_ideal():
 
 # -- index -------------------------------------------------------------------------
 
+def index_count(fam, n):
+    # the rows of exponent e >= 0 (aff's semi-invariant f has e = -1)
+    return sum(count(n) for _, _, count, _, e, _ in GENERATORS[fam] if e >= 0)
+
+
 def test_index_values():
-    # the base pair reaches the index the generator table counts: the rows
-    # of exponent e >= 0 (aff's semi-invariant f has e = -1)
+    # the base pair reaches the index the generator table counts
     for n in range(1, 9):
         for fam in FAMILIES:
-            expected = sum(count(n) for _, _, count, _, e, _ in GENERATORS[fam] if e >= 0)
-            assert index_of(Algebra(fam, n)) == expected, (fam, n)
+            assert index_of(Algebra(fam, n)) == index_count(fam, n), (fam, n)
+
+
+def test_index_values_at_the_top_size():
+    # n = 16, the largest size a suite runs: the sparse rank keeps it quick
+    for fam in FAMILIES:
+        assert index_of(Algebra(fam, 16)) == index_count(fam, 16), fam
+
+
+def base_pair_view(alg):
+    # the point index_of ranks at, built from its docstring
+    n, base = alg.n, CanonicalPair.of_size(alg.n)
+    y = base.J - base.J.transpose() if alg.family in ("io", "iso") else base.J
+    xi = Mat.basis_col(n, 0) if alg.family == "glvv" else None
+    return DualPoint(y, base.enstar, xi, alg.family)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sparse_form_rank_matches_the_dense_rank(family):
+    # the sparse elimination of the gathered rows against the Bareiss
+    # rank of commutator_form: at the zero point, at random integer points,
+    # at a coadjoint image (rational coordinates), at the base pair and, on
+    # glvv, at the orbit normal form of an open-set point
+    for n in range(1, 9):
+        alg = Algebra(family, n)
+        rng = Rng(57).child(family, n)
+        points = [DualPoint(Mat.zero(n, n), Mat.zero(1, n), family=family),
+                  sample_dual(alg, rng, 3), sample_dual(alg, rng, 3), base_pair_view(alg)]
+        points.append(coad(sample_group(alg, rng, 3), points[1]))
+        if family == "glvv":
+            points.append(orbit_normalize(sample_open_b(rng, n, 3))[1])
+        for point in points:
+            assert _form_rank(alg, point) == rank(commutator_form(alg, point)), (n, point)
 
 
 def test_commutator_form_is_skew():

@@ -394,6 +394,22 @@ def test_det_rank_inverse_and_cayley_share_one_elimination():
     assert [node for node in ast.walk(cayley) if _called(node, "_solve")]
 
 
+def test_the_sparse_rank_serves_the_commutator_form_alone():
+    # the sparse elimination has one caller, liealg._form_rank, which ranks
+    # the gathered commutator form for index_of and the index suite's
+    # open-set check; no suite ranks a dense commutator form
+    callers = {}
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        module = os.path.basename(path)
+        for name in ("_sparse_rank", "_form_rank"):
+            sites = _call_sites(module, lambda node: _called(node, name))
+            if sites:
+                callers.setdefault(name, {})[module] = sites
+    assert callers == {"_sparse_rank": {"liealg.py": ["_form_rank"]},
+                       "_form_rank": {"liealg.py": ["index_of"], "verify.py": ["_suite_index"]}}
+    assert _call_sites("verify.py", lambda node: _called(node, "commutator_form")) == []
+
+
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
@@ -472,9 +488,6 @@ def test_perfbench_names_exist_in_the_package():
 KEPT = {
     "main_entry": "the console script in pyproject.toml",
     "rat": "the exact scalar parser the README documents",
-    "compose": "the tests' oracle for coad",
-    "pairing": "the tests' oracle for coad",
-    "Ad": "the tests' oracle for coad",
     "group_from_json": "the reader of witness elements, which the replay tests use",
 }
 

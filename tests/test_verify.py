@@ -69,8 +69,10 @@ def test_config_validation():
         SuiteConfig(samples=0)
     with pytest.raises(ValueError):
         SuiteConfig(n_lo=3, n_hi=2)
-    with pytest.raises(ValueError):
-        SuiteConfig(n_hi=9)
+    # sizes run up to n = 16
+    with pytest.raises(ValueError, match="n range must lie within 1..16"):
+        SuiteConfig(n_hi=17)
+    assert SuiteConfig(n_lo=16, n_hi=16).n_hi == 16
     with pytest.raises(ValueError, match="bound must be >= 1"):
         SuiteConfig(coeff_bound=0)
     # [-bound, bound] must fit one 64-bit draw
@@ -196,6 +198,15 @@ def test_index_suite_reports_values():
     report = run_suite("index", quick_cfg("glvv", n_lo=2, n_hi=3, samples=3))
     assert report.passed
     assert any("index" in note for note in report.notes)
+
+
+def test_index_suite_runs_past_the_old_cap():
+    # the open-set ranks are taken at the orbit normal form, so glvv n = 12
+    # is a quick unit
+    report = run_suite("index", SuiteConfig(algebra="glvv", n_lo=12, n_hi=12, samples=2,
+                                            seed=1))
+    assert report.passed and report.checks_run == 3
+    assert report.notes == ["glvv n=12: index 12"]
 
 
 def test_invariance_suite_pinned_config():
