@@ -150,25 +150,31 @@ def interp_coeffs(values: Sequence[Rat]) -> tuple:
     return tuple(Fraction(sum(map(mul, row, nums)), e * den) for row in rows)
 
 
+def _taylor(values: Sequence[Rat], degree_bound: int) -> tuple:
+    """interp_coeffs of values at t = 0, 1, ..., which must reach one node
+    past the degree bound and vanish past it, else ExactnessError: the one
+    checked path to every exact derivative the package takes."""
+    if len(values) < degree_bound + 2:
+        raise ValueError("need degree_bound + 2 values: one node past the bound")
+    coeffs = interp_coeffs(values)
+    if any(coeffs[degree_bound + 1:]):
+        raise ExactnessError("restriction has degree above the bound %d" % degree_bound)
+    return coeffs
+
+
 def directional_coeff(F: Callable, base, direction, order: int, degree_bound: int) -> Rat:
     """Exact coefficient of t**order in t -> F(base + t * direction).
 
-    Evaluates at t = 0..degree_bound + 1 and solves the Vandermonde system
-    exactly, so the answer is an identity, not an approximation.  The bound
-    must be at least the true degree of the restriction; callers pass a
-    documented worst case (deg p_k = k; invariants.GENERATORS holds the
-    generators').  The one node past the bound is a check: the
-    interpolant's coefficient of t**(degree_bound + 1) must vanish,
-    otherwise the bound was too small and ExactnessError is raised.  base
-    and direction only need + and scalar *.
+    Reads _taylor at t = 0..degree_bound + 1, so the answer is an
+    identity, not an approximation.  The bound must be at least the true
+    degree of the restriction; callers pass a documented worst case (deg
+    p_k = k; invariants.GENERATORS holds the generators').  base and
+    direction only need + and scalar *.
     """
     if order < 0 or order > degree_bound:
         raise ValueError("order must lie in 0..degree_bound")
-    coeffs = interp_coeffs([F(base) if t == 0 else F(base + Fraction(t) * direction)
-                            for t in range(degree_bound + 2)])
-    if coeffs[-1]:
-        raise ExactnessError("restriction has degree above the bound %d" % degree_bound)
-    return coeffs[order]
+    return _taylor([F(base) if t == 0 else F(base + Fraction(t) * direction)
+                    for t in range(degree_bound + 2)], degree_bound)[order]
 
 
 # -- bordered matrices -------------------------------------------------------

@@ -25,8 +25,7 @@ from fractions import Fraction
 
 from . import invariants as inv
 from . import poly
-from .charpoly import (bordered_char_identities, char_data, directional_coeff,
-                       interp_coeffs)
+from .charpoly import _taylor, bordered_char_identities, char_data
 from .exactmat import (ExactnessError, Mat, Record, det, mat_to_json, rank, rat_str,
                        scalar)
 from .liealg import (_RETRY_CAP, FAMILIES, Algebra, DualPoint, GroupElem, Rng,
@@ -247,8 +246,9 @@ def _suite_dual_path(unit: _Unit):
 
 def _jacobian_rank(point, directions, degree_bound: int) -> int:
     """Exact Jacobian rank of the generator table at the point: one
-    derivative per direction (dy, dw, dxi), in order, interpolated at the
-    nodes point + t d, each built once as a point of the family.
+    derivative per direction (dy, dw, dxi), in order, read by _taylor off
+    the nodes point + t d, t = 0..degree_bound + 1, each built once as a
+    point of the family.
 
     The rank is at most the generator count, so the directions stop once
     the rows taken so far reach it: the rest cannot raise it, and the
@@ -260,9 +260,9 @@ def _jacobian_rank(point, directions, degree_bound: int) -> int:
     rows = []
     for dy, dw, dxi in directions:
         nodes = (DualPoint(y + t * dy, w + t * dw, xi + t * dxi if fam == "glvv" else None, fam)
-                 for t in range(1, degree_bound + 1))
+                 for t in range(1, degree_bound + 2))
         samples = [at_point] + [_values(p) for p in nodes]
-        rows.append([interp_coeffs([s[i] for s in samples])[1] for i in range(full)])
+        rows.append([_taylor([s[i] for s in samples], degree_bound)[1] for i in range(full)])
         # one row per direction: the transposed Jacobian, of the same rank
         if len(rows) >= full and rank(Mat(rows)) == full:
             return full
@@ -353,7 +353,7 @@ def _suite_orbit_fibration(unit: _Unit):
         unit.check("normal form third component is the fiber projection",
                    normal.xi, proj, point=l, elem=a)
         unit.check("generators survive normalization",
-                   inv.F_all(normal), inv.F_all(l), point=l, elem=a)
+                   inv.pi_projection(normal), proj, point=l, elem=a)
         vonly = GroupElem(Mat.identity(n), Mat.zero(n, 1),
                           sample_int_mat(unit.rng, 1, n, unit.bound))
         unit.check("fiber projection constant along the covector translation",
@@ -409,18 +409,11 @@ def _suite_gradient_Bk(unit: _Unit):
         x = sample_int_mat(unit.rng, n, n, unit.bound)
         y = sample_int_mat(unit.rng, n, n, unit.bound)
         cd = char_data(x)
-        # every k interpolates at nodes x + t y from the same t = 0, 1, ...,
-        # so each node's recursion runs once: n + 2 nodes in all
-        nodes = {x: cd}
-
-        def at(m):
-            if m not in nodes:
-                nodes[m] = char_data(m)
-            return nodes[m]
+        # every k reads p_{k+1} at nodes x + t y, t = 0..k+2: n + 2 recursions in all
+        p = [cd.p] + [char_data(x + t * y).p for t in range(1, n + 2)]
         for k in range(n):
             unit.check("tr(B_k(x) y) is the first-order coefficient (k=%d)" % k,
-                       (cd.B[k] * y).trace(),
-                       directional_coeff(lambda m, k=k: at(m).coeff(k + 1), x, y, 1, k + 1),
+                       (cd.B[k] * y).trace(), _taylor([q[k] for q in p[:k + 3]], k + 1)[1],
                        x=x, y=y)
 
 
@@ -508,9 +501,9 @@ def resolve_sign(pair: str, n: int, k=None) -> int:
 # -- registry and runners ---------------------------------------------------------
 
 class _SuiteSpec(Record):
-    # samples_cap: point-driven suites cap the sample count (a handful of
-    # exact Jacobian or rank evaluations already decides the claim); 0 means
-    # uncapped.  odd_only: the suite checks something only at odd n.
+    # samples_cap: independence caps the sample count (a handful of exact
+    # Jacobians decides the claim); 0 means uncapped.  odd_only: the suite
+    # checks something only at odd n.
     __slots__ = ("func", "claim", "families", "default_range", "samples_cap", "odd_only")
 
     def __init__(self, func, claim: str, families: tuple, default_range: tuple,
@@ -550,7 +543,7 @@ SUITES = {
     "index": _SuiteSpec(
         _suite_index,
         "dim minus the generic commutator-form rank matches the frozen value",
-        FAMILIES, (2, 5), samples_cap=20),
+        FAMILIES, (2, 5)),
     "slices": _SuiteSpec(
         _suite_slices,
         "slice restrictions match the closed slice polynomials up to frozen signs",

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from coadinv import charpoly, invariants
-from coadinv.charpoly import (CharData, bordered, bordered_char_identities,
+from coadinv.charpoly import (CharData, _taylor, bordered, bordered_char_identities,
                               bordered_gradients, char_data, directional_coeff,
                               interp_coeffs)
 from coadinv.exactmat import ExactnessError, Mat, det, rank, scalar
@@ -210,6 +210,30 @@ def test_interp_refuses_inexact_values():
             interp_coeffs(values)
     with pytest.raises(TypeError, match="exact entries are int or Fraction"):
         directional_coeff(lambda t: 0.5 * t, F(1), F(1), 1, 1)
+
+
+def test_taylor_is_interp_coeffs_within_the_bound():
+    # 2 - 3t + t^3 at t = 0..5: bound 3 and bound 4 both hold
+    values = [2 - 3 * t + t ** 3 for t in range(6)]
+    for bound in (3, 4):
+        assert _taylor(values, bound) == interp_coeffs(values)
+    assert _taylor(values, 4)[:4] == (F(2), F(-3), F(0), F(1))
+
+
+def test_taylor_refuses_a_coefficient_past_the_bound():
+    # t^3 read at bound 2: its t^3 coefficient does not vanish
+    values = [t ** 3 for t in range(5)]
+    for bound in (2, 1, 0):
+        with pytest.raises(ExactnessError, match="degree above the bound %d" % bound):
+            _taylor(values, bound)
+
+
+def test_taylor_needs_one_node_past_the_bound():
+    # bound + 1 values fit a polynomial of that degree: nothing is checked
+    for bound in range(4):
+        with pytest.raises(ValueError, match="degree_bound \\+ 2 values"):
+            _taylor([F(t) ** bound for t in range(bound + 1)], bound)
+        assert _taylor([F(t) ** bound for t in range(bound + 2)], bound)[bound] == 1
 
 
 def test_oversized_bound_is_harmless():

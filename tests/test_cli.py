@@ -313,6 +313,15 @@ def test_verify_single_suite(tmp_path, capsys):
     assert any("index 3" in note for note in reports[0]["notes"])
 
 
+def test_verify_index_runs_every_sample(capsys):
+    # one sparse rank a sample on the open set, and no cap cuts the count:
+    # the frozen index, then 25 open-set checks
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "index", "--algebra", "glvv",
+                                    "--n", "3", "--samples", "25"])
+    assert code == 0
+    assert json.loads(out)[0]["checks_run"] == 26
+
+
 @pytest.mark.parametrize("algebra", ["isl", "io", "iso"])
 def test_verify_slices_runs_past_its_default_range(capsys, algebra):
     # the signs are proved, not sampled on a grid, so no size cap is left

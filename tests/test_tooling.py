@@ -140,6 +140,24 @@ def test_one_recursion_per_generator_family():
     assert "char_data" in _reaches("charpoly.py", "bordered_char_identities")
 
 
+def test_every_exact_derivative_is_read_through_one_checked_rule():
+    # interp_coeffs alone would read an understated bound's wrong
+    # coefficients; _taylor checks the bound, and each derivative reads it
+    def sites(name):
+        return sorted(site for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
+                      for site in _call_sites(os.path.basename(path),
+                                              lambda node: _called(node, name)))
+    assert sites("interp_coeffs") == ["_taylor"]
+    assert sites("_taylor") == ["_jacobian_rank", "_suite_gradient_Bk", "directional_coeff"]
+    # the suite reads its node list straight, with no closure or memo
+    path = os.path.join(SRC, "verify.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    body = next(top for top in tree.body if getattr(top, "name", None) == "_suite_gradient_Bk")
+    assert not [node for node in ast.walk(body) if node is not body
+                and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+
+
 def test_each_slice_is_proved_once_and_stated_once():
     # the slices suite reads one derivation per unit, never the per-sign
     # view, and the view reads the same derivation

@@ -508,19 +508,32 @@ def _counted_generators(monkeypatch):
 
 def test_jacobian_rank_of_a_generic_point_reads_n_directions(monkeypatch):
     # at f != 0 the n xi directions alone give rank n: the point, then
-    # n + 1 nodes along each of them, where every direction would take 121
+    # n + 2 nodes along each of them (one past the bound n + 1), where
+    # every direction would take 145
     n = 4
     alg = Algebra("glvv", n)
     point = sample_dual(alg, Rng(1), 3)
     assert inv.f_invariant(point) != 0
     calls = _counted_generators(monkeypatch)
     assert verify._jacobian_rank(point, verify._directions(alg), n + 1) == n
-    assert len(calls) <= 1 + n * (n + 1)
+    assert len(calls) == 1 + n * (n + 2)
+
+
+def test_jacobian_rank_refuses_a_bound_below_the_degree():
+    # along a covector direction each psi_k is quadratic in t: bound 1
+    # would read secant slopes and bound 0 no slope at all, so both raise
+    # instead of returning a rank
+    alg = Algebra("io", 4)
+    point, directions = sample_dual(alg, Rng(1), 3), verify._directions(alg)
+    for bound in (1, 0):
+        with pytest.raises(ExactnessError, match="degree above the bound %d" % bound):
+            verify._jacobian_rank(point, directions, bound)
+    assert verify._jacobian_rank(point, directions, 5) == 2
 
 
 def test_jacobian_rank_builds_each_node_once(monkeypatch):
     # one point per interpolation node: n directions reach rank n at this
-    # point, with n + 1 nodes along each
+    # point, with n + 2 nodes along each
     n = 4
     alg = Algebra("glvv", n)
     point = sample_dual(alg, Rng(1), 3)
@@ -533,7 +546,7 @@ def test_jacobian_rank_builds_each_node_once(monkeypatch):
         real(self, *args, **kwargs)
     monkeypatch.setattr(DualPoint, "__init__", counted)
     assert verify._jacobian_rank(point, directions, n + 1) == n
-    assert len(built) == n * (n + 1)
+    assert len(built) == n * (n + 2)
 
 
 def test_jacobian_rank_of_a_dependent_family_reads_every_direction(monkeypatch):
@@ -543,7 +556,7 @@ def test_jacobian_rank_of_a_dependent_family_reads_every_direction(monkeypatch):
     directions = verify._directions(alg)
     calls = _counted_generators(monkeypatch)
     assert verify._jacobian_rank(sample_dual(alg, Rng(1), 3), directions, n + 1) < n
-    assert len(calls) == 1 + (n + 1) * len(directions)
+    assert len(calls) == 1 + (n + 2) * len(directions)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -555,7 +568,7 @@ def test_gradient_Bk_recursion_runs_once_per_node(monkeypatch, n):
     cfg = SuiteConfig(algebra="glvv", n_lo=n, n_hi=n, samples=4, seed=3)
     report = run_suite("gradient-Bk", cfg)
     assert report.passed and report.checks_run == n * cfg.samples
-    assert len(calls) <= (n + 2) * cfg.samples
+    assert len(calls) == (n + 2) * cfg.samples
 
 
 def test_run_all_quick():
