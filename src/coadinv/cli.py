@@ -7,7 +7,7 @@ Commands:
 
 All results go to stdout as JSON (or to --output); diagnostics go to
 stderr.  Exit codes: 0 pass, 1 verification or mathematical failure,
-2 usage error.
+2 usage error; main alone maps a failure to its code.
 """
 
 from __future__ import annotations
@@ -150,11 +150,7 @@ def cmd_orbit(args) -> int:
     alg, point = dual_from_json(obj)
     if alg.family != "glvv":
         raise ValueError("orbit normalization needs a glvv point")
-    try:
-        elem, normal = inv.orbit_normalize(point)
-    except inv.NotInOpenOrbit as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return MATH_ERROR
+    elem, normal = inv.orbit_normalize(point)
     _emit({"g": mat_to_json(elem.g), "u": mat_to_json(elem.u),
            "normal_form": dual_to_json(alg, normal)}, args.output)
     return 0
@@ -169,8 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate invariants at a JSON dual point")
     p_eval.add_argument("--algebra", choices=FAMILIES)
     p_eval.add_argument("--n", type=int)
-    p_eval.add_argument("--which", default="all",
-                        help="all, f, fbar, phi, or an indexed id like F2 / psi1")
+    ids = dict.fromkeys(name + ("<k>" if indexed else "")  # one id per name, in order
+                        for rows in inv.GENERATORS.values() for name, indexed, *_ in rows)
+    p_eval.add_argument("--which", default="all", help="all, or one of " + ", ".join(ids))
     p_eval.add_argument("--input", required=True, help="path to a dual-point JSON ('-' for stdin)")
     p_eval.add_argument("--output")
 
@@ -205,12 +202,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_orbit(args)
+    except (ExactnessError, inv.NotInOpenOrbit) as exc:  # ahead of its base ValueError
+        print("error: %s" % exc, file=sys.stderr)
+        return MATH_ERROR
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
-    except ExactnessError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return MATH_ERROR
 
 
 def main_entry():

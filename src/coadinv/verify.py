@@ -191,8 +191,6 @@ def _suite_covariance_phi(unit: _Unit):
 
 def _suite_exotic_sign(unit: _Unit):
     n = unit.n
-    if n % 2 == 0:
-        return  # the exotic generator lives at odd sizes
     e = next(e for name, _, _, _, e, _ in inv.GENERATORS["iso"] if name == "phi")
     seen = False
     draws = 0
@@ -503,7 +501,8 @@ def resolve_sign(pair: str, n: int, k=None) -> int:
 class _SuiteSpec(Record):
     # samples_cap: independence caps the sample count (a handful of exact
     # Jacobians decides the claim); 0 means uncapped.  odd_only: the suite
-    # checks something only at odd n.
+    # checks odd n only; run_suite never builds an even-size unit for it, and
+    # suite_range refuses a range that holds no odd size.
     __slots__ = ("func", "claim", "families", "default_range", "samples_cap", "odd_only")
 
     def __init__(self, func, claim: str, families: tuple, default_range: tuple,
@@ -580,7 +579,8 @@ SUITES = {
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> VerifyReport:
-    """Run the suite's property body once per unit n = cfg.n_lo..cfg.n_hi.
+    """Run the suite's property body once per unit n = cfg.n_lo..cfg.n_hi,
+    odd n only for an odd_only suite.
 
     Each unit draws from Rng(seed).child(name, family, n), or from
     Rng(seed).child(name, n) when the suite has one family; this
@@ -598,8 +598,9 @@ def run_suite(name: str, cfg: SuiteConfig) -> VerifyReport:
     once = {}
     start = time.perf_counter()
     for n in range(cfg.n_lo, cfg.n_hi + 1):
-        spec.func(_Unit(Algebra(fam, n), Rng(cfg.seed).child(*key, n), samples,
-                        cfg.coeff_bound, report, once))
+        if n % 2 or not spec.odd_only:
+            spec.func(_Unit(Algebra(fam, n), Rng(cfg.seed).child(*key, n), samples,
+                            cfg.coeff_bound, report, once))
     for check, ok in once.items():
         _record(report, check, 0, ok, True, {})
     if not report.checks_run:

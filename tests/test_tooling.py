@@ -53,6 +53,38 @@ def test_only_run_suite_owns_the_unit_frame():
     assert found == []
 
 
+def test_only_run_suite_decides_an_odd_only_suite_sizes():
+    # odd_only is read where the sizes are chosen, run_suite and
+    # suite_range; no property body takes n modulo anything to skip a unit
+    path = os.path.join(SRC, "verify.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    funcs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    readers = {name for name, func in funcs.items() for node in ast.walk(func)
+               if getattr(node, "attr", None) == "odd_only"}
+    assert readers == {"run_suite", "suite_range"}
+    sizes = [node.left for name, func in funcs.items() if name.startswith("_suite_")
+             for node in ast.walk(func)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)]
+    found = [node.lineno for node in sizes if getattr(node, "id", None) == "n"
+             or getattr(node, "attr", None) == "n"]
+    assert found == []
+
+
+def test_only_main_maps_failures_to_exit_codes():
+    # one owner per outcome: a command computes and raises, and main alone
+    # turns a failure into exit 1 or exit 2
+    path = os.path.join(SRC, "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    codes = {"MATH_ERROR", "USAGE_ERROR"}
+    mappers = sorted({func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                      for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)
+                      for ret in ast.walk(node) if isinstance(ret, ast.Return)
+                      and getattr(ret.value, "id", None) in codes})
+    assert mappers == ["main"]
+
+
 def test_only_exactmat_reads_matrix_storage():
     # one representation: the integer rows and common denominator of a Mat
     # (and its Fraction row view) are read inside exactmat alone; other
@@ -188,7 +220,8 @@ def _docstrings(tree):
 
 def test_the_generator_table_is_stated_once():
     # invariants.GENERATORS alone states each family's generators, counts,
-    # degrees and characters: the CLI keeps no id table, the suites read
+    # degrees and characters: the CLI keeps no id table and no string of
+    # it names an id (its --which help is read off the table), the suites read
     # their counts, exponents and the Jacobian's degree bound off it, one
     # body checks every character, no docstring restates a degree, and no
     # source spells a character as a string
@@ -197,6 +230,12 @@ def test_the_generator_table_is_stated_once():
         with open(path, encoding="utf-8") as fh:
             trees[os.path.basename(path)] = ast.parse(fh.read(), filename=path)
     assert "_SINGLE_IDS" not in {getattr(t, "id", None) for t in ast.walk(trees["cli.py"])}
+    from coadinv.invariants import GENERATORS
+    ids = re.compile(r"\b(?:%s)[0-9]*\b" % "|".join(
+        {row[0] for rows in GENERATORS.values() for row in rows}))
+    assert not [node.value for node in ast.walk(trees["cli.py"])
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and ids.search(node.value)]
     funcs = {top.name: top for top in trees["verify.py"].body if isinstance(top, ast.FunctionDef)}
     for name in ("_suite_independence", "_suite_index", "_suite_invariance",
                  "_suite_exotic_sign"):

@@ -122,6 +122,28 @@ def test_failure_witnesses_are_replayable():
     assert json.dumps(report.to_json())  # serializable
 
 
+def test_run_suite_builds_only_the_sizes_an_odd_only_suite_checks(monkeypatch):
+    # run_suite alone decides the sizes: the exotic-sign body never sees an
+    # even n, and skipping the even sizes changes neither the report (13
+    # checks over n = 1..5) nor the refusal of a range with no odd size
+    spec, sizes = SUITES["exotic-sign"], []
+
+    def spy(unit):
+        sizes.append(unit.n)
+        return spec.func(unit)
+    monkeypatch.setitem(SUITES, "exotic-sign", verify._SuiteSpec(
+        spy, spec.claim, spec.families, spec.default_range, spec.samples_cap, spec.odd_only))
+    cfg = SuiteConfig(algebra="iso", n_lo=1, n_hi=5, samples=2, seed=1)
+    report = run_suite("exotic-sign", cfg).to_json()
+    assert sizes == [1, 3, 5]
+    del report["elapsed_ms"]
+    assert report == {"suite": "exotic-sign", "algebra": "iso", "claim": spec.claim,
+                      "checks_run": 13, "passed": True, "failures": [], "notes": []}
+    with pytest.raises(ValueError, match=r"checks nothing at n in 4\.\.4"):
+        run_suite("exotic-sign", SuiteConfig(algebra="iso", n_lo=4, n_hi=4, samples=2, seed=1))
+    assert sizes == [1, 3, 5]
+
+
 def test_exotic_sign_witnesses_replay(monkeypatch):
     # a planted fault fails both exotic checks; each witness holds the point
     # and the rotation, and the flip check's reflected element is rebuilt
