@@ -242,11 +242,18 @@ def _suite_dual_path(unit: _Unit):
                            grads[k], bord[k], point=l)
 
 
-def _jacobian_rank(point, directions, degree_bound: int) -> int:
+def _jacobian_rank(point, directions) -> int:
     """Exact Jacobian rank of the generator table at the point: one
     derivative per direction (dy, dw, dxi), in order, read by _taylor off
-    the nodes point + t d, t = 0..degree_bound + 1, each built once as a
-    point of the family.
+    the nodes point + t d, t = 0..bound + 1, each built once as a point of
+    the family.
+
+    A direction's bound is the number of entries of [[y, xi], [wstar, 0]]
+    it moves, xi = -wstar^T moving with wstar off glvv: 1 on glvv, 2 on
+    io/iso.  Every glvv, io and iso generator is a signed sum of principal
+    minors, or the Pfaffian, of that matrix, so it is multilinear in the
+    entries and the bound is proved; _taylor's node past it still raises
+    ExactnessError on a generator of higher degree.
 
     The rank is at most the generator count, so the directions stop once
     the rows taken so far reach it: the rest cannot raise it, and the
@@ -257,10 +264,12 @@ def _jacobian_rank(point, directions, degree_bound: int) -> int:
     full = len(at_point)
     rows = []
     for dy, dw, dxi in directions:
+        moved, _ = embed_M((dy, dxi if fam == "glvv" else -dw.transpose(), dw)).num_den()
+        bound = sum(1 for row in moved for c in row if c)
         nodes = (DualPoint(y + t * dy, w + t * dw, xi + t * dxi if fam == "glvv" else None, fam)
-                 for t in range(1, degree_bound + 2))
+                 for t in range(1, bound + 2))
         samples = [at_point] + [_values(p) for p in nodes]
-        rows.append([_taylor([s[i] for s in samples], degree_bound)[1] for i in range(full)])
+        rows.append([_taylor([s[i] for s in samples], bound)[1] for i in range(full)])
         # one row per direction: the transposed Jacobian, of the same rank
         if len(rows) >= full and rank(Mat(rows)) == full:
             return full
@@ -278,10 +287,7 @@ def _directions(alg: Algebra) -> list:
 def _suite_independence(unit: _Unit):
     alg, n = unit.alg, unit.n
     directions = _directions(alg)
-    rows = [(count(n), degree) for _, _, count, degree, _, _ in inv.GENERATORS[alg.family]]
-    expected = sum(c for c, _ in rows)
-    # the interpolation nodes cover the largest declared degree
-    degree_bound = max(degree(n, k) for c, degree in rows for k in range(c))
+    expected = sum(count(n) for _, _, count, _, _, _ in inv.GENERATORS[alg.family])
     draws = _RETRY_CAP
     for _ in range(unit.samples):
         # the full-rank locus is dense; degenerate sample points are
@@ -290,7 +296,7 @@ def _suite_independence(unit: _Unit):
         # sample draws once, and is still checked
         for _attempt in range(draws):
             point = sample_dual(alg, unit.rng, unit.bound)
-            got = _jacobian_rank(point, directions, degree_bound)
+            got = _jacobian_rank(point, directions)
             if got == expected:
                 break
         else:

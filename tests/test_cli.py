@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -119,6 +120,20 @@ def test_eval_refuses_a_component_the_family_fills(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: aff point JSON takes no 'xi' component\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.pop("xi"), "point JSON is missing a component"),
+    (lambda obj: obj.update(y={"rows": 0, "cols": 0, "entries": []}),
+     "matrix needs at least one row and one column"),
+])
+def test_eval_refuses_a_missing_component_and_an_empty_matrix(monkeypatch, capsys, edit,
+                                                              message):
+    # a glvv point without xi, or with an empty y, read from stdin
+    obj = canonical_point_json(2, [1, 2])
+    edit(obj)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+    assert run_cli(capsys, ["eval", "--input", "-"]) == (2, "", "error: %s\n" % message)
 
 
 def test_eval_malformed_json(tmp_path, capsys):

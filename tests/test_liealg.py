@@ -686,6 +686,16 @@ def test_group_json_refuses_non_members():
     assert alg == Algebra("io", 2) and elem == GroupElem(flip, zero, family="io")
 
 
+def test_group_json_refuses_a_missing_component():
+    # a glvv element reads g, u and vstar; without u it is refused by name
+    obj = {"algebra": "glvv", "n": 2, "g": mat_to_json(Mat.identity(2)),
+           "vstar": mat_to_json(Mat.zero(1, 2))}
+    with pytest.raises(ValueError, match="^group JSON is missing a component$"):
+        group_from_json(obj)
+    obj["u"] = mat_to_json(Mat.zero(2, 1))
+    assert group_from_json(obj)[0] == Algebra("glvv", 2)
+
+
 def test_group_json_writer_refuses_what_the_reader_refuses():
     zero = Mat.zero(2, 1)
     shear = Mat([[1, 1], [0, 1]])

@@ -222,9 +222,10 @@ def test_the_generator_table_is_stated_once():
     # invariants.GENERATORS alone states each family's generators, counts,
     # degrees and characters: the CLI keeps no id table and no string of
     # it names an id (its --which help is read off the table), the suites read
-    # their counts, exponents and the Jacobian's degree bound off it, one
-    # body checks every character, no docstring restates a degree, and no
-    # source spells a character as a string
+    # their counts and exponents off it, no Jacobian call passes a degree
+    # bound (_jacobian_rank derives each direction's), one body checks every
+    # character, no docstring restates a degree, and no source spells a
+    # character as a string
     trees = {}
     for path in glob.glob(os.path.join(SRC, "*.py")):
         with open(path, encoding="utf-8") as fh:
@@ -243,9 +244,8 @@ def test_the_generator_table_is_stated_once():
         assert any(getattr(node, "attr", None) == "GENERATORS" for node in nodes), name
         assert not [node for node in nodes if isinstance(node, ast.Dict)
                     or getattr(node, "attr", None) == "ell"], name
-    bounds = [call.args[2] for call in ast.walk(trees["verify.py"])
-              if _called(call, "_jacobian_rank")]
-    assert bounds and not [b for b in bounds if isinstance(b, ast.BinOp)]
+    calls = [call for call in ast.walk(trees["verify.py"]) if _called(call, "_jacobian_rank")]
+    assert calls and not [call for call in calls if len(call.args) != 2 or call.keywords]
     stated = re.compile(r"degree\s+(?:k \+ 2|2k \+ 2|ell \+ 1|n\(n ?\+ ?1\)/2)")
     found = ["%s: %s" % (module, m.group()) for module, tree in sorted(trees.items())
              for doc in _docstrings(tree) for m in stated.finditer(doc)]

@@ -483,10 +483,16 @@ def test_independence_stops_resampling_a_dependent_family(monkeypatch):
     assert not report.passed and report.checks_run == cfg.samples
 
 
+# the bound _jacobian_rank derives along each coordinate direction: the
+# entries of [[y, xi], [wstar, 0]] it moves
+_COORDINATE_DEGREE = {"glvv": 1, "io": 2, "iso": 2}
+
+
 def _full_jacobian_rank(alg, point, degree_bound):
     """The rank of the Jacobian with every direction's row computed, at
     nodes built here from the basis triples; io and iso nodes are given
-    their xi = -wstar^T, so the point's own check sees it."""
+    their xi = -wstar^T, so the point's own check sees it.  Every line
+    must have no coefficient past the coordinate degree."""
     def values(p):
         return [value for _, _, value in inv.generators(p)]
     rows = []
@@ -497,24 +503,84 @@ def _full_jacobian_rank(alg, point, degree_bound):
             xi = point.xi + t * v.transpose() if alg.family == "glvv" else -w.transpose()
             samples.append(values(DualPoint(point.y + t * x, w, xi, alg.family)))
         coeffs = [interp_coeffs([s[i] for s in samples]) for i in range(len(samples[0]))]
-        assert all(c[-1] == 0 for c in coeffs)  # the bound holds on this line
+        past = [c[_COORDINATE_DEGREE[alg.family] + 1:] for c in coeffs]
+        assert not any(any(p) for p in past), (point, x, u, v)
         rows.append([c[1] for c in coeffs])
     return rank(Mat(rows))
 
 
 @pytest.mark.parametrize("fam", ["glvv", "io", "iso"])
 @pytest.mark.parametrize("n", range(1, 6))
-def test_jacobian_rank_stops_at_the_full_rank(fam, n):
-    # bound 1 draws many degenerate points, and the zero point is one
+def test_jacobian_rank_stops_at_the_full_rank(monkeypatch, fam, n):
+    # bound 1 draws many degenerate points, and the zero point is one; the
+    # oracle reads every direction at the total-degree bound n + 1, and each
+    # direction's derived bound is the coordinate degree
     alg = Algebra(fam, n)
     directions = verify._directions(alg)
     points = [DualPoint(Mat.zero(n, n), Mat.zero(1, n), family=fam)]
     for bound in (3, 1):
         rng = Rng(n).child(fam, bound)
         points += [sample_dual(alg, rng, bound) for _ in range(4)]
+    bounds = []
+    real = verify._taylor
+    monkeypatch.setattr(verify, "_taylor", lambda v, b: bounds.append(b) or real(v, b))
     for point in points:
-        assert (verify._jacobian_rank(point, directions, n + 1)
+        assert (verify._jacobian_rank(point, directions)
                 == _full_jacobian_rank(alg, point, n + 1))
+    assert set(bounds) == {_COORDINATE_DEGREE[fam]}
+
+
+def _generic_bordered(fam, n):
+    """(m, M, y): M = [[y, xi], [wstar, 0]] as a matrix of polynomials in
+    m variables, one per coordinate of the family's dual: every entry of y,
+    then xi, then wstar on glvv; the y_ij, i < j, then wstar on io/iso,
+    with y skew and xi = -wstar^T."""
+    if fam == "glvv":
+        m = n * n + 2 * n
+        y = [[poly.var(i * n + j, m) for j in range(n)] for i in range(n)]
+        xi = [poly.var(n * n + i, m) for i in range(n)]
+        w = [poly.var(n * n + n + j, m) for j in range(n)]
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
+        m = len(pairs) + n
+        y = [[{} for _ in range(n)] for _ in range(n)]
+        for c, (i, j) in enumerate(pairs):
+            y[i][j], y[j][i] = poly.var(c, m), poly.add({}, poly.var(c, m), -1)
+        w = [poly.var(len(pairs) + j, m) for j in range(n)]
+        xi = [poly.add({}, v, -1) for v in w]
+    return m, [row + [x] for row, x in zip(y, xi)] + [w + [{}]], y
+
+
+def _coordinates(fam, point):
+    y, w = point.y.to_lists(), point.wstar.to_lists()[0]
+    if fam == "glvv":
+        coords = [v for row in y for v in row] + point.xi.transpose().to_lists()[0] + w
+    else:
+        coords = [y[i][j] for i, j in itertools.combinations(range(point.n), 2)] + w
+    return [int(v) for v in coords]
+
+
+@pytest.mark.parametrize("fam", ["glvv", "io", "iso"])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_generators_are_of_the_derived_degree_in_every_coordinate(fam, n):
+    # the small-n proof of the derived bound: each generator, built as a
+    # polynomial on the generic bordered matrix, has degree at most 1 (glvv)
+    # or 2 (io/iso) in every coordinate, and agrees with the evaluators
+    assert SUITES["independence"].families == ("glvv", "io", "iso")
+    m, bordered, y = _generic_bordered(fam, n)
+    pb = poly.char_recursion(bordered, m)[0]
+    py = poly.char_recursion(y, m)[0] + [{}]
+    # each wstar B_k(y) xi is p_{k+2} of the bordered matrix minus p_{k+2}(y)
+    grads = [poly.add(pb[k + 1], py[k + 1], -1) for k in range(n)]
+    gens = grads if fam == "glvv" else grads[::2]
+    if fam == "iso":
+        gens = gens[:n // 2] + ([poly.pfaffian(bordered)] if n % 2 else [])
+    assert len(gens) == sum(count(n) for _, _, count, _, _, _ in inv.GENERATORS[fam])
+    assert max(e for g in gens for exps in g for e in exps) <= _COORDINATE_DEGREE[fam]
+    rng = Rng(n).child("generic-bordered", fam)
+    for point in [sample_dual(Algebra(fam, n), rng, 3) for _ in range(3)]:
+        coords = _coordinates(fam, point)
+        assert [poly.value(g, coords) for g in gens] == list(verify._values(point))
 
 
 def _counted_generators(monkeypatch):
@@ -530,32 +596,44 @@ def _counted_generators(monkeypatch):
 
 def test_jacobian_rank_of_a_generic_point_reads_n_directions(monkeypatch):
     # at f != 0 the n xi directions alone give rank n: the point, then
-    # n + 2 nodes along each of them (one past the bound n + 1), where
-    # every direction would take 145
+    # 2 nodes along each of them (one past the bound 1), where every
+    # direction would take 49
     n = 4
     alg = Algebra("glvv", n)
     point = sample_dual(alg, Rng(1), 3)
     assert inv.f_invariant(point) != 0
     calls = _counted_generators(monkeypatch)
-    assert verify._jacobian_rank(point, verify._directions(alg), n + 1) == n
-    assert len(calls) == 1 + n * (n + 2)
+    assert verify._jacobian_rank(point, verify._directions(alg)) == n
+    assert len(calls) == 1 + 2 * n
 
 
-def test_jacobian_rank_refuses_a_bound_below_the_degree():
-    # along a covector direction each psi_k is quadratic in t: bound 1
-    # would read secant slopes and bound 0 no slope at all, so both raise
-    # instead of returning a rank
-    alg = Algebra("io", 4)
+def test_jacobian_rank_refuses_a_glvv_generator_above_its_degree(monkeypatch):
+    # squared, each F_k is quadratic along a xi direction: bound 1 would
+    # read a secant slope, so the node past it raises instead
+    alg = Algebra("glvv", 4)
     point, directions = sample_dual(alg, Rng(1), 3), verify._directions(alg)
-    for bound in (1, 0):
-        with pytest.raises(ExactnessError, match="degree above the bound %d" % bound):
-            verify._jacobian_rank(point, directions, bound)
-    assert verify._jacobian_rank(point, directions, 5) == 2
+    assert verify._jacobian_rank(point, directions) == 4
+    real = inv.F_all
+    monkeypatch.setattr(inv, "F_all", lambda l: tuple(v * v for v in real(l)))
+    with pytest.raises(ExactnessError, match="degree above the bound 1"):
+        verify._jacobian_rank(point, directions)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_jacobian_rank_refuses_an_io_generator_above_its_degree(monkeypatch, seed):
+    # cubed, each psi_k is of degree up to 6 along a covector direction
+    alg = Algebra("io", 4)
+    point, directions = sample_dual(alg, Rng(seed), 3), verify._directions(alg)
+    assert verify._jacobian_rank(point, directions) == 2
+    real = inv.psi_all
+    monkeypatch.setattr(inv, "psi_all", lambda l: tuple(v ** 3 for v in real(l)))
+    with pytest.raises(ExactnessError, match="degree above the bound 2"):
+        verify._jacobian_rank(point, directions)
 
 
 def test_jacobian_rank_builds_each_node_once(monkeypatch):
     # one point per interpolation node: n directions reach rank n at this
-    # point, with n + 2 nodes along each
+    # point, with 2 nodes along each
     n = 4
     alg = Algebra("glvv", n)
     point = sample_dual(alg, Rng(1), 3)
@@ -567,8 +645,8 @@ def test_jacobian_rank_builds_each_node_once(monkeypatch):
         built.append(args)
         real(self, *args, **kwargs)
     monkeypatch.setattr(DualPoint, "__init__", counted)
-    assert verify._jacobian_rank(point, directions, n + 1) == n
-    assert len(built) == n * (n + 2)
+    assert verify._jacobian_rank(point, directions) == n
+    assert len(built) == 2 * n
 
 
 def test_jacobian_rank_of_a_dependent_family_reads_every_direction(monkeypatch):
@@ -577,8 +655,8 @@ def test_jacobian_rank_of_a_dependent_family_reads_every_direction(monkeypatch):
     alg = Algebra("glvv", n)
     directions = verify._directions(alg)
     calls = _counted_generators(monkeypatch)
-    assert verify._jacobian_rank(sample_dual(alg, Rng(1), 3), directions, n + 1) < n
-    assert len(calls) == 1 + (n + 2) * len(directions)
+    assert verify._jacobian_rank(sample_dual(alg, Rng(1), 3), directions) < n
+    assert len(calls) == 1 + 2 * len(directions)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
