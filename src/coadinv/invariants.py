@@ -22,7 +22,7 @@ from .charpoly import _char_int, _unpack, bordered, bordered_gradients
 from .exactmat import ExactnessError, Mat, Rat, _exact, det, pfaffian
 # lower_shift and project_traceless are re-exported: they are part of this
 # module's interface
-from .liealg import (_RETRY_CAP, Algebra, CanonicalPair, DualPoint, GroupElem, Rng,
+from .liealg import (_RETRY_CAP, Algebra, CanonicalPair, DualPoint, GroupElem, Rng, _third,
                      lower_shift, project_traceless, sample_dual)
 
 # Frozen sign conventions, proved by the verify module as identities of
@@ -144,7 +144,7 @@ def psi_all(l: DualPoint) -> tuple:
 def psi_bordered_all(l: DualPoint) -> tuple:
     """The same generators through the bordered coefficients: p_{2k+2} of
     [[y, xi], [wstar, 0]], xi = -wstar^T, minus p_{2k+2}(y); never reads B_k(y)."""
-    return bordered_gradients(l.y, l.xi, l.wstar)[::2]
+    return bordered_gradients(l.y, _third("io", l.wstar, None, DualPoint), l.wstar)[::2]
 
 
 def psi_invariant(k: int, l: DualPoint) -> Rat:
@@ -215,8 +215,6 @@ def slice_so(a, a0, alg: Algebra) -> DualPoint:
     a = (a_1, ..., a_ell) and the covector coefficient a0: 2x2 rotation
     blocks [[0, a_i], [-a_i, 0]] padded by one zero row/column
     (n = 2 ell + 1) or two (n = 2 ell + 2), with covector a0 e_n*."""
-    if alg.family not in ("io", "iso"):
-        raise ValueError("orthogonal slice needs an io/iso algebra")
     if len(a) != alg.ell:
         raise ValueError("slice needs %d block parameters, got %d" % (alg.ell, len(a)))
     n = alg.n

@@ -12,9 +12,9 @@ Every family lives inside glvv, so there is one dual-point type, one
 group-element type and one coadjoint action.  A DualPoint (y, wstar, xi)
 and a GroupElem (g, u, vstar) are glvv triples tagged with a family, whose
 constraints they check when built.  One rule, _third, fixes the third
-component of both: free on glvv, minus the second's transpose on io/iso
-(the triples fixed by the involution theta) and zero on aff/isl.  The
-bracket and the commutator form are those of glvv throughout.
+component of both and of the algebra basis: free on glvv, minus the
+second's transpose on io/iso (the triples fixed by the involution theta)
+and zero on aff/isl.  The bracket and the commutator form are glvv's.
 
 Group elements abbreviate the fixed factorization
 (e, u, 0) * (e, 0, vstar) * (g, 0, 0), and the action flows through it.
@@ -414,8 +414,8 @@ def bracket_b(t1, t2):
 
         [(x1,u1,v1), (x2,u2,v2)] = ([x1,x2], x1 u2 - x2 u1, -v2 x1 + v1 x2)
 
-    The aff and orthogonal families are the sub-cases with vstar = 0
-    (and skew x for the latter), so this is the only bracket needed.
+    The aff family is the sub-case vstar = 0 and the orthogonal ones the
+    theta-fixed triples (skew x, vstar = -u^T), so it is the only bracket.
     """
     x1, u1, v1 = t1
     x2, u2, v2 = t2
@@ -457,21 +457,23 @@ def k_bracket(p: Mat, q: Mat) -> Mat:
 # -- algebra bases, the commutator form and the index -------------------------
 
 def algebra_basis(alg: Algebra):
-    """Fixed ordered basis as triples: matrix part (units in row-major
-    order; traceless units plus consecutive-diagonal differences for isl;
-    E_ij - E_ji, i < j, lexicographic for the orthogonal families), then
-    the V part e_1..e_n, then the V* part for glvv."""
-    n, unit = alg.n, Mat.unit
+    """Fixed ordered basis as triples (x, u, vstar): matrix part (units in
+    row-major order; traceless units plus consecutive-diagonal differences
+    for isl; E_ij - E_ji, i < j, lexicographic for io/iso), then the V part
+    (0, e_i, vstar) with GroupElem's vstar rule _third, so it spans the Lie
+    algebra of the family's group (theta-fixed on io/iso), then V* for glvv."""
+    n, unit, fam = alg.n, Mat.unit, alg.family
     col, row, sq = Mat.zero(n, 1), Mat.zero(1, n), Mat.zero(n, n)
-    if alg.family in ("aff", "glvv"):
+    if fam in ("aff", "glvv"):
         xs = [unit(n, i, j) for i in range(n) for j in range(n)]
-    elif alg.family == "isl":
+    elif fam == "isl":
         xs = ([unit(n, i, j) for i in range(n) for j in range(n) if i != j]
               + [unit(n, i, i) - unit(n, i + 1, i + 1) for i in range(n - 1)])
     else:
         xs = [unit(n, i, j) - unit(n, j, i) for i in range(n) for j in range(i + 1, n)]
-    out = [(x, col, row) for x in xs] + [(sq, Mat.basis_col(n, i), row) for i in range(n)]
-    if alg.family == "glvv":
+    vs = [Mat.basis_col(n, i) for i in range(n)]
+    out = [(x, col, row) for x in xs] + [(sq, e, _third(fam, e, None, GroupElem)) for e in vs]
+    if fam == "glvv":
         out += [(sq, col, Mat.basis_row(n, i)) for i in range(n)]
     return out
 

@@ -249,11 +249,11 @@ def _jacobian_rank(point, directions) -> int:
     the family.
 
     A direction's bound is the number of entries of [[y, xi], [wstar, 0]]
-    it moves, xi = -wstar^T moving with wstar off glvv: 1 on glvv, 2 on
-    io/iso.  Every glvv, io and iso generator is a signed sum of principal
-    minors, or the Pfaffian, of that matrix, so it is multilinear in the
-    entries and the bound is proved; _taylor's node past it still raises
-    ExactnessError on a generator of higher degree.
+    it moves: 1 on glvv, 2 on io/iso, whose directions move xi = -wstar^T
+    with wstar.  Every glvv, io and iso generator is a signed sum of
+    principal minors, or the Pfaffian, of that matrix, so it is
+    multilinear in the entries and the bound is proved; _taylor's node past
+    it still raises ExactnessError on a generator of higher degree.
 
     The rank is at most the generator count, so the directions stop once
     the rows taken so far reach it: the rest cannot raise it, and the
@@ -264,10 +264,9 @@ def _jacobian_rank(point, directions) -> int:
     full = len(at_point)
     rows = []
     for dy, dw, dxi in directions:
-        moved, _ = embed_M((dy, dxi if fam == "glvv" else -dw.transpose(), dw)).num_den()
+        moved, _ = embed_M((dy, dxi, dw)).num_den()
         bound = sum(1 for row in moved for c in row if c)
-        nodes = (DualPoint(y + t * dy, w + t * dw, xi + t * dxi if fam == "glvv" else None, fam)
-                 for t in range(1, bound + 2))
+        nodes = (DualPoint(y + t * dy, w + t * dw, xi + t * dxi, fam) for t in range(1, bound + 2))
         samples = [at_point] + [_values(p) for p in nodes]
         rows.append([_taylor([s[i] for s in samples], bound)[1] for i in range(full)])
         # one row per direction: the transposed Jacobian, of the same rank
@@ -278,9 +277,10 @@ def _jacobian_rank(point, directions) -> int:
 
 def _directions(alg: Algebra) -> list:
     """Coordinate directions (dy, dw, dxi) of the family's dual: its basis
-    triples (x, u, vstar) as (x, u^T, vstar^T).  Reversed, the xi and
-    covector directions come first: they give the rows w B_k(y) (glvv) and
-    w B_2k(y) (io, iso), which reach full rank generically."""
+    triples (x, u, vstar) as (x, u^T, vstar^T), so an io/iso direction
+    moves xi = -wstar^T with wstar.  Reversed, the xi and covector
+    directions come first: they give the rows w B_k(y) (glvv) and w B_2k(y)
+    (io, iso), which reach full rank generically."""
     return [(x, u.transpose(), v.transpose()) for x, u, v in reversed(algebra_basis(alg))]
 
 

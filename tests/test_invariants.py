@@ -203,15 +203,20 @@ def test_restriction_of_odd_generators_vanishes():
 
 
 def test_psi_bordered_path():
-    rng = Rng(72)
-    for n in range(1, 7):
-        alg = Algebra("io", n)
-        for _ in range(20):
-            l = sample_dual(alg, rng, 3)
-            for k in range((n - 1) // 2 + 1):
-                assert psi_invariant(k, l) == psi_bordered(k, l)
-            assert psi_all(l) == psi_bordered_all(l)
-            assert len(psi_all(l)) == (n - 1) // 2 + 1
+    # both paths read the point's y and wstar alone, xi = -wstar^T, so they
+    # agree on every family's points, not only on io/iso's
+    for family in FAMILIES:
+        rng = Rng(72).child(family)
+        for n in range(1, 7):
+            alg = Algebra(family, n)
+            for _ in range(20):
+                l = sample_dual(alg, rng, 3)
+                for k in range((n - 1) // 2 + 1):
+                    assert psi_invariant(k, l) == psi_bordered(k, l)
+                assert psi_all(l) == psi_bordered_all(l), (family, l)
+                assert len(psi_all(l)) == (n - 1) // 2 + 1
+    l = sample_dual(Algebra("glvv", 4), Rng(5), 3)
+    assert psi_bordered_all(l) == psi_all(l) == (-15, -124)
 
 
 def test_psi_invariance():

@@ -532,6 +532,51 @@ def test_embedded_image_is_an_ideal():
                 assert br[i, j] == 0
 
 
+def _flat(t):
+    return [v for row in embed_M(t).to_lists() for v in row]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_ad_maps_the_basis_into_its_span(family):
+    # the basis spans the Lie algebra of the family's group: Ad of sampled
+    # group elements, built from the bracket alone, keeps every image in it
+    for n in range(1, 5):
+        alg = Algebra(family, n)
+        rng = Rng(47).child(family, n)
+        basis = algebra_basis(alg)
+        span = [_flat(t) for t in basis]
+        assert rank(Mat(span)) == len(basis) == alg.dim
+        for _ in range(3):
+            b = sample_group(alg, rng, 3)
+            images = [_flat(Ad(b, t)) for t in basis]
+            assert rank(Mat(span + images)) == len(basis), (n, b)
+
+
+@pytest.mark.parametrize("family", ["io", "iso"])
+def test_theta_fixes_the_orthogonal_basis(family):
+    for n in range(1, 6):
+        for t in algebra_basis(Algebra(family, n)):
+            assert theta(t) == t, (n, t)
+
+
+@pytest.mark.parametrize("family", ["io", "iso"])
+def test_the_orthogonal_form_is_the_vstar_zero_form_scaled(family):
+    # over the old vstar = 0 basis the pairing form is M_0; the theta-fixed
+    # V elements pair twice as much, so M = D M_0 D with D = 1 on so(n) and
+    # 2 on V, and every rank is unchanged
+    for n in range(1, 6):
+        alg = Algebra(family, n)
+        rng = Rng(51).child(family, n)
+        basis = algebra_basis(alg)
+        old = [(x, u, Mat.zero(1, n)) for x, u, _ in basis]
+        scale = Mat.diag([1] * (len(basis) - n) + [2] * n)
+        for _ in range(2):
+            l = sample_dual(alg, rng, 3)
+            for point in (l, coad(sample_group(alg, rng, 3), l)):
+                m0 = Mat([[pairing(point, bracket_b(bi, bj)) for bj in old] for bi in old])
+                assert commutator_form(alg, point) == scale * m0 * scale, (n, point)
+
+
 # -- index -------------------------------------------------------------------------
 
 def index_count(fam, n):

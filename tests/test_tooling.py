@@ -340,10 +340,20 @@ def _negated_transposes(func):
             and _called(node.operand, "transpose")]
 
 
+def _family_comparisons(func):
+    # the lines of each comparison in the function that reads a family name
+    families = importlib.import_module("coadinv.liealg").FAMILIES
+    return [node.lineno for node in ast.walk(func) if isinstance(node, ast.Compare)
+            for c in ast.walk(node) if isinstance(c, ast.Constant) and c.value in families]
+
+
 def test_the_third_component_is_stated_once():
-    # one rule, liealg._third, fills a point's xi and an element's vstar:
-    # no code negates the transpose of a record's wstar or u, and in liealg
-    # only _third and the involution theta negate a transpose; one reader
+    # one rule, liealg._third, fills a point's xi, an element's vstar and
+    # the vstar of an algebra basis element: no code negates the transpose
+    # of a record's wstar or u, in liealg only _third and the involution
+    # theta negate a transpose, and in verify only the theta suite, as
+    # theta's independent oracle; the Jacobian's nodes and directions fork
+    # on no family, here or in the tests' full-Jacobian oracle; one reader
     # raises the JSON refusals, and each public codec is a one-statement
     # view of the one reader or the one writer
     funcs, raised = {}, {}
@@ -367,6 +377,17 @@ def test_the_third_component_is_stated_once():
     negating = {site for site, func in funcs.items()
                 if site.startswith("liealg.py:") and _negated_transposes(func)}
     assert negating == {"liealg.py:_third", "liealg.py:theta"}
+    assert [node for node in ast.walk(funcs["liealg.py:algebra_basis"])
+            if _called(node, "_third")]
+    assert {site for site, func in funcs.items()
+            if site.startswith("verify.py:") and _negated_transposes(func)} == {
+        "verify.py:_suite_theta"}
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "test_verify.py"),
+              encoding="utf-8") as fh:
+        oracle = next(node for node in ast.parse(fh.read()).body
+                      if getattr(node, "name", None) == "_full_jacobian_rank")
+    for func in (funcs["verify.py:_jacobian_rank"], funcs["verify.py:_directions"], oracle):
+        assert _family_comparisons(func) == [], func.name
     reader = ["liealg.py:_from_json"]
     assert raised == {"takes no .* component": reader, "is missing a component": reader}
     callees = {}

@@ -490,8 +490,8 @@ _COORDINATE_DEGREE = {"glvv": 1, "io": 2, "iso": 2}
 
 def _full_jacobian_rank(alg, point, degree_bound):
     """The rank of the Jacobian with every direction's row computed, at
-    nodes built here from the basis triples; io and iso nodes are given
-    their xi = -wstar^T, so the point's own check sees it.  Every line
+    nodes built here from the basis triples; an io/iso triple moves xi
+    with wstar, and the point's own check sees that it does.  Every line
     must have no coefficient past the coordinate degree."""
     def values(p):
         return [value for _, _, value in inv.generators(p)]
@@ -499,9 +499,9 @@ def _full_jacobian_rank(alg, point, degree_bound):
     for x, u, v in algebra_basis(alg):
         samples = []
         for t in range(degree_bound + 2):
-            w = point.wstar + t * u.transpose()
-            xi = point.xi + t * v.transpose() if alg.family == "glvv" else -w.transpose()
-            samples.append(values(DualPoint(point.y + t * x, w, xi, alg.family)))
+            node = DualPoint(point.y + t * x, point.wstar + t * u.transpose(),
+                             point.xi + t * v.transpose(), alg.family)
+            samples.append(values(node))
         coeffs = [interp_coeffs([s[i] for s in samples]) for i in range(len(samples[0]))]
         past = [c[_COORDINATE_DEGREE[alg.family] + 1:] for c in coeffs]
         assert not any(any(p) for p in past), (point, x, u, v)
