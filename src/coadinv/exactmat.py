@@ -494,7 +494,8 @@ def mat_to_json(a: Mat) -> dict:
     return {
         "rows": a.rows,
         "cols": a.cols,
-        "entries": [[_entry_str(v, d) for v in row] for row in a._a],
+        "entries": ([list(map(_int_str, row)) for row in a._a] if d == 1
+                    else [[_entry_str(v, d) for v in row] for row in a._a]),
     }
 
 
@@ -507,9 +508,9 @@ def json_size(obj: dict, key: str) -> int:
     return value
 
 
-_RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
-# entries joined by commas
-_RATS_RE = re.compile("{0}(,{0})*".format(_RAT_RE.pattern))
+_RAT_RE = re.compile(r"-?[0-9]++(?:/[0-9]++)?+")
+# entries joined by commas, without captures; possessive, since no digit run needs backtracking
+_RATS_RE = re.compile("{0}(?:,{0})*+".format(_RAT_RE.pattern))
 
 
 def _json_num_den(value) -> tuple:
@@ -537,14 +538,13 @@ def _strings_mat(rows: int, cols: int, entries: list) -> Mat:
     if "/" not in text:
         return _make(rows, cols, tuple([tuple(map(int, row)) for row in entries]), 1)
     parts = [v.partition("/") for v in text.split(",")]
-    dens = {q: int(q or 1) for _, _, q in parts}
+    dens = {q: int(q or 1) for q in {q for _, _, q in parts}}
     d = lcm(*dens.values())
     if d == 0:
         raise ValueError("zero denominator")
     scale = {q: d // v for q, v in dens.items()}
     flat = [int(p) * scale[q] for p, _, q in parts]
-    return _normal(rows, cols, tuple([tuple(flat[i:i + cols])
-                                      for i in range(0, rows * cols, cols)]), d)
+    return _normal(rows, cols, tuple(zip(*[iter(flat)] * cols)), d)
 
 
 def mat_from_json(obj) -> Mat:

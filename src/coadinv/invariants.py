@@ -19,7 +19,7 @@ from math import prod
 from operator import mul
 
 from .charpoly import _char_int, _unpack, bordered, bordered_gradients
-from .exactmat import ExactnessError, Mat, Rat, _exact, det, pfaffian
+from .exactmat import ExactnessError, Mat, Rat, _exact, _normal, det, pfaffian
 # lower_shift and project_traceless are re-exported: they are part of this
 # module's interface
 from .liealg import (_RETRY_CAP, Algebra, CanonicalPair, DualPoint, GroupElem, Rng, _third,
@@ -258,24 +258,24 @@ def orbit_normalize(l: DualPoint):
 
     coad sends (y, wstar) to (g y g^-1 + u wstar g^-1, wstar g^-1), so for
     invertible g it lands on (J, e_n*) exactly when J g = g y + u wstar and
-    e_n* g = wstar.  Both are checked, and no inverse of g is formed.  They
-    hold by construction: the last row of g is wstar, and
-    B_k y = B_{k+1} + p_{k+1} I with B_n = 0 gives the first row by row, so
-    g y g^-1 = J - u e_n* is the companion matrix of y.  Raises
-    NotInOpenOrbit when the semi-invariant vanishes, that is det g = 0,
-    which the GroupElem constructor computes once.
+    e_n* g = wstar.  Both are checked with no inverse of g: J g is g's rows
+    shifted down one, e_n* g its last row.  They hold by construction: the
+    last row of g is wstar, and B_k y = B_{k+1} + p_{k+1} I with B_n = 0
+    gives the first row by row, so g y g^-1 = J - u e_n* is the companion
+    matrix of y.  Raises NotInOpenOrbit when the semi-invariant vanishes,
+    that is det g = 0, which the GroupElem constructor computes once.
     """
     n = l.n
     rows, p, d = _covariants(l)
     # wstar B_k(y) = w B_k(A) / (d^k dw), and d^k dw divides d^(n-1) dw
-    g = Mat.from_num_den([[v * d ** (n - 1 - k) for v in rows[k][0]]
-                          for k in reversed(range(n))], rows[-1][1])
-    u = Mat.from_num_den([[-p[k - 1] * d ** (n - k)] for k in range(n, 0, -1)], d ** n)
+    a = tuple([tuple([v * d ** (n - 1 - k) for v in rows[k][0]]) for k in reversed(range(n))])
+    g, jg, eg = [_normal(len(b), n, b, rows[-1][1]) for b in (a, ((0,) * n, *a[:-1]), a[-1:])]
+    u = _normal(n, 1, tuple([(-p[k - 1] * d ** (n - k),) for k in range(n, 0, -1)]), d ** n)
     try:
         elem = GroupElem(g, u, family="aff")
     except ValueError:  # the shapes hold, so g is singular
         raise NotInOpenOrbit("not in open orbit") from None
-    base = CanonicalPair.of_size(n)
-    if base.J * g != g * l.y + u * l.wstar or base.enstar * g != l.wstar:
+    if jg != Mat.block([[g, u]]) * Mat.block([[l.y], [l.wstar]]) or eg != l.wstar:
         raise ExactnessError("normal form did not land on the base pair")
+    base = CanonicalPair.of_size(n)
     return elem, DualPoint(base.J, base.enstar, g * l.xi, l.family)

@@ -378,6 +378,26 @@ def test_verify_refuses_a_range_outside_every_suite(capsys):
     assert "'slices' on isl supports n in 2..6" in err
 
 
+@pytest.mark.parametrize("bounds", [["--n-min", "2", "--n-max", "9"], ["--n-max", "6"],
+                                    ["--n-min", "1"], ["--n-min", "0", "--n-max", "3"]])
+def test_verify_refuses_a_range_past_a_single_suite(capsys, bounds):
+    # n = 2..9 on glvv index (sizes 2..5) used to run n = 2..5 and exit 0
+    code, out, err = run_cli(capsys, ["verify", "--suite", "index", "--algebra", "glvv",
+                                      *bounds, "--samples", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: suite 'index' on glvv runs n in 2..5; "
+                   "--n N runs one size outside it\n")
+
+
+def test_verify_runs_a_range_inside_a_single_suite(capsys):
+    # within the suite's sizes the range runs exactly as asked
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "index", "--algebra", "glvv",
+                                    "--n-min", "3", "--n-max", "4", "--samples", "1"])
+    assert code == 0
+    assert json.loads(out)[0]["notes"] == ["glvv n=3: index 3", "glvv n=4: index 4"]
+
+
 def test_verify_output_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, ["verify", "--suite", "skew-parity",

@@ -7,6 +7,7 @@ message, on every document: an exhaustive table of awkward entries and a
 hypothesis run over random ones."""
 
 import itertools
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -88,6 +89,27 @@ def test_string_matrices_read_exactly(monkeypatch):
         == Mat.from_num_den([[3, -2], [0, 5]], 6)
     assert mat_from_json(doc([["-0", "007"], ["12", "-3"]])) == Mat([[0, 7], [12, -3]])
     assert mat_from_json(doc([["0/5", "-3/6"]])).num_den() == (((0, -1),), 2)
+    # one denominator written two ways, and one denominator shared by all
+    for entries in ([["1/06", "5/6"], ["-7/12", "0"]], [["1/5", "-2/5"], ["3/5", "4/5"]]):
+        assert mat_from_json(doc(entries)) == Mat([[Fraction(v) for v in row] for row in entries])
+
+
+def entry_oracle(s):
+    """The entry language without a regular expression: an optional minus,
+    ASCII digits, then optionally "/" and ASCII digits."""
+    num, slash, den = s.removeprefix("-").partition("/")
+    return all(part and part.strip("0123456789") == "" for part in (num, den)[:1 + bool(slash)])
+
+
+def test_the_entry_patterns_match_the_entry_language():
+    # the reader's table and hypothesis run compare it with the per-entry
+    # parse, which shares the patterns; here every string of up to eight
+    # characters over the alphabet of the language is checked on its own
+    for size in range(9):
+        for chars in itertools.product("0-/,", repeat=size):
+            s = "".join(chars)
+            assert bool(exactmat._RAT_RE.fullmatch(s)) == entry_oracle(s), s
+            assert bool(exactmat._RATS_RE.fullmatch(s)) == all(map(entry_oracle, s.split(","))), s
 
 
 @pytest.mark.skipif(st is None, reason="needs hypothesis")

@@ -404,15 +404,22 @@ def test_the_third_component_is_stated_once():
 def test_orbit_normalize_never_inverts_g():
     # the normal form's landing is checked as J g = g y + u wstar and
     # e_n* g = wstar: neither orbit_normalize nor a helper it reaches calls
-    # inverse or coad, and det g is computed once, by GroupElem
+    # inverse or coad, and det g is computed once, by GroupElem; J g and
+    # e_n* g are read off g's rows, so no product has J or e_n* as an operand
     reached = {"orbit_normalize"} | _reaches("invariants.py", "orbit_normalize")
 
     def sites(name):
         return [site for site in _call_sites("invariants.py", lambda node: _called(node, name))
                 if site in reached]
 
+    def by_base(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(getattr(sub, "attr", None) in ("J", "enstar")
+                        for side in (node.left, node.right) for sub in ast.walk(side)))
+
     assert sites("inverse") == [] and sites("coad") == []
     assert len(sites("det")) <= 1
+    assert [site for site in _call_sites("invariants.py", by_base) if site in reached] == []
 
 
 def test_the_index_is_one_rank_at_the_base_pair(monkeypatch):
