@@ -508,9 +508,9 @@ def json_size(obj: dict, key: str) -> int:
     return value
 
 
-_RAT_RE = re.compile(r"-?[0-9]++(?:/[0-9]++)?+")
-# entries joined by commas, without captures; possessive, since no digit run needs backtracking
-_RATS_RE = re.compile("{0}(?:,{0})*+".format(_RAT_RE.pattern))
+_RAT_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# entries joined by commas, without captures
+_RATS_RE = re.compile("{0}(?:,{0})*".format(_RAT_RE.pattern))
 
 
 def _json_num_den(value) -> tuple:

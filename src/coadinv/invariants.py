@@ -19,7 +19,7 @@ from math import prod
 from operator import mul
 
 from .charpoly import _char_int, _unpack, bordered, bordered_gradients
-from .exactmat import ExactnessError, Mat, Rat, _exact, _normal, det, pfaffian
+from .exactmat import ExactnessError, Mat, Rat, _exact, det, pfaffian
 # lower_shift and project_traceless are re-exported: they are part of this
 # module's interface
 from .liealg import (_RETRY_CAP, Algebra, CanonicalPair, DualPoint, GroupElem, Rng, _third,
@@ -268,14 +268,14 @@ def orbit_normalize(l: DualPoint):
     n = l.n
     rows, p, d = _covariants(l)
     # wstar B_k(y) = w B_k(A) / (d^k dw), and d^k dw divides d^(n-1) dw
-    a = tuple([tuple([v * d ** (n - 1 - k) for v in rows[k][0]]) for k in reversed(range(n))])
-    g, jg, eg = [_normal(len(b), n, b, rows[-1][1]) for b in (a, ((0,) * n, *a[:-1]), a[-1:])]
-    u = _normal(n, 1, tuple([(-p[k - 1] * d ** (n - k),) for k in range(n, 0, -1)]), d ** n)
+    a = [[v * d ** (n - 1 - k) for v in rows[k][0]] for k in reversed(range(n))]
+    g, jg, eg = [Mat.from_num_den(b, rows[-1][1]) for b in (a, [[0] * n] + a[:-1], a[-1:])]
+    u = Mat.from_num_den([[-p[k - 1] * d ** (n - k)] for k in range(n, 0, -1)], d ** n)
     try:
         elem = GroupElem(g, u, family="aff")
     except ValueError:  # the shapes hold, so g is singular
         raise NotInOpenOrbit("not in open orbit") from None
-    if jg != Mat.block([[g, u]]) * Mat.block([[l.y], [l.wstar]]) or eg != l.wstar:
+    if jg != g * l.y + u * l.wstar or eg != l.wstar:
         raise ExactnessError("normal form did not land on the base pair")
     base = CanonicalPair.of_size(n)
     return elem, DualPoint(base.J, base.enstar, g * l.xi, l.family)

@@ -621,10 +621,10 @@ def default_plan():
     return [(name, fam) for name, spec in SUITES.items() for fam in spec.families]
 
 
-def suite_range(name: str, family: str, n_min=None, n_max=None) -> tuple:
-    """The suite's default n range cut to [n_min, n_max]; a request that
-    misses it entirely, or holds no size the suite checks, is refused,
-    never clamped."""
+def suite_range(name: str, family: str, n_min=None, n_max=None, cut: bool = True) -> tuple:
+    """The suite's default n range cut to [n_min, n_max].  A request that
+    misses the range, or holds no size the suite checks, is refused; with
+    cut=False (one suite run alone) so is one that reaches past the range."""
     spec = SUITES[name]
     lo, hi = default = spec.default_range
     if n_min is not None:
@@ -638,6 +638,9 @@ def suite_range(name: str, family: str, n_min=None, n_max=None) -> tuple:
     if spec.odd_only and lo == hi and lo % 2 == 0:
         raise ValueError("suite %r on %s checks odd n only, and n in %d..%d has none"
                          % (name, family, lo, hi))
+    if not cut and (n_min not in (None, lo) or n_max not in (None, hi)):
+        raise ValueError("suite %r on %s runs n in %d..%d; --n N runs one size outside it"
+                         % ((name, family) + default))
     return lo, hi
 
 
