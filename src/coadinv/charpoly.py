@@ -57,9 +57,10 @@ def _packed_mul(a: tuple, rows: list) -> list:
 
 
 def _char_int(a: tuple, w: tuple = ()) -> tuple:
-    """Trace recursion on integer rows A: (p, B, s) with p = [p_1(A), ...,
-    p_n(A)] and B[k] the packed rows of B_k(A), row i being the integer
-    sum_j B_k(A)_ij 2^(s j).
+    """Trace recursion on integer rows A: (p, B, s, wB) with p = [p_1(A),
+    ..., p_n(A)], B[k] the packed rows of B_k(A), row i being the integer
+    sum_j B_k(A)_ij 2^(s j), and wB the integer rows w B_k(A) of the rows w,
+    k-major: w B_0(A) = w, and each later row is one sum of packed rows.
 
     Slot width: with R the largest absolute row sum of A and of the rows w
     the caller will project, s = n R.bit_length() + n + 2.  Every entry of
@@ -90,7 +91,8 @@ def _char_int(a: tuple, w: tuple = ()) -> tuple:
             B.append([x - (pk << sh) for x, sh in zip(acc, shifts)])
     if acc != [pk << sh for sh in shifts]:
         raise ExactnessError("characteristic recursion lost exactness")
-    return p, B, s
+    return p, B, s, w and (*w, *_unpack([sum(map(mul, r, Bk)) for Bk in B[1:] for r in w],
+                                         n, s))
 
 
 @lru_cache(maxsize=256)
@@ -118,7 +120,7 @@ def char_data(x: Mat) -> CharData:
         raise ValueError("char_data needs a square matrix")
     n = x.rows
     a, d = x.num_den()
-    p, B, s = _char_int(a)
+    p, B, s, _ = _char_int(a)
     # B_0 = I; the other B_k unpacked at once into fresh n-wide tuples:
     # reduced, never copied
     rows = iter(_unpack([r for Bk in B[1:] for r in Bk], n, s))

@@ -96,9 +96,12 @@ def _eval_one(point, which: str) -> dict:
         dual = next(iter(homes)) if len(homes) == 1 else "orthogonal"
         raise ValueError("invariant %r lives on the %s dual" % (name, dual))
     *_, evaluate = homes[point.family]
+    values, digits = evaluate(point), k.lstrip("0") or "0"
     if not k:
-        return _value_entry(name, evaluate(point)[0])
-    return _value_entry(name, inv._entry(evaluate(point), int(k)), int(k))
+        return _value_entry(name, values[0])
+    # more digits than len(values) has is past its end, and kept from int()'s digit limit
+    index = int(digits) if len(digits) <= len(str(len(values))) else len(values)
+    return _value_entry(name, inv._entry(values, index), index)
 
 
 def cmd_eval(args) -> int:

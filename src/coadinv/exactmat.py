@@ -122,7 +122,8 @@ class Mat:
                 rows.append(tuple([v * s for a, s in scaled for v in a[i]]))
         if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("bands of blocks need one width")
-        return _normal(len(rows), len(rows[0]), tuple(rows), d)
+        # canonical blocks over the lcm of their denominators are canonical
+        return _make(len(rows), len(rows[0]), tuple(rows), d)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
@@ -567,12 +568,9 @@ def mat_from_json(obj) -> Mat:
     except (TypeError, ValueError):
         pass  # the per-entry parse reads the rest, or refuses it by entry
     try:
-        parsed = [[_json_num_den(v) for v in row] for row in entries]
+        return Mat([[Fraction(*_json_num_den(v)) for v in row] for row in entries])
     except ValueError as exc:
         raise ValueError("matrix JSON has a malformed rational: %s" % exc) from exc
-    d = lcm(*[den for row in parsed for _, den in row])
-    return _normal(rows, cols, tuple(tuple([num * (d // den) for num, den in row])
-                                     for row in parsed), d)
 
 
 # -- immutable records ------------------------------------------------------

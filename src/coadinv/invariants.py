@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import prod
 from operator import mul
 
-from .charpoly import _char_int, _unpack, bordered, bordered_gradients
+from .charpoly import _char_int, bordered, bordered_gradients
 from .exactmat import ExactnessError, Mat, Rat, _exact, det, pfaffian
 # lower_shift and project_traceless are re-exported: they are part of this
 # module's interface
@@ -54,13 +54,10 @@ def _entry(values, k: int):
 def _covariants(l: DualPoint) -> tuple:
     """The row covariants off one integer trace recursion.  For y = A / d
     and wstar = w / dw: the pairs (w B_k(A), d^k dw), k = 0..n-1, whose
-    quotients are wstar B_k(y), the integers p_k(A) = d^k p_k(y), and d.
-    w B_0(A) = w, and each later w B_k(A) = sum_i w_i row_i(B_k(A)) is one
-    sum of packed rows."""
+    quotients are wstar B_k(y), the integers p_k(A) = d^k p_k(y), and d."""
     a, d = l.y.num_den()
     (w,), dw = l.wstar.num_den()
-    p, B, s = _char_int(a, (w,))
-    rows = (w, *_unpack([sum(map(mul, w, Bk)) for Bk in B[1:]], len(a), s))
+    p, *_, rows = _char_int(a, (w,))
     return [(r, d ** k * dw) for k, r in enumerate(rows)], p, d
 
 

@@ -196,8 +196,7 @@ class Rng:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
+        return self._draws(1, 0, _MASK64)[0]  # a span of 2^64 rejects no draw
 
     def _draws(self, count: int, lo: int, hi: int) -> list:
         """count uniform integers in the inclusive range [lo, hi]: the

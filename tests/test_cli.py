@@ -1,6 +1,8 @@
+import glob
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -202,6 +204,18 @@ def test_eval_ids_use_ascii_digits(tmp_path, capsys, which):
     code, out, err = run_cli(capsys, ["eval", "--which", which, "--input", path])
     assert (code, out) == (2, "")
     assert err == "error: unknown invariant id %r\n" % (which,)
+
+
+def test_eval_refuses_an_index_past_every_tuple(tmp_path, capsys):
+    # an index of 5,000 digits gets the message of every index past the
+    # tuple, not int()'s digit limit; leading zeros are no part of its length
+    path = write_point(tmp_path, canonical_point_json(2, [1, 2]))
+    for which in ("F2", "F" + "9" * 5000, "F1" + "0" * 5000):
+        code, out, err = run_cli(capsys, ["eval", "--which", which, "--input", path])
+        assert (code, out, err) == (2, "", "error: generator index out of range\n"), which[:9]
+    padded = run_cli(capsys, ["eval", "--which", "F" + "0" * 5000 + "1", "--input", path])
+    assert padded == run_cli(capsys, ["eval", "--which", "F1", "--input", path])
+    assert json.loads(padded[1]) == {"invariant": "F", "k": 1, "value": "1"}
 
 
 def test_a_sign_oracle_failure_exits_one(capsys, monkeypatch):
@@ -818,3 +832,59 @@ def test_eval_refuses_an_entry_past_the_digit_limit(tmp_path, capsys, entry):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "4300" in err
 
+
+GOLDEN_POINTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "points.json")
+
+
+def _other_cpythons():
+    # every installed CPython >= 3.10 but the running one, once per
+    # executable: python3.N on PATH and pyenv's versions; a candidate that
+    # does not start is skipped
+    root = os.environ.get("PYENV_ROOT") or os.path.expanduser("~/.pyenv")
+    candidates = [shutil.which("python3.%d" % n) for n in range(10, 14)]
+    candidates += sorted(glob.glob(os.path.join(root, "versions", "*", "bin", "python")))
+    probe = ("import os, platform, sys; print(platform.python_implementation() == 'CPython'"
+             " and sys.version_info >= (3, 10), os.path.realpath(sys.executable))")
+    found = {}
+    for python in filter(None, candidates):
+        try:
+            run = subprocess.run([python, "-c", probe], capture_output=True, text=True,
+                                 timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        fit, _, executable = run.stdout.strip().partition(" ")
+        if run.returncode == 0 and fit == "True" \
+                and executable != os.path.realpath(sys.executable):
+            found.setdefault(executable, python)
+    return sorted(found.values())
+
+
+def _reports(python, argvs):
+    # exit code and stdout of each CLI run on this source tree, elapsed times aside
+    env = dict(os.environ, PYTHONPATH=SRC_ROOT, PYTHONDONTWRITEBYTECODE="1")
+    out = []
+    for argv in argvs:
+        run = subprocess.run([python, "-m", "coadinv.cli"] + argv, capture_output=True,
+                             text=True, timeout=300, env=env)
+        out.append((run.returncode, [line for line in run.stdout.splitlines()
+                                     if '"elapsed_ms"' not in line]))
+    return out
+
+
+def test_every_installed_cpython_prints_the_same_reports(tmp_path):
+    # pyproject.toml declares requires-python >= 3.10, so each other
+    # installed CPython from 3.10 on must import the package and print the
+    # running interpreter's reports
+    others = _other_cpythons()
+    if not others:
+        pytest.skip("no other CPython >= 3.10 is installed")
+    with open(GOLDEN_POINTS, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    argvs = [["verify", "--all", "--samples", "2", "--seed", "1", "--n-max", "3"]]
+    for family in ("glvv", "iso"):
+        point = next(r["point"] for r in golden if r["family"] == family and r["n"] >= 2)
+        argvs.append(["eval", "--input", write_point(tmp_path, point, family + ".json")])
+    expected = _reports(sys.executable, argvs)
+    assert [code for code, _ in expected] == [0, 0, 0]
+    for python in others:
+        assert _reports(python, argvs) == expected, python

@@ -483,6 +483,17 @@ def test_every_result_is_canonical():
                   x - x, x * Mat.basis_col(n, 0), Mat.zero(n, n), Mat.identity(n),
                   Mat.block([[x, y], [y, x]])):
             assert_canonical(m)
+        # blocks over 4 and 6, an integer block and a zero block: the grid
+        # keeps the canonical form of its blocks, over the lcm 12
+        quarter, sixth = Mat([[F(v, 4) for v in (1, 2, 3)]]), Mat([[F(v, 6) for v in (1, 4, 5)]])
+        grids = ([[quarter, sixth], [Mat([[2, 4, 6]]), Mat.zero(1, 3)]],
+                 [[Mat.zero(n, n), c * x], [Mat.identity(n), y]], [[sixth], [quarter]])
+        for grid in grids:
+            m = Mat.block(grid)
+            assert_canonical(m)
+            assert m == Mat([[v for b in band for v in b.to_lists()[i]]
+                             for band in grid for i in range(band[0].rows)])
+        assert Mat.block(grids[0]).num_den()[1] == 12
         assert Mat.block([[x, y]]).to_lists() == [rx + ry for rx, ry in
                                                    zip(x.to_lists(), y.to_lists())]
 

@@ -41,7 +41,7 @@ def test_kernels_at_constant_matrices():
             a = sample_int_mat(rng, n, n, 3)
             assert poly.value(poly.det(constants(a)), ()) == det(a), a
             p, B = poly.char_recursion(constants(a), 0)
-            ip, iB, width = _char_int(a.num_den()[0])
+            ip, iB, width, _ = _char_int(a.num_den()[0])
             assert [poly.value(pk, ()) for pk in p] == ip
             assert [[[poly.value(v, ()) for v in row] for row in b] for b in B] \
                 == [[list(row) for row in _unpack(b, n, width)] for b in iB]

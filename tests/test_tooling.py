@@ -172,6 +172,22 @@ def test_one_recursion_per_generator_family():
     assert "char_data" in _reaches("charpoly.py", "bordered_char_identities")
 
 
+def test_the_packed_layout_is_read_in_charpoly_alone():
+    # _char_int sizes its slots for the rows w it is given, so it projects
+    # and unpacks them itself: no other module names a part of the layout
+    layout = {"_unpack", "_layout", "_packed_mul"}
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "charpoly.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno) for node in ast.walk(tree)
+                  if getattr(node, "id", None) in layout or getattr(node, "attr", None) in layout
+                  or isinstance(node, ast.ImportFrom) and layout & {a.name for a in node.names}]
+    assert found == []
+
+
 def test_every_exact_derivative_is_read_through_one_checked_rule():
     # interp_coeffs alone would read an understated bound's wrong
     # coefficients; _taylor checks the bound, and each derivative reads it
@@ -331,6 +347,34 @@ def test_the_splitmix_finalizer_is_stated_once():
         calls = [node for name in reached for node in ast.walk(funcs[name])]
         assert not [node for node in calls if _called(node, "int_between")], sampler
         assert [node for node in calls if _called(node, "_draws")], sampler
+
+
+def test_the_stream_is_advanced_in_one_place():
+    # _draws alone steps the splitmix state: it reads the counter step and
+    # stores the state, and next_u64 is a view of it, like int_between
+    path = os.path.join(SRC, "liealg.py")
+    with open(path, encoding="utf-8") as fh:
+        funcs = dict(_methods(ast.parse(fh.read(), filename=path)))
+    steps = sorted(name for name, func in funcs.items() for node in ast.walk(func)
+                   if getattr(node, "id", None) == "_GAMMA")
+    stores = sorted(name for name, func in funcs.items() for node in ast.walk(func)
+                    if isinstance(node, ast.Attribute) and node.attr == "_state"
+                    and isinstance(node.ctx, ast.Store))
+    assert steps == ["Rng._draws"] and stores == ["Rng.__init__", "Rng._draws"]
+    for view in ("Rng.next_u64", "Rng.int_between"):
+        assert [node for node in ast.walk(funcs[view]) if _called(node, "_draws")], view
+
+
+def test_lowest_terms_are_reached_through_the_constructors():
+    # a grid of canonical blocks over the lcm of their denominators is
+    # canonical as assembled, and the per-entry JSON reader hands its
+    # fractions to Mat: neither states the reduction again
+    path = os.path.join(SRC, "exactmat.py")
+    with open(path, encoding="utf-8") as fh:
+        funcs = dict(_methods(ast.parse(fh.read(), filename=path)))
+    for name, banned in (("Mat.block", ("_normal",)), ("mat_from_json", ("lcm", "_normal"))):
+        assert not [node for node in ast.walk(funcs[name])
+                    if any(_called(node, callee) for callee in banned)], name
 
 
 def _negated_transposes(func):
