@@ -54,11 +54,11 @@ def _entry(values, k: int):
 def _covariants(l: DualPoint) -> tuple:
     """The row covariants off one integer trace recursion.  For y = A / d
     and wstar = w / dw: the pairs (w B_k(A), d^k dw), k = 0..n-1, whose
-    quotients are wstar B_k(y), the integers p_k(A) = d^k p_k(y), and d."""
+    quotients are wstar B_k(y), and the integers p_k(A) = d^k p_k(y)."""
     a, d = l.y.num_den()
     (w,), dw = l.wstar.num_den()
     p, *_, rows = _char_int(a, (w,))
-    return [(r, d ** k * dw) for k, r in enumerate(rows)], p, d
+    return [(r, d ** k * dw) for k, r in enumerate(rows)], p
 
 
 def phi_rows(l: DualPoint) -> list:
@@ -247,32 +247,33 @@ def _open_normal(rng: Rng, n: int, bound: int) -> tuple:
 def orbit_normalize(l: DualPoint):
     """Normalize a point of the open set to the base pair.
 
-    Returns (elem, normal): elem = (g, u, 0), an aff element, with rows
-    g = (wstar B_{n-1}(y); ...; wstar) and the closed-form translation
-    u = -(p_n(y), ..., p_1(y))^T, and normal = coad(elem, l), which is
-    (J, e_n*, g xi) in l's family (an io/iso point is refused as coad
-    refuses it: (J, e_n*) is not in its dual).
+    Returns (elem, normal): the aff element elem = (g, u, 0) with rows
+    g = (wstar B_{n-1}(y); ...; wstar) and u = -(p_n(y), ..., p_1(y))^T, and
+    normal = coad(elem, l) = (J, e_n*, g xi) in l's family (an io/iso point
+    is refused as coad refuses it: (J, e_n*) is not in its dual).
 
     coad sends (y, wstar) to (g y g^-1 + u wstar g^-1, wstar g^-1), so for
     invertible g it lands on (J, e_n*) exactly when J g = g y + u wstar and
-    e_n* g = wstar.  Both are checked with no inverse of g: J g is g's rows
-    shifted down one, e_n* g its last row.  They hold by construction: the
-    last row of g is wstar, and B_k y = B_{k+1} + p_{k+1} I with B_n = 0
-    gives the first row by row, so g y g^-1 = J - u e_n* is the companion
-    matrix of y.  Raises NotInOpenOrbit when the semi-invariant vanishes,
-    that is det g = 0, which the GroupElem constructor computes once.
+    e_n* g = wstar.  For y = A / d and wstar = w / dw, read off l itself,
+    g = G / (d^(n-1) dw) and u = U / d^n with G_i = w B_{n-1-i}(A) d^i and
+    U_i = -p_{n-i}(A) d^i, so times d^n dw the two are the integer rows
+    d (0; G) = (G A + U w; d^n w), checked with no product of matrices and no
+    inverse of g.  B_k y = B_{k+1} + p_{k+1} I and B_n = 0 make them hold.
+    det g = 0 (f = 0) raises NotInOpenOrbit; GroupElem computes det g once.
     """
-    n = l.n
-    rows, p, d = _covariants(l)
-    # wstar B_k(y) = w B_k(A) / (d^k dw), and d^k dw divides d^(n-1) dw
-    a = [[v * d ** (n - 1 - k) for v in rows[k][0]] for k in reversed(range(n))]
-    g, jg, eg = [Mat.from_num_den(b, rows[-1][1]) for b in (a, [[0] * n] + a[:-1], a[-1:])]
-    u = Mat.from_num_den([[-p[k - 1] * d ** (n - k)] for k in range(n, 0, -1)], d ** n)
+    cols, d = l.y.transpose().num_den()
+    (w,), dw = l.wstar.num_den()
+    rows, p = _covariants(l)
+    dk = [d ** i for i in range(l.n + 1)]
+    G = [[v * e for v in r] for (r, _), e in zip(rows[::-1], dk)]
+    U = [-c * e for c, e in zip(p[::-1], dk)]
+    g, u = Mat.from_num_den(G, dk[-2] * dw), Mat.from_num_den([[c] for c in U], dk[-1])
     try:
         elem = GroupElem(g, u, family="aff")
     except ValueError:  # the shapes hold, so g is singular
         raise NotInOpenOrbit("not in open orbit") from None
-    if jg != g * l.y + u * l.wstar or eg != l.wstar:
+    landed = [[sum(map(mul, r, c)) + x * v for c, v in zip(cols, w)] for r, x in zip(G, U)]
+    if [[0] * l.n] + [[d * v for v in r] for r in G] != landed + [[dk[-1] * v for v in w]]:
         raise ExactnessError("normal form did not land on the base pair")
-    base = CanonicalPair.of_size(n)
+    base = CanonicalPair.of_size(l.n)
     return elem, DualPoint(base.J, base.enstar, g * l.xi, l.family)

@@ -489,6 +489,29 @@ def test_orbit_on_the_golden_points_is_coads_image(tmp_path, capsys):
     assert seen == {0, 2}
 
 
+def test_eval_reads_the_same_values_off_orbits_normal_form(tmp_path, capsys):
+    # the normal form lies in the input's orbit, so for each golden glvv
+    # point (all ten are in the open set), eval --which all prints the same
+    # values on the normal_form orbit writes as on the point itself
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "points.json")
+    with open(golden, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    checked = 0
+    for entry in entries:
+        for key in ("point", "image"):
+            if entry[key]["algebra"] != "glvv":
+                continue
+            path = write_point(tmp_path, entry[key])
+            code, out, err = run_cli(capsys, ["orbit", "--input", path])
+            assert (code, err) == (0, "")
+            normal = write_point(tmp_path, json.loads(out)["normal_form"], "normal.json")
+            at_point = run_cli(capsys, ["eval", "--which", "all", "--input", path])
+            assert at_point[0] == 0 and at_point[2] == ""
+            assert run_cli(capsys, ["eval", "--which", "all", "--input", normal]) == at_point
+            checked += 1
+    assert checked == 10
+
+
 def test_orbit_refuses_a_rational_point_off_the_open_set(tmp_path, capsys):
     # wstar = e_1* is a left eigenvector of y, so the rows wstar B_k(y) are
     # dependent and f = 0, though y and xi are far from zero

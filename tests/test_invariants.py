@@ -510,26 +510,41 @@ def test_orbit_rejects_degenerate():
 
 
 def _open_points(rng, n):
-    # an integer point of the open set, a rational multiple of it, and its
-    # image under a sampled affine element, whose g^-1 brings denominators
+    # an integer point of the open set, two rational multiples of it (the
+    # second with y and wstar over distinct denominators) and its image
+    # under a sampled affine element, whose g^-1 brings denominators
     l = sample_open_b(rng, n, 3)
     a = sample_group(Algebra("aff", n), rng, 3)
     c = F(-2, 7)
-    return l, DualPoint(c * l.y, c * l.wstar, c * l.xi), coad(a, l)
+    return (l, DualPoint(c * l.y, c * l.wstar, c * l.xi),
+            DualPoint(c * l.y, F(3, 5) * l.wstar, l.xi), coad(a, l))
+
+
+def _denominators(l):
+    return l.y.num_den()[1], l.wstar.num_den()[1]
 
 
 def test_orbit_normal_form_is_coads_image():
     # the landing identity stands for coad's landing: coad, which inverts g,
-    # is the oracle of the normal form
+    # is the oracle of the normal form, and the rational identities on the
+    # returned g and u, through Mat products, are the oracle of the integer
+    # check on G and U
     rng = Rng(81)
+    seen = set()
     for n in range(1, 9):
         for _ in range(2):
             for l in _open_points(rng, n):
                 elem, normal = orbit_normalize(l)
-                assert det(elem.g) != 0
+                g, u = elem.g, elem.u
+                assert det(g) != 0
+                assert lower_shift(n) * g == g * l.y + u * l.wstar
+                assert Mat.basis_row(n, n - 1) * g == l.wstar
                 assert elem.vstar == Mat.zero(1, n)
                 assert normal == coad(elem, l)
                 assert (normal.y, normal.wstar) == (lower_shift(n), Mat.basis_row(n, n - 1))
+                seen.add(_denominators(l))
+    assert (1, 1) in seen and (7, 5) in seen
+    assert any(d != 1 and w != 1 and d != w for d, w in seen - {(7, 5)})
 
 
 def test_orbit_normalize_keeps_aff_and_isl_points_in_their_family():
@@ -571,22 +586,25 @@ def test_orbit_normalize_refuses_orthogonal_points_as_coad_does(fam):
 @pytest.mark.parametrize("fault", ["u reversed", "one entry of g", "g and u doubled"])
 def test_orbit_normalize_catches_a_planted_fault(monkeypatch, fault):
     # a wrong translation or a wrong entry of g fails J g = g y + u wstar;
-    # 2g and 2u still satisfy it, and fail e_n* g = wstar
+    # 2g and 2u still satisfy it, and fail e_n* g = wstar.  The points are
+    # integer and rational, some with y and wstar over distinct
+    # denominators, so each fault must show at d, dw != 1 as well
     real = inv_module._covariants
 
     def planted(l):
-        rows, p, d = real(l)
+        rows, p = real(l)
         if fault == "u reversed":
             assert p != p[::-1]
-            return rows, p[::-1], d
+            return rows, p[::-1]
         if fault == "one entry of g":
             (r0, *rest), e = rows[-1]
-            return rows[:-1] + [((r0 + 1, *rest), e)], p, d
-        return [(tuple(2 * v for v in r), e) for r, e in rows], [2 * c for c in p], d
+            return rows[:-1] + [((r0 + 1, *rest), e)], p
+        return [(tuple(2 * v for v in r), e) for r, e in rows], [2 * c for c in p]
 
     # the points are drawn before the fault is planted: sample_open_b
     # normalizes each draw
-    points = [sample_open_b(Rng(83).child(n), n, 3) for n in range(2, 6)]
+    points = [l for n in range(2, 6) for l in _open_points(Rng(83).child(n), n)]
+    assert {(1, 1), (7, 5)} <= {_denominators(l) for l in points}
     monkeypatch.setattr(inv_module, "_covariants", planted)
     for l in points:
         with pytest.raises(ExactnessError, match="^normal form did not land on the base pair$"):

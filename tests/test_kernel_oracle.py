@@ -252,8 +252,8 @@ def test_packed_recursion_at_the_bound():
         cd = char_data(Mat(a))
         assert list(cd.p) == p
         assert [b.to_lists() for b in cd.B] == B
-        rows, pint, d = _covariants(DualPoint(Mat(a), Mat.row(w), Mat.col([0] * n)))
-        assert pint == p and d == 1
+        rows, pint = _covariants(DualPoint(Mat(a), Mat.row(w), Mat.col([0] * n)))
+        assert pint == p
         assert [list(r) for r, e in rows] == wB and {e for _, e in rows} == {1}
         s = _char_int(tuple(map(tuple, a)), (tuple(w),))[2]
         entries = [v for m in (*B, *products, wB) for row in m for v in row]

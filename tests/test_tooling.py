@@ -448,8 +448,9 @@ def test_the_third_component_is_stated_once():
 def test_orbit_normalize_never_inverts_g():
     # the normal form's landing is checked as J g = g y + u wstar and
     # e_n* g = wstar: neither orbit_normalize nor a helper it reaches calls
-    # inverse or coad, and det g is computed once, by GroupElem; J g and
-    # e_n* g are read off g's rows, so no product has J or e_n* as an operand
+    # inverse or coad, and det g is computed once, by GroupElem; both are
+    # checked on the integer rows of g, u, y and wstar, so no product has
+    # J, e_n*, y or wstar as an operand
     reached = {"orbit_normalize"} | _reaches("invariants.py", "orbit_normalize")
 
     def sites(name):
@@ -458,7 +459,7 @@ def test_orbit_normalize_never_inverts_g():
 
     def by_base(node):
         return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-                and any(getattr(sub, "attr", None) in ("J", "enstar")
+                and any(getattr(sub, "attr", None) in ("J", "enstar", "y", "wstar")
                         for side in (node.left, node.right) for sub in ast.walk(side)))
 
     assert sites("inverse") == [] and sites("coad") == []
