@@ -1,5 +1,5 @@
-"""Characteristic coefficients, their gradient matrices, exact directional
-derivatives and the bordered-matrix coefficient identities.
+"""Characteristic coefficients, their gradient matrices, exact interpolation
+at integer nodes and the bordered-matrix coefficient identities.
 
 Sign convention, fixed once and used everywhere:
 
@@ -21,7 +21,7 @@ _char_int proves that s leaves every entry room in its slot.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import repeat
@@ -162,21 +162,6 @@ def _taylor(values: Sequence[Rat], degree_bound: int) -> tuple:
     if any(coeffs[degree_bound + 1:]):
         raise ExactnessError("restriction has degree above the bound %d" % degree_bound)
     return coeffs
-
-
-def directional_coeff(F: Callable, base, direction, order: int, degree_bound: int) -> Rat:
-    """Exact coefficient of t**order in t -> F(base + t * direction).
-
-    Reads _taylor at t = 0..degree_bound + 1, so the answer is an
-    identity, not an approximation.  The bound must be at least the true
-    degree of the restriction; callers pass a documented worst case (deg
-    p_k = k; invariants.GENERATORS holds the generators').  base and
-    direction only need + and scalar *.
-    """
-    if order < 0 or order > degree_bound:
-        raise ValueError("order must lie in 0..degree_bound")
-    return _taylor([F(base) if t == 0 else F(base + Fraction(t) * direction)
-                    for t in range(degree_bound + 2)], degree_bound)[order]
 
 
 # -- bordered matrices -------------------------------------------------------

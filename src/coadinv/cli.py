@@ -20,7 +20,7 @@ import sys
 
 from . import invariants as inv
 from . import verify
-from .exactmat import ExactnessError, mat_to_json, rat_str
+from .exactmat import ExactnessError, _str_int, mat_to_json, rat_str
 from .liealg import FAMILIES, dual_from_json, dual_to_json
 
 USAGE_ERROR = 2
@@ -30,9 +30,9 @@ MATH_ERROR = 1
 def _load_json(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, parse_int=_str_int)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_str_int)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError("cannot read JSON input: %s" % exc) from exc
 

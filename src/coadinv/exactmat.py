@@ -476,12 +476,25 @@ def pfaffian(a: Mat) -> Rat:
 
 def _int_str(v: int) -> str:
     """Decimal digits of v, however long: str() refuses integers past the
-    interpreter's digit limit, which stays in force for parsing, and the
+    interpreter's digit limit, which the package never changes, and the
     decimal module renders those exactly."""
     try:
         return str(v)
     except ValueError:
         return str(Decimal(v))
+
+
+def _str_int(s: str) -> int:
+    """The integer of a string of decimal digits after an optional minus,
+    however long: int() refuses strings past the interpreter's digit limit,
+    which is never below 640 digits, so a longer string is read as two
+    halves, the high one scaled by a power of ten, in subquadratic time."""
+    if len(s) <= 640:
+        return int(s)
+    if s[0] == "-":
+        return -_str_int(s[1:])
+    k = len(s) // 2
+    return _str_int(s[:-k]) * 10 ** k + _str_int(s[-k:])
 
 
 def _entry_str(v: int, d: int) -> str:
@@ -521,10 +534,10 @@ def _json_num_den(value) -> tuple:
         return value, 1
     if isinstance(value, str) and _RAT_RE.fullmatch(value):
         num, _, den = value.partition("/")
-        den = int(den) if den else 1
+        den = _str_int(den) if den else 1
         if den == 0:
             raise ValueError("zero denominator in %r" % (value,))
-        return int(num), den
+        return _str_int(num), den
     raise ValueError("%r is not an integer or a \"p\"/\"p/q\" string" % (value,))
 
 

@@ -113,11 +113,6 @@ def F_bordered_all(l: DualPoint) -> tuple:
     return bordered_gradients(l.y, l.xi, l.wstar)
 
 
-def F_invariant(k: int, l: DualPoint) -> Rat:
-    """Generator F_k, 0 <= k <= n-1: a view of F_all."""
-    return _entry(F_all(l), k)
-
-
 def F_bordered(k: int, l: DualPoint) -> Rat:
     """Generator F_k through the bordered path: a view of F_bordered_all."""
     return _entry(F_bordered_all(l), k)
@@ -142,11 +137,6 @@ def psi_bordered_all(l: DualPoint) -> tuple:
     """The same generators through the bordered coefficients: p_{2k+2} of
     [[y, xi], [wstar, 0]], xi = -wstar^T, minus p_{2k+2}(y); never reads B_k(y)."""
     return bordered_gradients(l.y, _third("io", l.wstar, None, DualPoint), l.wstar)[::2]
-
-
-def psi_invariant(k: int, l: DualPoint) -> Rat:
-    """Generator psi_k, 0 <= 2k <= n-1: a view of psi_all."""
-    return _entry(psi_all(l), k)
 
 
 def psi_bordered(k: int, l: DualPoint) -> Rat:

@@ -485,23 +485,6 @@ def _slice_signs(n: int, family: str) -> dict:
     return signs
 
 
-def resolve_sign(pair: str, n: int, k=None) -> int:
-    """One proved slice-comparison sign in {+1, -1}: a view of _slice_signs.
-    Only psi-vs-phi takes a generator index, 0 <= k <= ell.  A bad pair, n
-    or k (missing, out of range or ignored) raises ValueError."""
-    if n < 1:
-        raise ValueError("sign resolution needs n >= 1")
-    if pair not in _SLICE_CHECKS:
-        raise ValueError("unknown sign pair %r" % (pair,))
-    if pair == "psi-vs-phi" and k not in range((n + 1) // 2):
-        raise ValueError("psi-vs-phi needs a generator index k in 0..ell")
-    if pair != "psi-vs-phi" and k is not None:
-        raise ValueError("%s takes no generator index k" % pair)
-    if pair.startswith("exotic") and n % 2 == 0:
-        raise ValueError("exotic comparisons need odd n")
-    return _slice_signs(n, "isl" if pair == "f-vs-t" else "iso")[pair, k]
-
-
 # -- registry and runners ---------------------------------------------------------
 
 class _SuiteSpec(Record):

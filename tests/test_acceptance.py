@@ -9,14 +9,14 @@ import time
 from coadinv.charpoly import bordered
 from coadinv.exactmat import Mat, det, pfaffian
 from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
-                                EXOTIC_SQUARE_SIGN, F_SLICE_SIGN, F_invariant,
-                                PSI_SLICE_SIGN, exotic_phi, psi_invariant,
+                                EXOTIC_SQUARE_SIGN, F_SLICE_SIGN, F_all,
+                                PSI_SLICE_SIGN, exotic_phi, psi_all,
                                 sample_open_b)
 from coadinv.liealg import (Algebra, DualPoint, GroupElem, Rng, coad,
                             commutator_form, index_of, reflection,
                             sample_dual, sample_int_mat, sample_orthogonal)
 from coadinv.exactmat import rank
-from coadinv.verify import SuiteConfig, resolve_sign, run_suite
+from coadinv.verify import SuiteConfig, _slice_signs, run_suite
 
 SEED = 2026
 
@@ -53,7 +53,7 @@ def test_criterion_03_canonical_evaluation():
             l = DualPoint(pair.J, pair.enstar, Mat.basis_col(n, i))
             for k in range(n):
                 expected = 1 if n - 1 - k == i else 0
-                assert F_invariant(k, l) == expected, (n, i, k)
+                assert F_all(l)[k] == expected, (n, i, k)
                 checks += 1
     print("\nACCEPTANCE 3 PASS: canonical evaluation reads off coordinates, "
           "exhaustive basis columns, n in 1..6 (%d checks)" % checks)
@@ -97,7 +97,7 @@ def test_criterion_07_odd_even_dichotomy():
             l = sample_dual(alg, rng, 3)
             lb = DualPoint(l.y, l.wstar, -l.wstar.transpose())
             for k in range(1, n, 2):
-                assert F_invariant(k, lb) == 0, (n, k)
+                assert F_all(lb)[k] == 0, (n, k)
     for n in (3, 5):
         alg = Algebra("iso", n)
         ell = alg.ell
@@ -106,7 +106,7 @@ def test_criterion_07_odd_even_dichotomy():
             phi = exotic_phi(l)
             # the square identity holds with the frozen sign (the raw
             # generator carries a leading minus, its square cannot)
-            assert phi * phi == EXOTIC_SQUARE_SIGN * psi_invariant(ell, l), n
+            assert phi * phi == EXOTIC_SQUARE_SIGN * psi_all(l)[ell], n
             y = bordered(l.y, -l.wstar.transpose(), l.wstar, 0)
             assert pfaffian(y) ** 2 == det(y), n
     for n in (3, 5):
@@ -124,15 +124,16 @@ def test_criterion_07_odd_even_dichotomy():
 
 def test_criterion_08_slice_agreement():
     for n in range(2, 7):
-        assert resolve_sign("f-vs-t", n) == F_SLICE_SIGN == 1, n
+        assert _slice_signs(n, "isl")["f-vs-t", None] == F_SLICE_SIGN == 1, n
     for n in range(2, 7):
         ell = Algebra("io", n).ell
+        signs = _slice_signs(n, "iso")
         for k in range(ell + 1):
-            assert resolve_sign("psi-vs-phi", n, k) == PSI_SLICE_SIGN == -1, (n, k)
+            assert signs["psi-vs-phi", k] == PSI_SLICE_SIGN == -1, (n, k)
         if n % 2 == 1:
-            assert resolve_sign("exotic-vs-slice", n) == EXOTIC_SLICE_SIGN == -1, n
+            assert signs["exotic-vs-slice", None] == EXOTIC_SLICE_SIGN == -1, n
     # the anticipated lowest-index sign in particular
-    assert resolve_sign("psi-vs-phi", 3, 0) == -1
+    assert _slice_signs(3, "iso")["psi-vs-phi", 0] == -1
     print("\nACCEPTANCE 8 PASS: slice restrictions proved proportional to the closed "
           "forms as integer polynomials, n in 2..6; frozen signs +1 / -1 / -1 confirmed")
 

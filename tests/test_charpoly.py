@@ -5,8 +5,7 @@ import pytest
 
 from coadinv import charpoly, invariants
 from coadinv.charpoly import (CharData, _taylor, bordered, bordered_char_identities,
-                              bordered_gradients, char_data, directional_coeff,
-                              interp_coeffs)
+                              bordered_gradients, char_data, interp_coeffs)
 from coadinv.exactmat import ExactnessError, Mat, det, rank, scalar
 from coadinv.invariants import F_all
 from coadinv.liealg import Algebra, DualPoint, Rng, sample_dual
@@ -171,17 +170,18 @@ def _mat_pow(x, e):
 
 # -- directional derivatives -----------------------------------------------------
 
+def _along(k, x, y, nodes):
+    """p_k(x + t y) at the explicit nodes t = 0..nodes-1, as _taylor reads them."""
+    return [char_data(x + t * y).coeff(k) for t in range(nodes)]
+
+
 def test_directional_trace():
     for n in range(1, 5):
-        got = directional_coeff(lambda m: char_data(m).coeff(1),
-                                Mat.zero(n, n), Mat.identity(n), 1, 1)
-        assert got == n
+        assert _taylor(_along(1, Mat.zero(n, n), Mat.identity(n), 3), 1)[1] == n
 
 
 def test_directional_second_coeff():
-    got = directional_coeff(lambda m: char_data(m).coeff(2),
-                            Mat.zero(2, 2), Mat.identity(2), 2, 2)
-    assert got == -1
+    assert _taylor(_along(2, Mat.zero(2, 2), Mat.identity(2), 4), 2)[2] == -1
 
 
 def test_gradient_property():
@@ -192,8 +192,7 @@ def test_gradient_property():
             y = rand_mat(rng, n)
             cd = char_data(x)
             for k in range(n):
-                expected = directional_coeff(
-                    lambda m, k=k: char_data(m).coeff(k + 1), x, y, 1, k + 1)
+                expected = _taylor(_along(k + 1, x, y, k + 3), k + 1)[1]
                 assert (cd.B[k] * y).trace() == expected
 
 
@@ -204,12 +203,12 @@ def test_interp_coeffs():
 
 
 def test_interp_refuses_inexact_values():
-    # the kernel's TypeError, also when F returns a float
+    # the kernel's TypeError, also through _taylor
     for values in ([0.5, 1], [F(1), "2"], [1, None]):
         with pytest.raises(TypeError, match="exact entries are int or Fraction"):
             interp_coeffs(values)
     with pytest.raises(TypeError, match="exact entries are int or Fraction"):
-        directional_coeff(lambda t: 0.5 * t, F(1), F(1), 1, 1)
+        _taylor([0.5 * t for t in range(3)], 1)
 
 
 def test_taylor_is_interp_coeffs_within_the_bound():
@@ -237,9 +236,7 @@ def test_taylor_needs_one_node_past_the_bound():
 
 
 def test_oversized_bound_is_harmless():
-    got = directional_coeff(lambda m: char_data(m).coeff(1),
-                            Mat.zero(3, 3), Mat.identity(3), 1, 6)
-    assert got == 3
+    assert _taylor(_along(1, Mat.zero(3, 3), Mat.identity(3), 8), 6)[1] == 3
 
 
 def test_directional_refuses_a_bound_below_the_degree():
@@ -247,14 +244,8 @@ def test_directional_refuses_a_bound_below_the_degree():
     # nodes alone would give the secant slope 6, not the coefficient 5
     x, y = Mat([[1, 2], [3, 4]]), Mat([[0, 1], [1, 0]])
     with pytest.raises(ExactnessError, match="degree above the bound 1"):
-        directional_coeff(lambda m: char_data(m).coeff(2), x, y, 1, 1)
-    assert directional_coeff(lambda m: char_data(m).coeff(2), x, y, 1, 2) == 5
-
-
-def test_directional_rejects_bad_order():
-    with pytest.raises(ValueError):
-        directional_coeff(lambda m: char_data(m).coeff(1),
-                          Mat.zero(2, 2), Mat.identity(2), 3, 2)
+        _taylor(_along(2, x, y, 3), 1)
+    assert _taylor(_along(2, x, y, 4), 2)[1] == 5
 
 
 # -- shift lemma -------------------------------------------------------------------

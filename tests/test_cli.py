@@ -492,24 +492,27 @@ def test_orbit_on_the_golden_points_is_coads_image(tmp_path, capsys):
 def test_eval_reads_the_same_values_off_orbits_normal_form(tmp_path, capsys):
     # the normal form lies in the input's orbit, so for each golden glvv
     # point (all ten are in the open set), eval --which all prints the same
-    # values on the normal_form orbit writes as on the point itself
+    # values on the normal_form orbit writes as on the point itself; so
+    # does the 2000-digit point, whose normal form has 6000-digit entries
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "points.json")
     with open(golden, encoding="utf-8") as fh:
         entries = json.load(fh)
-    checked = 0
-    for entry in entries:
-        for key in ("point", "image"):
-            if entry[key]["algebra"] != "glvv":
-                continue
-            path = write_point(tmp_path, entry[key])
-            code, out, err = run_cli(capsys, ["orbit", "--input", path])
-            assert (code, err) == (0, "")
-            normal = write_point(tmp_path, json.loads(out)["normal_form"], "normal.json")
-            at_point = run_cli(capsys, ["eval", "--which", "all", "--input", path])
-            assert at_point[0] == 0 and at_point[2] == ""
-            assert run_cli(capsys, ["eval", "--which", "all", "--input", normal]) == at_point
-            checked += 1
-    assert checked == 10
+    points = [entry[key] for entry in entries for key in ("point", "image")
+              if entry[key]["algebra"] == "glvv"]
+    assert len(points) == 10
+    longest = 0
+    for point in points + [long_glvv_point()[0]]:
+        path = write_point(tmp_path, point)
+        code, out, err = run_cli(capsys, ["orbit", "--input", path])
+        assert (code, err) == (0, "")
+        normal_form = json.loads(out)["normal_form"]
+        longest = max([longest] + [len(e) for m in normal_form.values() if isinstance(m, dict)
+                                   for row in m["entries"] for e in row])
+        normal = write_point(tmp_path, normal_form, "normal.json")
+        at_point = run_cli(capsys, ["eval", "--which", "all", "--input", path])
+        assert at_point[0] == 0 and at_point[2] == ""
+        assert run_cli(capsys, ["eval", "--which", "all", "--input", normal]) == at_point
+    assert longest > 4300
 
 
 def test_orbit_refuses_a_rational_point_off_the_open_set(tmp_path, capsys):
@@ -686,18 +689,18 @@ def test_eval_reads_integer_entries(tmp_path, capsys):
 PACKAGE_NAMES = [
     "Algebra", "CanonicalPair", "CharData", "DualPoint", "EXOTIC_SLICE_SIGN",
     "EXOTIC_SQUARE_SIGN", "ExactnessError", "FAMILIES", "F_SLICE_SIGN", "F_all",
-    "F_bordered", "F_bordered_all", "F_invariant", "GENERATORS", "GroupElem", "Mat",
+    "F_bordered", "F_bordered_all", "GENERATORS", "GroupElem", "Mat",
     "NotInOpenOrbit",
     "PSI_SLICE_SIGN", "Rat", "Rng", "SUITES", "SuiteConfig", "VerifyReport", "bordered",
     "bordered_char_identities", "bordered_gradients", "bracket_b", "char_data", "charpoly",
-    "coad", "commutator_form", "det", "directional_coeff", "dual_from_json",
+    "coad", "commutator_form", "det", "dual_from_json",
     "dual_to_json", "embed_M", "exactmat", "exotic_phi", "f_bar",
     "f_invariant", "f_krylov", "generators", "group_from_json", "group_to_json", "index_of",
     "interp_coeffs", "invariants", "inverse", "k_bracket", "krylov_rows", "liealg",
     "lower_shift", "mat_from_json", "mat_mul", "mat_to_json", "orbit_normalize",
     "pfaffian", "phi_rows", "pi_projection",
-    "poly", "project_traceless", "psi_all", "psi_bordered", "psi_bordered_all", "psi_invariant",
-    "rank", "rat", "rat_str", "resolve_sign", "run_all", "run_suite", "sample_dual",
+    "poly", "project_traceless", "psi_all", "psi_bordered", "psi_bordered_all",
+    "rank", "rat", "rat_str", "run_all", "run_suite", "sample_dual",
     "sample_group", "sample_open_b", "slice_isl", "slice_so", "suite_range",
     "theta", "verify",
 ]
@@ -824,15 +827,22 @@ def test_eval_prints_values_past_the_digit_limit(tmp_path, capsys):
     assert value == f_invariant(point)
 
 
-def test_orbit_prints_matrices_past_the_digit_limit(tmp_path, capsys):
-    # g = (wstar B_1(y); wstar) has 4000-digit entries, so the normal
-    # form's xi = g xi has about 6000
+def long_glvv_point() -> tuple:
+    """A glvv n = 2 point of the open set with 2000-digit entries, as JSON
+    and as the entries a and b of its diagonal y."""
     a_text, a = long_integer(2000, 1)
     b_text, b = long_integer(2000, 2)
     obj = {"algebra": "glvv", "n": 2,
            "y": {"rows": 2, "cols": 2, "entries": [[a_text, 0], [0, b_text]]},
            "wstar": {"rows": 1, "cols": 2, "entries": [[a_text, 1]]},
            "xi": {"rows": 2, "cols": 1, "entries": [[a_text], [b_text]]}}
+    return obj, a, b
+
+
+def test_orbit_prints_matrices_past_the_digit_limit(tmp_path, capsys):
+    # g = (wstar B_1(y); wstar) has 4000-digit entries, so the normal
+    # form's xi = g xi has about 6000
+    obj, a, b = long_glvv_point()
     code, out, err = run_cli(capsys, ["orbit", "--input", write_point(tmp_path, obj)])
     assert code == 0, err
     result = json.loads(out)
@@ -844,16 +854,19 @@ def test_orbit_prints_matrices_past_the_digit_limit(tmp_path, capsys):
     assert max(len(e) for row in result["normal_form"]["xi"]["entries"] for e in row) > 4300
 
 
-@pytest.mark.parametrize("entry", ['"1%s"' % ("0" * 4300), "1%s" % ("0" * 4300)])
-def test_eval_refuses_an_entry_past_the_digit_limit(tmp_path, capsys, entry):
-    # rendering writes any length, parsing keeps the interpreter's limit
+@pytest.mark.parametrize("entry", ['"-1%s7"' % ("0" * 4300), "-1%s7" % ("0" * 4300)],
+                         ids=["string", "number"])
+def test_eval_reads_an_entry_past_the_digit_limit(tmp_path, capsys, entry):
+    # an entry of any length reads, as a "p" string or as a JSON integer:
+    # at n = 1, f is the entry of vstar
     path = tmp_path / "point.json"
     path.write_text('{"algebra": "aff", "n": 1, "y": {"rows": 1, "cols": 1, '
                     '"entries": [[%s]]}, "vstar": {"rows": 1, "cols": 1, '
-                    '"entries": [["1"]]}}' % entry)
+                    '"entries": [[%s]]}}' % (entry, entry))
     code, out, err = run_cli(capsys, ["eval", "--input", str(path)])
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and "4300" in err
+    assert (code, err) == (0, "")
+    [result] = json.loads(out)
+    assert digits(result["value"]) == -(10 ** 4301 + 7)
 
 
 GOLDEN_POINTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "points.json")

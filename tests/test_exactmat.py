@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from coadinv.exactmat import (Mat, det, inverse, mat_from_json, mat_mul,
-                              mat_to_json, pfaffian, rank, rat, rat_str)
+from coadinv.exactmat import (Mat, _int_str, _str_int, det, inverse, mat_from_json,
+                              mat_mul, mat_to_json, pfaffian, rank, rat, rat_str)
 from coadinv.liealg import Rng
 
 
@@ -235,7 +235,20 @@ def test_rendering_past_the_digit_limit():
     entries = mat_to_json(a)["entries"]
     assert [[F(*map(digits, e.split("/"))) if "/" in e else digits(e) for e in row]
             for row in entries] == a.to_lists()
-    # the process-wide limit stays in force, and so does parsing under it
+    # the process-wide limit stays in force, and what is written reads back
     assert sys.get_int_max_str_digits() == limit
-    with pytest.raises(ValueError, match="malformed rational"):
-        mat_from_json({"rows": 1, "cols": 1, "entries": [[rat_str(F(big))]]})
+    assert mat_from_json(mat_to_json(a)) == a
+    assert [rat(rat_str(value)) for value in (F(big), F(-big, 3), F(3, big))] \
+        == [F(big), F(-big, 3), F(3, big)]
+
+
+def test_the_reader_takes_any_length():
+    # lengths around the 640-digit split and past the digit limit, with a
+    # minus and leading zeros, against the chunked reader above
+    rng = Rng(88)
+    for size in (1, 2, 639, 640, 641, 642, 1281, 4300, 4301, 10141, 30000):
+        text = "".join(str(rng.int_between(0, 9)) for _ in range(size))
+        for s in (text, "-" + text, "000" + text, "-0" + text):
+            assert _str_int(s) == digits(s), (size, s[:8])
+    for v in (7 ** 12000 + 1, -(10 ** 5000), 10 ** 640, 3 ** 1400):
+        assert _str_int(_int_str(v)) == v

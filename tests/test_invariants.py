@@ -10,13 +10,13 @@ from coadinv.exactmat import ExactnessError, Mat, det, inverse, pfaffian, scalar
 from coadinv.charpoly import bordered, char_data
 from coadinv.invariants import (CanonicalPair, EXOTIC_SLICE_SIGN,
                                 EXOTIC_SQUARE_SIGN, F_SLICE_SIGN, F_all,
-                                F_bordered, F_bordered_all, F_invariant,
+                                F_bordered, F_bordered_all,
                                 GENERATORS, NotInOpenOrbit, PSI_SLICE_SIGN, exotic_phi,
                                 f_bar, f_invariant,
                                 f_krylov, generators, krylov_rows, lower_shift,
                                 orbit_normalize, phi_rows, pi_projection,
                                 project_traceless, psi_all, psi_bordered,
-                                psi_bordered_all, psi_invariant, sample_open_b,
+                                psi_bordered_all, sample_open_b,
                                 slice_isl, slice_so)
 from coadinv.liealg import (FAMILIES, Algebra, DualPoint, GroupElem, Rng, coad,
                             reflection, sample_dual, sample_group,
@@ -130,13 +130,13 @@ def test_F_at_canonical_pair_exhaustive():
             l = canonical_b(n, [1 if j == i else 0 for j in range(n)])
             for k in range(n):
                 expected = 1 if n - 1 - k == i else 0
-                assert F_invariant(k, l) == expected
+                assert F_all(l)[k] == expected
 
 
 def test_F_zero_is_the_pairing():
     rng = Rng(67)
     l = sample_dual(Algebra("glvv", 4), rng, 3)
-    assert F_invariant(0, l) == (l.wstar * l.xi)[0, 0]
+    assert F_all(l)[0] == (l.wstar * l.xi)[0, 0]
 
 
 def test_F_bordered_path():
@@ -147,7 +147,7 @@ def test_F_bordered_path():
         for _ in range(20):
             l = sample_dual(alg, rng, 3)
             for k in range(n):
-                assert F_invariant(k, l) == F_bordered(k, l)
+                assert F_all(l)[k] == F_bordered(k, l)
             assert F_all(l) == F_bordered_all(l)
             assert len(F_all(l)) == n
 
@@ -165,26 +165,24 @@ def test_F_invariance_under_full_action():
 def test_F_rejects_bad_index():
     l = canonical_b(2, [1, 0])
     for k in (-1, 2):
-        for view in (F_invariant, F_bordered):
-            with pytest.raises(ValueError, match="generator index out of range"):
-                view(k, l)
+        with pytest.raises(ValueError, match="generator index out of range"):
+            F_bordered(k, l)
 
 
 # -- orthogonal generators -------------------------------------------------------------
 
 def test_psi_zero_formula():
     l = DualPoint(Mat.zero(3, 3), Mat.row([1, 2, 3]), family="io")
-    assert psi_invariant(0, l) == -(1 + 4 + 9)
+    assert psi_all(l)[0] == -(1 + 4 + 9)
 
 
 def test_psi_index_range():
     l = DualPoint(sample_skew(Rng(70), 4, 3), Mat.row([1, 0, 0, 0]), family="io")
-    psi_invariant(1, l)  # 2k = 2 <= 3, fine
-    assert psi_bordered(1, l) == psi_invariant(1, l)
-    for view in (psi_invariant, psi_bordered):
-        for k in (-1, 2):  # 2k = 4 > n-1
-            with pytest.raises(ValueError, match="generator index out of range"):
-                view(k, l)
+    assert len(psi_all(l)) == 2  # 2k = 2 <= 3, fine
+    assert psi_bordered(1, l) == psi_all(l)[1]
+    for k in (-1, 2):  # 2k = 4 > n-1
+        with pytest.raises(ValueError, match="generator index out of range"):
+            psi_bordered(k, l)
 
 
 def test_restriction_of_odd_generators_vanishes():
@@ -197,9 +195,9 @@ def test_restriction_of_odd_generators_vanishes():
             lb = DualPoint(l.y, l.wstar, -l.wstar.transpose())
             assert (lb.y, lb.wstar, lb.xi) == (l.y, l.wstar, l.xi)
             for k in range(1, n, 2):
-                assert F_invariant(k, lb) == 0
+                assert F_all(lb)[k] == 0
             for k in range((n - 1) // 2 + 1):
-                assert psi_invariant(k, l) == F_invariant(2 * k, lb)
+                assert psi_all(l)[k] == F_all(lb)[2 * k]
 
 
 def test_psi_bordered_path():
@@ -212,7 +210,7 @@ def test_psi_bordered_path():
             for _ in range(20):
                 l = sample_dual(alg, rng, 3)
                 for k in range((n - 1) // 2 + 1):
-                    assert psi_invariant(k, l) == psi_bordered(k, l)
+                    assert psi_all(l)[k] == psi_bordered(k, l)
                 assert psi_all(l) == psi_bordered_all(l), (family, l)
                 assert len(psi_all(l)) == (n - 1) // 2 + 1
     l = sample_dual(Algebra("glvv", 4), Rng(5), 3)
@@ -258,7 +256,7 @@ def test_exotic_square_and_det():
         for _ in range(20):
             l = sample_dual(alg, rng, 3)
             phi = exotic_phi(l)
-            assert phi * phi == EXOTIC_SQUARE_SIGN * psi_invariant(ell, l)
+            assert phi * phi == EXOTIC_SQUARE_SIGN * psi_all(l)[ell]
             y = bordered(l.y, -l.wstar.transpose(), l.wstar, 0)
             assert pfaffian(y) ** 2 == det(y)
 
@@ -289,7 +287,7 @@ def table_ids(fam, n):
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_generators_table(fam):
     single = {"f": f_invariant, "fbar": f_bar, "phi": exotic_phi,
-              "F": F_invariant, "psi": psi_invariant}
+              "F": lambda k, l: F_all(l)[k], "psi": lambda k, l: psi_all(l)[k]}
     for n in range(1, 7):
         l = sample_dual(Algebra(fam, n), Rng(4).child(fam, n), 3)
         table = generators(l)
@@ -384,7 +382,7 @@ def test_psi_slice_sign():
         l = slice_so(a, 3, alg)
         for k in range(ell + 1):
             phi = poly.value(poly.phi_slice(n, k), [*a, 3])
-            assert psi_invariant(k, l) == PSI_SLICE_SIGN * phi
+            assert psi_all(l)[k] == PSI_SLICE_SIGN * phi
 
 
 def test_exotic_slice_sign():

@@ -3,6 +3,7 @@
 import ast
 import glob
 import importlib
+import importlib.util
 import inspect
 import os
 import re
@@ -155,8 +156,7 @@ def _reaches(module, start):
 
 def test_one_recursion_per_generator_family():
     # every glvv/orthogonal generator and covariant reads one integer trace
-    # recursion, run in one helper; the all-index functions read the helper
-    # and the single-index forms are views of them
+    # recursion, run in one helper, which the all-index functions read
     assert _call_sites("invariants.py", lambda node: _called(node, "_char_int")
                        or _called(node, "char_data")) == ["_covariants"]
     # char_data wraps the integer recursion, and bordered_gradients reads
@@ -166,7 +166,8 @@ def test_one_recursion_per_generator_family():
     # the second paths are the check of the first: they never reach it
     for second in ("F_bordered_all", "psi_bordered_all", "f_krylov", "krylov_rows"):
         assert "_covariants" not in _reaches("invariants.py", second)
-    assert "_covariants" in _reaches("invariants.py", "F_invariant")
+    for first in ("F_all", "psi_all", "f_invariant", "phi_rows"):
+        assert "_covariants" in _reaches("invariants.py", first)
     # the bordered identity check reads char_data, never the pairings it checks
     assert "bordered_gradients" not in _reaches("charpoly.py", "bordered_char_identities")
     assert "char_data" in _reaches("charpoly.py", "bordered_char_identities")
@@ -196,7 +197,7 @@ def test_every_exact_derivative_is_read_through_one_checked_rule():
                       for site in _call_sites(os.path.basename(path),
                                               lambda node: _called(node, name)))
     assert sites("interp_coeffs") == ["_taylor"]
-    assert sites("_taylor") == ["_jacobian_rank", "_suite_gradient_Bk", "directional_coeff"]
+    assert sites("_taylor") == ["_jacobian_rank", "_suite_gradient_Bk"]
     # the suite reads its node list straight, with no closure or memo
     path = os.path.join(SRC, "verify.py")
     with open(path, encoding="utf-8") as fh:
@@ -207,11 +208,9 @@ def test_every_exact_derivative_is_read_through_one_checked_rule():
 
 
 def test_each_slice_is_proved_once_and_stated_once():
-    # the slices suite reads one derivation per unit, never the per-sign
-    # view, and the view reads the same derivation
+    # the slices suite reads one derivation per unit, and nothing else does
     assert _call_sites("verify.py", lambda node: _called(node, "_slice_signs")) \
-        == ["_suite_slices", "resolve_sign"]
-    assert _call_sites("verify.py", lambda node: _called(node, "resolve_sign")) == []
+        == ["_suite_slices"]
     # each closed slice form is stated in poly alone: invariants defines none
     path = os.path.join(SRC, "invariants.py")
     with open(path, encoding="utf-8") as fh:
@@ -579,11 +578,28 @@ def _resolves(module, name):
     return True
 
 
+# names the tracer traces that the package no longer has, each with its
+# reason: the frozen tracer looks each one up and reads it as 0 calls
+RETIRED = {
+    "charpoly.directional_coeff": "no caller; each derivative reads _taylor at explicit nodes",
+    "invariants.F_invariant": "a single-index view of F_all; callers index F_all(l)",
+    "invariants.psi_invariant": "a single-index view of psi_all; callers index psi_all(l)",
+    "verify.resolve_sign": "a view of _slice_signs, which the slices suite proves at any n",
+}
+
+
+def _traced(tree):
+    # the "module.function" names a LAYERS or _EXTRA table of a script holds
+    return ["%s.%s" % (mod, fn) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) in ("LAYERS", "_EXTRA") for t in node.targets)
+            for mod, fns in ast.literal_eval(node.value).items() for fn in fns]
+
+
 def test_perfbench_names_exist_in_the_package():
-    # the benchmark harness is frozen, and its tracer reads a function the
-    # package no longer has as 0 calls: every coadinv name it imports, reads
-    # through a module alias or traces by name must still exist
-    missing = []
+    # the benchmark harness is frozen: every coadinv name it imports or reads
+    # through a module alias must still exist, and a name it only traces may
+    # be absent only when RETIRED gives the reason
+    missing, traced = [], []
     for script in ("workloads.py", "tracer.py", "run.py"):
         path = os.path.join(PERFBENCH, script)
         with open(path, encoding="utf-8") as fh:
@@ -600,11 +616,11 @@ def test_perfbench_names_exist_in_the_package():
                         missing.append("%s: %s" % (script, target))
                     elif target in sys.modules:  # a submodule, read below
                         aliases[a.asname or a.name] = target
-            elif isinstance(node, ast.Assign) and any(
-                    getattr(t, "id", None) in ("LAYERS", "_EXTRA") for t in node.targets):
-                for mod, fns in ast.literal_eval(node.value).items():
-                    missing += ["%s: coadinv.%s.%s" % (script, mod, fn) for fn in fns
-                                if not _resolves("coadinv." + mod, fn)]
+        for name in _traced(tree):
+            traced.append(name)
+            mod, _, fn = name.partition(".")
+            if not _resolves("coadinv." + mod, fn) and name not in RETIRED:
+                missing.append("%s: coadinv.%s" % (script, name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                     and node.value.id in aliases:
@@ -612,6 +628,29 @@ def test_perfbench_names_exist_in_the_package():
                 if not _resolves(module, node.attr):
                     missing.append("%s: %s.%s" % (script, module, node.attr))
     assert missing == []
+    # a retired name is traced and really gone
+    assert [name for name in RETIRED if name not in traced
+            or _resolves("coadinv." + name.partition(".")[0], name.partition(".")[2])] == []
+
+
+def test_the_frozen_tracer_reads_each_retired_name_as_zero_calls():
+    # install the harness's own tracer over a slices run: every traced name
+    # is emitted, and a retired one reads 0 calls
+    spec = importlib.util.spec_from_file_location("frozen_tracer",
+                                                  os.path.join(PERFBENCH, "tracer.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    importlib.import_module("coadinv.cli")
+    verify = importlib.import_module("coadinv.verify")
+    with tracing.Tracer() as tracer:
+        config = verify.SuiteConfig(algebra="iso", n_lo=3, n_hi=3, samples=1)
+        assert verify.run_suite("slices", config).passed
+    metrics = tracer.metrics()
+    assert {name + ".calls" for name in tracing.traced_names()} <= set(metrics)
+    assert metrics["verify.run_suite.calls"] == (1, "count")
+    assert metrics["invariants.psi_all.calls"][0] > 0
+    assert {name: metrics[name + ".calls"] for name in RETIRED} \
+        == {name: (0, "count") for name in RETIRED}
 
 
 # definitions no package code or benchmark script reads, each with its reason
@@ -634,7 +673,9 @@ def test_every_definition_has_a_caller():
     # code that has no caller is deleted: every module-level function and
     # class of the package is read outside its own body by the package
     # (its __init__ re-exports do not count), or by the benchmark harness,
-    # or is kept in KEPT with its reason
+    # or is kept in KEPT with its reason.  A name in the tracer's LAYERS or
+    # _EXTRA tables is no caller: the tracer wraps what it finds and calls
+    # nothing
     defined, read = [], []
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         module = os.path.basename(path)
@@ -650,12 +691,8 @@ def test_every_definition_has_a_caller():
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=path)
         outside.update(name for name, _ in _names_read(tree))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                outside.update(a.name for a in node.names)
-            elif isinstance(node, ast.Assign) and any(
-                    getattr(t, "id", None) in ("LAYERS", "_EXTRA") for t in node.targets):
-                outside.update(fn for fns in ast.literal_eval(node.value).values() for fn in fns)
+        outside.update(a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                       for a in node.names)
     unread = ["%s:%s" % (module, name) for module, name in defined if name not in outside
               and not any(n == name and (m, top) != (module, name) for m, n, top in read)]
     assert unread == []

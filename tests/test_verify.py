@@ -13,8 +13,8 @@ from coadinv import poly, verify
 from coadinv.liealg import (Algebra, DualPoint, GroupElem, Rng, algebra_basis, coad,
                             dual_from_json, dual_to_json, group_from_json, group_to_json,
                             reflection, sample_dual, sample_triple)
-from coadinv.verify import (SUITES, SuiteConfig, VerifyReport, _Unit, default_plan,
-                            resolve_sign, run_all, run_suite, suite_range)
+from coadinv.verify import (SUITES, SuiteConfig, VerifyReport, _Unit, _slice_signs,
+                            default_plan, run_all, run_suite, suite_range)
 
 QUICK = dict(n_lo=1, n_hi=3, samples=6, seed=9)
 
@@ -307,21 +307,24 @@ def test_no_check_compares_a_float(monkeypatch):
     assert leaves <= {Fraction, Mat, int, bool, type(None)}
 
 
+# the slice signs are read off _slice_signs(n, family)[pair, k]: f-vs-t on
+# the isl slice, every other pair on the iso slice
+
 def test_resolve_sign_frozen_values():
-    assert resolve_sign("f-vs-t", 2) == F_SLICE_SIGN == 1
-    assert resolve_sign("f-vs-t", 4) == F_SLICE_SIGN
-    assert resolve_sign("psi-vs-phi", 3, 0) == PSI_SLICE_SIGN == -1
-    assert resolve_sign("psi-vs-phi", 4, 1) == PSI_SLICE_SIGN
-    assert resolve_sign("exotic-vs-slice", 3) == EXOTIC_SLICE_SIGN == -1
-    assert resolve_sign("exotic-sq-vs-psi", 3) == EXOTIC_SQUARE_SIGN == -1
+    assert _slice_signs(2, "isl")["f-vs-t", None] == F_SLICE_SIGN == 1
+    assert _slice_signs(4, "isl")["f-vs-t", None] == F_SLICE_SIGN
+    assert _slice_signs(3, "iso")["psi-vs-phi", 0] == PSI_SLICE_SIGN == -1
+    assert _slice_signs(4, "iso")["psi-vs-phi", 1] == PSI_SLICE_SIGN
+    assert _slice_signs(3, "iso")["exotic-vs-slice", None] == EXOTIC_SLICE_SIGN == -1
+    assert _slice_signs(3, "iso")["exotic-sq-vs-psi", None] == EXOTIC_SQUARE_SIGN == -1
 
 
 def _sign_calls(n):
-    """Every (pair, n, k) of resolve_sign at size n."""
-    calls = [("f-vs-t", n, None)]
-    calls += [("psi-vs-phi", n, k) for k in range(Algebra("io", n).ell + 1)]
+    """Every (family, pair, k) of the slice signs at size n."""
+    calls = [("isl", "f-vs-t", None)]
+    calls += [("iso", "psi-vs-phi", k) for k in range(Algebra("io", n).ell + 1)]
     if n % 2:
-        calls += [("exotic-vs-slice", n, None), ("exotic-sq-vs-psi", n, None)]
+        calls += [("iso", "exotic-vs-slice", None), ("iso", "exotic-sq-vs-psi", None)]
     return calls
 
 
@@ -329,8 +332,11 @@ def test_resolve_sign_proves_the_frozen_signs_past_the_suite_range():
     frozen = {"f-vs-t": F_SLICE_SIGN, "psi-vs-phi": PSI_SLICE_SIGN,
               "exotic-vs-slice": EXOTIC_SLICE_SIGN, "exotic-sq-vs-psi": EXOTIC_SQUARE_SIGN}
     for n in range(1, 13):
-        for pair, _, k in _sign_calls(n):
-            assert resolve_sign(pair, n, k) == frozen[pair], (pair, n, k)
+        signs = {fam: _slice_signs(n, fam) for fam in ("isl", "iso")}
+        assert [key for fam in signs for key in signs[fam]] \
+            == [(pair, k) for _, pair, k in _sign_calls(n)], n
+        for fam, pair, k in _sign_calls(n):
+            assert signs[fam][pair, k] == frozen[pair], (pair, n, k)
 
 
 def _grid_sign(pair, n, k=None):
@@ -346,7 +352,7 @@ def _grid_sign(pair, n, k=None):
         alg = Algebra("io", n)
 
         def sides(a, a0):
-            return (inv.psi_invariant(k, inv.slice_so(a, a0, alg)),
+            return (inv.psi_all(inv.slice_so(a, a0, alg))[k],
                     poly.value(poly.phi_slice(n, k), [*a, a0]))
         m = alg.ell + 1
     else:
@@ -355,7 +361,7 @@ def _grid_sign(pair, n, k=None):
         def sides(a, a0):
             point = inv.slice_so(a, a0, alg)
             if pair == "exotic-sq-vs-psi":
-                return inv.exotic_phi(point) ** 2, inv.psi_invariant(alg.ell, point)
+                return inv.exotic_phi(point) ** 2, inv.psi_all(point)[alg.ell]
             return inv.exotic_phi(point), poly.value(poly.exotic_slice(n), [*a, a0])
         m = alg.ell + 1
     signs = set()
@@ -371,8 +377,8 @@ def _grid_sign(pair, n, k=None):
 
 def test_resolve_sign_agrees_with_the_grid_oracle():
     for n in range(1, 5):
-        for call in _sign_calls(n):
-            assert resolve_sign(*call) == _grid_sign(*call), call
+        for fam, pair, k in _sign_calls(n):
+            assert _slice_signs(n, fam)[pair, k] == _grid_sign(pair, n, k), (pair, n, k)
 
 
 def test_resolve_sign_calls_the_evaluator_only_at_the_tie_points(monkeypatch):
@@ -383,7 +389,7 @@ def test_resolve_sign_calls_the_evaluator_only_at_the_tie_points(monkeypatch):
         seen.append(l)
         return real(l)
     monkeypatch.setattr(inv, "f_bar", counting)
-    assert resolve_sign("f-vs-t", 4) == F_SLICE_SIGN
+    assert _slice_signs(4, "isl") == {("f-vs-t", None): F_SLICE_SIGN}
     assert seen == [inv.slice_isl((2, 3, 4), 5), inv.slice_isl((1, -2, 3), -4)]
 
 
@@ -413,35 +419,15 @@ def test_slices_suite_proves_each_slice_once(monkeypatch):
         assert counts == expected, fam
 
 
-def test_resolve_sign_validation():
-    with pytest.raises(ValueError):
-        resolve_sign("nope", 3)
-    with pytest.raises(ValueError):
-        resolve_sign("psi-vs-phi", 3)  # missing k
-    with pytest.raises(ValueError):
-        resolve_sign("exotic-vs-slice", 4)  # even n
-    with pytest.raises(ValueError):
-        resolve_sign("f-vs-t", 0)  # no size below 1
-    with pytest.raises(ValueError):
-        resolve_sign("psi-vs-phi", 3, 2)  # k past ell
-    # only psi-vs-phi takes a k: any other pair refuses one it would ignore
-    with pytest.raises(ValueError, match="takes no generator index"):
-        resolve_sign("f-vs-t", 3, 7)
-    with pytest.raises(ValueError, match="takes no generator index"):
-        resolve_sign("exotic-vs-slice", 3, 99)
-    with pytest.raises(ValueError, match="takes no generator index"):
-        resolve_sign("exotic-sq-vs-psi", 3, 0)
-
-
 def test_resolve_sign_reports_a_bug_as_an_exactness_error(monkeypatch):
     real = poly.t_slice
     monkeypatch.setattr(poly, "t_slice", lambda n: poly.add({}, real(n), 2))
     with pytest.raises(ExactnessError, match="not proportional"):
-        resolve_sign("f-vs-t", 3)
+        _slice_signs(3, "isl")
     monkeypatch.setattr(inv, "f_bar", lambda l: Fraction(0))
     monkeypatch.setattr(poly, "t_slice", lambda n: {})
     with pytest.raises(ExactnessError, match="not proportional - investigate"):
-        resolve_sign("f-vs-t", 3)
+        _slice_signs(3, "isl")
 
 
 def _dependent(real):
