@@ -1,5 +1,5 @@
 """Characteristic coefficients, their gradient matrices, exact interpolation
-at integer nodes and the bordered-matrix coefficient identities.
+at integer nodes, and the bordered-matrix coefficients and their gradients.
 
 Sign convention, fixed once and used everywhere:
 
@@ -28,7 +28,8 @@ from itertools import repeat
 from math import lcm
 from operator import add, mul
 
-from .exactmat import ExactnessError, Mat, Rat, Record, _exact, _normal, inverse, scalar
+from .exactmat import (ExactnessError, Mat, Rat, Record, _exact, _normal, inverse, pfaffian,
+                       scalar)
 
 
 class CharData(Record):
@@ -155,7 +156,7 @@ def interp_coeffs(values: Sequence[Rat]) -> tuple:
 def _taylor(values: Sequence[Rat], degree_bound: int) -> tuple:
     """interp_coeffs of values at t = 0, 1, ..., which must reach one node
     past the degree bound and vanish past it, else ExactnessError: the one
-    checked path to every exact derivative the package takes."""
+    checked path to every interpolated derivative the package takes."""
     if len(values) < degree_bound + 2:
         raise ValueError("need degree_bound + 2 values: one node past the bound")
     coeffs = interp_coeffs(values)
@@ -191,6 +192,46 @@ def bordered_gradients(y: Mat, v: Mat, wstar: Mat) -> tuple:
     px, py = _char_int(ax)[0], _char_int(ay)[0] + [0]
     return tuple(Fraction(px[k + 1], dx ** (k + 2)) - Fraction(py[k + 1], dy ** (k + 2))
                  for k in range(y.rows))
+
+
+def _bordered_jacobian(y: Mat, v: Mat, wstar: Mat, picks, moves):
+    """Derivatives of bordered generators of X = [[y, v], [wstar, 0]]: one
+    tuple per move dX of X (its top-left block dy moves y), one entry per
+    pick, yielded as read.  Pick k is wstar B_k(y) v = p_{k+2}(X) -
+    p_{k+2}(y), whose derivative is tr(B_{k+1}(X) dX) - tr(B_{k+1}(y) dy)
+    with B_n(y) = 0 (gradient-Bk).  Pick None is Pf(X), X skew, whose
+    derivative sums dX_ab (-1)^(a+b+1) Pf(X without rows and columns a and
+    b) over the moved a < b: exact also where Pf(X) = 0."""
+    n = y.rows
+    ax, dx = bordered(y, v, wstar, 0).num_den()
+    ay, dy = y.num_den()
+    _, bx, sx, _ = _char_int(ax)
+    _, by, sy, _ = _char_int(ay)
+    # B_{k+1}(A_X)[b][a] is gx[k (n + 1) + b][a], B_{k+1}(A_y)[b][a] gy[k n + b][a]
+    gx = _unpack([r for Bk in bx[1:] for r in Bk], n + 1, sx)
+    gy = _unpack([r for Bk in by[1:] for r in Bk], n, sy) + ((0,) * n,) * n
+    for move in moves:
+        am, dm = move.num_den()
+        moved = [(a, b, c) for a, row in enumerate(am) for b, c in enumerate(row) if c]
+        row = []
+        for k in picks:
+            if k is None:
+                pf = sum(c * (-1) ** (a + b + 1) * _pfaffian_minor(ax, a, b)
+                         for a, b, c in moved if a < b)
+                row.append(Fraction(pf, dm * dx ** (n // 2)))
+            else:
+                ex, ey = dx ** (k + 1), dy ** (k + 1)
+                tx = sum([c * gx[k * (n + 1) + b][a] for a, b, c in moved])
+                ty = sum([c * gy[k * n + b][a] for a, b, c in moved if a < n and b < n])
+                row.append(Fraction(tx * ey - ty * ex, ex * ey * dm))
+        yield tuple(row)
+
+
+def _pfaffian_minor(a: tuple, i: int, j: int) -> int:
+    """Pf of the integer skew rows a without rows and columns i and j."""
+    keep = [r for r in range(len(a)) if r not in (i, j)]
+    rows = [[a[r][c] for c in keep] for r in keep]
+    return pfaffian(Mat.from_num_den(rows, 1)).numerator if rows else 1
 
 
 def bordered_char_identities(y: Mat, v: Mat, wstar: Mat, a):

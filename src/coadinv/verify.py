@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import invariants as inv
 from . import poly
-from .charpoly import _taylor, bordered_char_identities, char_data
+from .charpoly import _bordered_jacobian, _taylor, bordered_char_identities, char_data
 from .exactmat import (ExactnessError, Mat, Record, det, mat_to_json, rank, rat_str,
                        scalar)
 from .liealg import (_RETRY_CAP, FAMILIES, Algebra, DualPoint, GroupElem, Rng,
@@ -242,51 +243,39 @@ def _suite_dual_path(unit: _Unit):
                            grads[k], bord[k], point=l)
 
 
-def _jacobian_rank(point, directions) -> int:
-    """Exact Jacobian rank of the generator table at the point: one
-    derivative per direction (dy, dw, dxi), in order, read by _taylor off
-    the nodes point + t d, t = 0..bound + 1, each built once as a point of
-    the family.
-
-    A direction's bound is the number of entries of [[y, xi], [wstar, 0]]
-    it moves: 1 on glvv, 2 on io/iso, whose directions move xi = -wstar^T
-    with wstar.  Every glvv, io and iso generator is a signed sum of
-    principal minors, or the Pfaffian, of that matrix, so it is
-    multilinear in the entries and the bound is proved; _taylor's node past
-    it still raises ExactnessError on a generator of higher degree.
-
-    The rank is at most the generator count, so the directions stop once
-    the rows taken so far reach it: the rest cannot raise it, and the
-    value is the rank of the full Jacobian.  A point of lower rank runs
-    every direction."""
-    y, w, xi, fam = point.y, point.wstar, point.xi, point.family
-    at_point = _values(point)
-    full = len(at_point)
-    rows = []
-    for dy, dw, dxi in directions:
-        moved, _ = embed_M((dy, dxi, dw)).num_den()
-        bound = sum(1 for row in moved for c in row if c)
-        nodes = (DualPoint(y + t * dy, w + t * dw, xi + t * dxi, fam) for t in range(1, bound + 2))
-        samples = [at_point] + [_values(p) for p in nodes]
-        rows.append([_taylor([s[i] for s in samples], bound)[1] for i in range(full)])
-        # one row per direction: the transposed Jacobian, of the same rank
-        if len(rows) >= full and rank(Mat(rows)) == full:
-            return full
-    return rank(Mat(rows))
-
-
-def _directions(alg: Algebra) -> list:
-    """Coordinate directions (dy, dw, dxi) of the family's dual: its basis
-    triples (x, u, vstar) as (x, u^T, vstar^T), so an io/iso direction
-    moves xi = -wstar^T with wstar.  Reversed, the xi and covector
+@cache
+def _jacobian_plan(alg: Algebra) -> tuple:
+    """(picks, moves) of the family's Jacobian, once per algebra.  Each
+    generator is the bordered coefficient p_j(X) - p_j(y) of its degree j,
+    X = [[y, xi], [wstar, 0]], picked as the pairing at k = j - 2, or, of
+    character 1, Pf(X).  The moves are the coordinate directions: each basis
+    triple (x, u, vstar) moves (y, wstar, xi) by (x, u^T, vstar^T), so on
+    io/iso xi = -wstar^T moves with wstar.  Reversed, the xi and covector
     directions come first: they give the rows w B_k(y) (glvv) and w B_2k(y)
-    (io, iso), which reach full rank generically."""
-    return [(x, u.transpose(), v.transpose()) for x, u, v in reversed(algebra_basis(alg))]
+    (io, iso), of full rank generically."""
+    n = alg.n
+    picks = tuple([None if e else degree(n, k) - 2 for _, _, count, degree, e, _
+                   in inv.GENERATORS[alg.family] for k in range(count(n))])
+    return picks, tuple([embed_M((x, v.transpose(), u.transpose()))
+                         for x, u, v in reversed(algebra_basis(alg))])
+
+
+def _jacobian_rank(point: DualPoint, picks: tuple, moves: tuple) -> int:
+    """Exact rank of the Jacobian of the picks at the point, a row per move
+    (charpoly._bordered_jacobian).  It is at most len(picks), so the moves
+    stop once the rows taken reach it: the rest cannot raise it.  A point
+    of lower rank runs every move."""
+    rows = []
+    for row in _bordered_jacobian(point.y, point.xi, point.wstar, picks, moves):
+        rows.append(row)  # the transposed Jacobian, of the same rank
+        if len(rows) >= len(picks) and rank(Mat(rows)) == len(picks):
+            return len(picks)
+    return rank(Mat(rows))
 
 
 def _suite_independence(unit: _Unit):
     alg, n = unit.alg, unit.n
-    directions = _directions(alg)
+    picks, moves = _jacobian_plan(alg)
     expected = sum(count(n) for _, _, count, _, _, _ in inv.GENERATORS[alg.family])
     draws = _RETRY_CAP
     for _ in range(unit.samples):
@@ -296,7 +285,7 @@ def _suite_independence(unit: _Unit):
         # sample draws once, and is still checked
         for _attempt in range(draws):
             point = sample_dual(alg, unit.rng, unit.bound)
-            got = _jacobian_rank(point, directions)
+            got = _jacobian_rank(point, picks, moves)
             if got == expected:
                 break
         else:

@@ -1,12 +1,15 @@
-"""Independent checks of the coadjoint action, kept beside the tests that
-use them: the group product law, the pairing of the dual with the algebra,
-and the adjoint action on triples built from the bracket alone.  The
-package never calls them."""
+"""Independent checks kept beside the tests that use them: the group
+product law, the pairing of the dual with the algebra, the adjoint action
+on triples built from the bracket alone, and the Jacobian of the generator
+table by exact interpolation.  The package never calls them."""
 
 from fractions import Fraction
 
+from coadinv import invariants as inv
+from coadinv.charpoly import _taylor
 from coadinv.exactmat import Mat, scalar
-from coadinv.liealg import DualPoint, GroupElem, _g_inverse, bracket_b
+from coadinv.liealg import (DualPoint, GroupElem, _g_inverse, algebra_basis, bracket_b,
+                            embed_M)
 
 
 def compose(b1: GroupElem, b2: GroupElem) -> GroupElem:
@@ -37,3 +40,35 @@ def Ad(b: GroupElem, t):
     t = (b.g * x * gi, b.g * uu, vv * gi)
     t = ad_translation(Mat.zero(b.n, 1), b.vstar, t)
     return ad_translation(b.u, Mat.zero(1, b.n), t)
+
+
+def directions(alg):
+    """The coordinate directions (dy, dw, dxi) of the family's dual, in the
+    order the independence suite reads its moves: the basis triples
+    (x, u, vstar), reversed, as (x, u^T, vstar^T)."""
+    return [(x, u.transpose(), v.transpose()) for x, u, v in reversed(algebra_basis(alg))]
+
+
+def interpolated_jacobian(point, dirs) -> list:
+    """The Jacobian of the point's generator table, one row per direction
+    (dy, dw, dxi), every direction read: each derivative by _taylor off the
+    nodes point + t d, t = 0..bound + 1, each built once as a point of the
+    family.
+
+    A direction's bound is the number of entries of [[y, xi], [wstar, 0]]
+    it moves: every glvv, io and iso generator is a signed sum of principal
+    minors, or the Pfaffian, of that matrix, so it is multilinear in the
+    entries; _taylor's node past the bound raises ExactnessError on a
+    generator of higher degree."""
+    def values(p):
+        return [value for _, _, value in inv.generators(p)]
+    y, w, xi, fam = point.y, point.wstar, point.xi, point.family
+    at_point = values(point)
+    rows = []
+    for dy, dw, dxi in dirs:
+        moved, _ = embed_M((dy, dxi, dw)).num_den()
+        bound = sum(1 for row in moved for c in row if c)
+        nodes = (DualPoint(y + t * dy, w + t * dw, xi + t * dxi, fam) for t in range(1, bound + 2))
+        samples = [at_point] + [values(p) for p in nodes]
+        rows.append([_taylor([s[i] for s in samples], bound)[1] for i in range(len(at_point))])
+    return rows

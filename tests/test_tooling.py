@@ -159,10 +159,12 @@ def test_one_recursion_per_generator_family():
     # recursion, run in one helper, which the all-index functions read
     assert _call_sites("invariants.py", lambda node: _called(node, "_char_int")
                        or _called(node, "char_data")) == ["_covariants"]
-    # char_data wraps the integer recursion, and bordered_gradients reads
-    # the coefficients of the bordered matrix and of y straight off it
+    # char_data wraps the integer recursion, bordered_gradients reads the
+    # coefficients of the bordered matrix and of y straight off it, and
+    # _bordered_jacobian the gradients of both
     assert _call_sites("charpoly.py", lambda node: _called(node, "_char_int")) \
-        == ["bordered_gradients", "bordered_gradients", "char_data"]
+        == ["_bordered_jacobian", "_bordered_jacobian", "bordered_gradients",
+            "bordered_gradients", "char_data"]
     # the second paths are the check of the first: they never reach it
     for second in ("F_bordered_all", "psi_bordered_all", "f_krylov", "krylov_rows"):
         assert "_covariants" not in _reaches("invariants.py", second)
@@ -191,13 +193,15 @@ def test_the_packed_layout_is_read_in_charpoly_alone():
 
 def test_every_exact_derivative_is_read_through_one_checked_rule():
     # interp_coeffs alone would read an understated bound's wrong
-    # coefficients; _taylor checks the bound, and each derivative reads it
+    # coefficients; _taylor checks the bound, and each interpolated
+    # derivative reads it: gradient-Bk's, the independent check of the
+    # identity the independence suite's recursion reads its rows by
     def sites(name):
         return sorted(site for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
                       for site in _call_sites(os.path.basename(path),
                                               lambda node: _called(node, name)))
     assert sites("interp_coeffs") == ["_taylor"]
-    assert sites("_taylor") == ["_jacobian_rank", "_suite_gradient_Bk"]
+    assert sites("_taylor") == ["_suite_gradient_Bk"]
     # the suite reads its node list straight, with no closure or memo
     path = os.path.join(SRC, "verify.py")
     with open(path, encoding="utf-8") as fh:
@@ -205,6 +209,41 @@ def test_every_exact_derivative_is_read_through_one_checked_rule():
     body = next(top for top in tree.body if getattr(top, "name", None) == "_suite_gradient_Bk")
     assert not [node for node in ast.walk(body) if node is not body
                 and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+
+
+def test_the_independence_suite_reads_one_path(monkeypatch):
+    # the suite ranks the rows of one bordered recursion: nothing it reaches
+    # interpolates or builds a point, and run, it builds one DualPoint per
+    # draw of sample_dual and interpolates nothing
+    reached = {"verify.py:" + name for name in
+               {"_suite_independence"} | _reaches("verify.py", "_suite_independence")}
+    reached |= {"charpoly.py:" + name for name in
+                {"_bordered_jacobian"} | _reaches("charpoly.py", "_bordered_jacobian")}
+    assert {"verify.py:_jacobian_plan", "verify.py:_jacobian_rank",
+            "charpoly.py:_char_int", "charpoly.py:_pfaffian_minor"} <= reached
+    for name in ("_taylor", "interp_coeffs", "DualPoint"):
+        assert not [site for path in ("verify.py", "charpoly.py")
+                    for site in _call_sites(path, lambda node: _called(node, name))
+                    if "%s:%s" % (path, site) in reached], name
+    charpoly = importlib.import_module("coadinv.charpoly")
+    liealg = importlib.import_module("coadinv.liealg")
+    verify = importlib.import_module("coadinv.verify")
+    counts = {"points": 0, "draws": 0, "interpolations": 0}
+
+    def counted(key, real):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return call
+    monkeypatch.setattr(liealg.DualPoint, "__init__",
+                        counted("points", liealg.DualPoint.__init__))
+    monkeypatch.setattr(verify, "sample_dual", counted("draws", verify.sample_dual))
+    monkeypatch.setattr(charpoly, "interp_coeffs",
+                        counted("interpolations", charpoly.interp_coeffs))
+    for fam in ("glvv", "io", "iso"):
+        config = verify.SuiteConfig(algebra=fam, n_lo=2, n_hi=5, samples=5, seed=1)
+        assert verify.run_suite("independence", config).passed
+    assert counts["points"] == counts["draws"] >= 3 * 4 * 5 and counts["interpolations"] == 0
 
 
 def test_each_slice_is_proved_once_and_stated_once():
@@ -238,9 +277,9 @@ def test_the_generator_table_is_stated_once():
     # degrees and characters: the CLI keeps no id table and no string of
     # it names an id (its --which help is read off the table), the suites read
     # their counts and exponents off it, no Jacobian call passes a degree
-    # bound (_jacobian_rank derives each direction's), one body checks every
-    # character, no docstring restates a degree, and no source spells a
-    # character as a string
+    # bound or a generator index of its own (_jacobian_plan reads the picks
+    # off the table), one body checks every character, no docstring restates
+    # a degree, and no source spells a character as a string
     trees = {}
     for path in glob.glob(os.path.join(SRC, "*.py")):
         with open(path, encoding="utf-8") as fh:
@@ -253,14 +292,18 @@ def test_the_generator_table_is_stated_once():
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and ids.search(node.value)]
     funcs = {top.name: top for top in trees["verify.py"].body if isinstance(top, ast.FunctionDef)}
-    for name in ("_suite_independence", "_suite_index", "_suite_invariance",
+    for name in ("_suite_independence", "_jacobian_plan", "_suite_index", "_suite_invariance",
                  "_suite_exotic_sign"):
         nodes = list(ast.walk(funcs[name]))
         assert any(getattr(node, "attr", None) == "GENERATORS" for node in nodes), name
         assert not [node for node in nodes if isinstance(node, ast.Dict)
                     or getattr(node, "attr", None) == "ell"], name
     calls = [call for call in ast.walk(trees["verify.py"]) if _called(call, "_jacobian_rank")]
-    assert calls and not [call for call in calls if len(call.args) != 2 or call.keywords]
+    assert calls and not [call for call in calls if call.keywords
+                          or [ast.unparse(a) for a in call.args[1:]] != ["picks", "moves"]]
+    assert [ast.unparse(node) for node in ast.walk(funcs["_suite_independence"])
+            if isinstance(node, ast.Assign) and _called(node.value, "_jacobian_plan")] \
+        == ["picks, moves = _jacobian_plan(alg)"]
     stated = re.compile(r"degree\s+(?:k \+ 2|2k \+ 2|ell \+ 1|n\(n ?\+ ?1\)/2)")
     found = ["%s: %s" % (module, m.group()) for module, tree in sorted(trees.items())
              for doc in _docstrings(tree) for m in stated.finditer(doc)]
@@ -395,8 +438,8 @@ def test_the_third_component_is_stated_once():
     # the vstar of an algebra basis element: no code negates the transpose
     # of a record's wstar or u, in liealg only _third and the involution
     # theta negate a transpose, and in verify only the theta suite, as
-    # theta's independent oracle; the Jacobian's nodes and directions fork
-    # on no family, here or in the tests' full-Jacobian oracle; one reader
+    # theta's independent oracle; the Jacobian's rows and directions fork
+    # on no family, here or in the tests' interpolating oracles; one reader
     # raises the JSON refusals, and each public codec is a one-statement
     # view of the one reader or the one writer
     funcs, raised = {}, {}
@@ -425,11 +468,16 @@ def test_the_third_component_is_stated_once():
     assert {site for site, func in funcs.items()
             if site.startswith("verify.py:") and _negated_transposes(func)} == {
         "verify.py:_suite_theta"}
-    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "test_verify.py"),
-              encoding="utf-8") as fh:
-        oracle = next(node for node in ast.parse(fh.read()).body
-                      if getattr(node, "name", None) == "_full_jacobian_rank")
-    for func in (funcs["verify.py:_jacobian_rank"], funcs["verify.py:_directions"], oracle):
+    oracles = []
+    for script, name in [("test_verify.py", "_full_jacobian_rank"),
+                         ("oracles.py", "interpolated_jacobian"), ("oracles.py", "directions")]:
+        with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), script),
+                  encoding="utf-8") as fh:
+            oracles += [node for node in ast.parse(fh.read()).body
+                        if getattr(node, "name", None) == name]
+    assert len(oracles) == 3
+    for func in [funcs["verify.py:_jacobian_rank"], funcs["verify.py:_jacobian_plan"],
+                 funcs["charpoly.py:_bordered_jacobian"]] + oracles:
         assert _family_comparisons(func) == [], func.name
     reader = ["liealg.py:_from_json"]
     assert raised == {"takes no .* component": reader, "is missing a component": reader}

@@ -12,9 +12,11 @@ from coadinv.invariants import (EXOTIC_SLICE_SIGN, EXOTIC_SQUARE_SIGN,
 from coadinv import poly, verify
 from coadinv.liealg import (Algebra, DualPoint, GroupElem, Rng, algebra_basis, coad,
                             dual_from_json, dual_to_json, group_from_json, group_to_json,
-                            reflection, sample_dual, sample_triple)
+                            reflection, sample_dual, sample_group, sample_triple)
 from coadinv.verify import (SUITES, SuiteConfig, VerifyReport, _Unit, _slice_signs,
                             default_plan, run_all, run_suite, suite_range)
+
+import oracles
 
 QUICK = dict(n_lo=1, n_hi=3, samples=6, seed=9)
 
@@ -439,23 +441,29 @@ def _dependent(real):
     return values
 
 
+def _dependent_rows(monkeypatch):
+    """Plant a dependent family where the independence suite reads its
+    Jacobian: each row of derivatives as _dependent leaves a tuple."""
+    real = verify._bordered_jacobian
+    monkeypatch.setattr(verify, "_bordered_jacobian",
+                        lambda *args: map(_dependent(lambda row: row), real(*args)))
+
+
 @pytest.mark.parametrize("fam", ["glvv", "io", "iso"])
 def test_independence_catches_a_dependent_family(monkeypatch, fam):
-    # the suite must evaluate the generators of the unit's family; a point
-    # moved along a glvv direction would be read with F_all instead
-    own, other = ("F_all", "psi_all") if fam == "glvv" else ("psi_all", "F_all")
-    monkeypatch.setattr(inv, own, _dependent(getattr(inv, own)))
-
-    def elsewhere(l):
-        pytest.fail("%s evaluated by the %s independence suite" % (other, fam))
-    monkeypatch.setattr(inv, other, elsewhere)
+    # the suite ranks the bordered polynomials' rows and evaluates no
+    # generator: a point moved along a direction would be read with one
+    _dependent_rows(monkeypatch)
+    for name in ("F_all", "psi_all", "exotic_phi"):
+        monkeypatch.setattr(inv, name, lambda l, name=name: pytest.fail(
+            "%s evaluated by the %s independence suite" % (name, fam)))
     report = run_suite("independence", quick_cfg(fam, n_lo=2, n_hi=3, samples=1))
     assert not report.passed
 
 
 def test_independence_stops_resampling_a_dependent_family(monkeypatch):
     # once one sample uses up its draws, each later sample of the unit draws once
-    monkeypatch.setattr(inv, "F_all", _dependent(inv.F_all))
+    _dependent_rows(monkeypatch)
     draws = []
     real = verify.sample_dual
 
@@ -469,8 +477,31 @@ def test_independence_stops_resampling_a_dependent_family(monkeypatch):
     assert not report.passed and report.checks_run == cfg.samples
 
 
-# the bound _jacobian_rank derives along each coordinate direction: the
-# entries of [[y, xi], [wstar, 0]] it moves
+def test_a_dependent_evaluator_still_fails_verify_all(monkeypatch, tmp_path, capsys):
+    # independence differentiates the bordered polynomials, not the shipped
+    # evaluators; dual-path ties F_all and psi_all to those polynomials, so
+    # a dependent evaluator still fails verify --all, and independence passes
+    from coadinv.cli import main
+    argv = ["verify", "--all", "--samples", "2", "--seed", "9", "--n-max", "3"]
+    out = str(tmp_path / "reports.json")
+    real = inv.F_all
+    monkeypatch.setattr(inv, "F_all", _dependent(real))
+    assert main(argv + ["--output", out]) == 1
+    with open(out, encoding="utf-8") as fh:
+        failed = {(r["suite"], r["algebra"]) for r in json.load(fh) if not r["passed"]}
+    assert failed == {("dual-path", "glvv"), ("orbit-fibration", "glvv")}
+    monkeypatch.setattr(inv, "F_all", real)
+    monkeypatch.setattr(inv, "psi_all", _dependent(inv.psi_all))
+    # the slices proof refuses first: the whole run ends with exit 1 and no report
+    assert main(argv) == 1
+    assert "not proportional" in capsys.readouterr().err
+    for suite, fam in [("dual-path", "io"), ("invariance-psi", "iso"), ("independence", "iso")]:
+        report = run_suite(suite, quick_cfg(fam, n_lo=2, n_hi=3))
+        assert report.passed == (suite != "dual-path"), (suite, fam)
+
+
+# the bound the interpolating oracle derives along each coordinate
+# direction: the entries of [[y, xi], [wstar, 0]] it moves
 _COORDINATE_DEGREE = {"glvv": 1, "io": 2, "iso": 2}
 
 
@@ -499,21 +530,58 @@ def _full_jacobian_rank(alg, point, degree_bound):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_jacobian_rank_stops_at_the_full_rank(monkeypatch, fam, n):
     # bound 1 draws many degenerate points, and the zero point is one; the
-    # oracle reads every direction at the total-degree bound n + 1, and each
-    # direction's derived bound is the coordinate degree
+    # early-exit rank equals the full rank of the interpolating oracle, which
+    # reads every direction at its derived bound, the coordinate degree, and
+    # of a second oracle that reads every direction at the total-degree bound
     alg = Algebra(fam, n)
-    directions = verify._directions(alg)
+    picks, moves = verify._jacobian_plan(alg)
     points = [DualPoint(Mat.zero(n, n), Mat.zero(1, n), family=fam)]
     for bound in (3, 1):
         rng = Rng(n).child(fam, bound)
         points += [sample_dual(alg, rng, bound) for _ in range(4)]
     bounds = []
-    real = verify._taylor
-    monkeypatch.setattr(verify, "_taylor", lambda v, b: bounds.append(b) or real(v, b))
+    real = oracles._taylor
+    monkeypatch.setattr(oracles, "_taylor", lambda v, b: bounds.append(b) or real(v, b))
     for point in points:
-        assert (verify._jacobian_rank(point, directions)
-                == _full_jacobian_rank(alg, point, n + 1))
+        full = rank(Mat(oracles.interpolated_jacobian(point, oracles.directions(alg))))
+        assert verify._jacobian_rank(point, picks, moves) == full \
+            == _full_jacobian_rank(alg, point, n + 1)
     assert set(bounds) == {_COORDINATE_DEGREE[fam]}
+
+
+def _test_points(fam, n):
+    """The zero point, draws at bounds 1 and 3, coad images (with a
+    denominator other than 1 but at io/iso n = 1, whose group is +-1), and
+    on iso at n = 3 and 5 draws where the exotic generator vanishes."""
+    alg = Algebra(fam, n)
+    rng = Rng(n).child("jacobian-rows", fam)
+    points = [DualPoint(Mat.zero(n, n), Mat.zero(1, n), family=fam)]
+    points += [sample_dual(alg, rng, bound) for bound in (1, 3)]
+    images = [coad(sample_group(alg, rng, 3), sample_dual(alg, rng, 3)) for _ in range(16)]
+    rational = [p for p in images if p.y.num_den()[1] > 1 or p.wstar.num_den()[1] > 1]
+    assert rational or (fam != "glvv" and n == 1)
+    points += (rational + images)[:2]
+    if fam == "iso" and n in (3, 5):
+        draws = [sample_dual(alg, rng, 1) for _ in range(40)]
+        vanishing = [p for p in draws if inv.exotic_phi(p) == 0]
+        assert len(vanishing) >= 2
+        points += vanishing[:2]
+    return points
+
+
+@pytest.mark.parametrize("fam", ["glvv", "io", "iso"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gradient_rows_equal_the_interpolated_rows(fam, n):
+    # every direction's row of the bordered recursion equals, entry for
+    # entry, the interpolating oracle's row, and the early-exit rank the
+    # oracle's full rank, at points where the rank falls too
+    alg = Algebra(fam, n)
+    picks, moves = verify._jacobian_plan(alg)
+    for point in _test_points(fam, n):
+        rows = list(verify._bordered_jacobian(point.y, point.xi, point.wstar, picks, moves))
+        oracle = oracles.interpolated_jacobian(point, oracles.directions(alg))
+        assert [list(row) for row in rows] == oracle, point
+        assert verify._jacobian_rank(point, picks, moves) == rank(Mat(oracle))
 
 
 def _generic_bordered(fam, n):
@@ -580,50 +648,62 @@ def _counted_generators(monkeypatch):
     return calls
 
 
+def _read(moves, taken):
+    """The moves, each recorded in taken as it is read."""
+    for move in moves:
+        taken.append(move)
+        yield move
+
+
 def test_jacobian_rank_of_a_generic_point_reads_n_directions(monkeypatch):
-    # at f != 0 the n xi directions alone give rank n: the point, then
-    # 2 nodes along each of them (one past the bound 1), where every
-    # direction would take 49
+    # at f != 0 the n xi directions alone give rank n, where every direction
+    # would take 24; no generator is evaluated and no point is built
     n = 4
     alg = Algebra("glvv", n)
     point = sample_dual(alg, Rng(1), 3)
     assert inv.f_invariant(point) != 0
-    calls = _counted_generators(monkeypatch)
-    assert verify._jacobian_rank(point, verify._directions(alg)) == n
-    assert len(calls) == 1 + 2 * n
+    picks, moves = verify._jacobian_plan(alg)
+    calls, taken = _counted_generators(monkeypatch), []
+    built = []
+    real = DualPoint.__init__
+    monkeypatch.setattr(DualPoint, "__init__", lambda self, *args: built.append(args)
+                        or real(self, *args))
+    assert verify._jacobian_rank(point, picks, _read(moves, taken)) == n
+    assert taken == list(moves[:n]) and calls == [] and built == []
 
 
 def test_jacobian_rank_refuses_a_glvv_generator_above_its_degree(monkeypatch):
-    # squared, each F_k is quadratic along a xi direction: bound 1 would
-    # read a secant slope, so the node past it raises instead
+    # squared, each F_k is quadratic along a xi direction: the oracle's
+    # bound 1 would read a secant slope, so the node past it raises instead
     alg = Algebra("glvv", 4)
-    point, directions = sample_dual(alg, Rng(1), 3), verify._directions(alg)
-    assert verify._jacobian_rank(point, directions) == 4
+    point, dirs = sample_dual(alg, Rng(1), 3), oracles.directions(alg)
+    assert rank(Mat(oracles.interpolated_jacobian(point, dirs))) == 4
     real = inv.F_all
     monkeypatch.setattr(inv, "F_all", lambda l: tuple(v * v for v in real(l)))
     with pytest.raises(ExactnessError, match="degree above the bound 1"):
-        verify._jacobian_rank(point, directions)
+        oracles.interpolated_jacobian(point, dirs)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_jacobian_rank_refuses_an_io_generator_above_its_degree(monkeypatch, seed):
     # cubed, each psi_k is of degree up to 6 along a covector direction
     alg = Algebra("io", 4)
-    point, directions = sample_dual(alg, Rng(seed), 3), verify._directions(alg)
-    assert verify._jacobian_rank(point, directions) == 2
+    point, dirs = sample_dual(alg, Rng(seed), 3), oracles.directions(alg)
+    assert rank(Mat(oracles.interpolated_jacobian(point, dirs))) == 2
     real = inv.psi_all
     monkeypatch.setattr(inv, "psi_all", lambda l: tuple(v ** 3 for v in real(l)))
     with pytest.raises(ExactnessError, match="degree above the bound 2"):
-        verify._jacobian_rank(point, directions)
+        oracles.interpolated_jacobian(point, dirs)
 
 
 def test_jacobian_rank_builds_each_node_once(monkeypatch):
-    # one point per interpolation node: n directions reach rank n at this
-    # point, with 2 nodes along each
+    # the oracle builds one point per interpolation node and reads every
+    # direction: at glvv n = 4 each of the 24 moves one entry, so 2 nodes
+    # each, and each node's generators are evaluated once, as is the point's
     n = 4
     alg = Algebra("glvv", n)
     point = sample_dual(alg, Rng(1), 3)
-    directions = verify._directions(alg)
+    dirs = oracles.directions(alg)
     built = []
     real = DualPoint.__init__
 
@@ -631,18 +711,19 @@ def test_jacobian_rank_builds_each_node_once(monkeypatch):
         built.append(args)
         real(self, *args, **kwargs)
     monkeypatch.setattr(DualPoint, "__init__", counted)
-    assert verify._jacobian_rank(point, directions) == n
-    assert len(built) == 2 * n
+    calls = _counted_generators(monkeypatch)
+    assert len(oracles.interpolated_jacobian(point, dirs)) == len(dirs) == alg.dim
+    assert len(built) == 2 * len(dirs) and len(calls) == 1 + 2 * len(dirs)
 
 
 def test_jacobian_rank_of_a_dependent_family_reads_every_direction(monkeypatch):
     n = 4
-    monkeypatch.setattr(inv, "F_all", _dependent(inv.F_all))
+    _dependent_rows(monkeypatch)
     alg = Algebra("glvv", n)
-    directions = verify._directions(alg)
-    calls = _counted_generators(monkeypatch)
-    assert verify._jacobian_rank(sample_dual(alg, Rng(1), 3), directions) < n
-    assert len(calls) == 1 + 2 * len(directions)
+    picks, moves = verify._jacobian_plan(alg)
+    taken = []
+    assert verify._jacobian_rank(sample_dual(alg, Rng(1), 3), picks, _read(moves, taken)) < n
+    assert taken == list(moves)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
