@@ -3,8 +3,7 @@ invariant polynomials of inhomogeneous matrix groups."""
 
 from .exactmat import (ExactnessError, Mat, Rat, det, inverse, mat_from_json,
                        mat_mul, mat_to_json, pfaffian, rank, rat, rat_str)
-from .charpoly import (CharData, bordered, bordered_char_identities, bordered_gradients,
-                       char_data, interp_coeffs)
+from .charpoly import bordered, bordered_gradients, char_data, interp_coeffs
 from .liealg import (Algebra, DualPoint, FAMILIES, GroupElem, Rng, bracket_b,
                      coad, commutator_form, dual_from_json,
                      dual_to_json, embed_M, group_from_json, group_to_json,

@@ -28,28 +28,7 @@ from itertools import repeat
 from math import lcm
 from operator import add, mul
 
-from .exactmat import (ExactnessError, Mat, Rat, Record, _exact, _normal, inverse, pfaffian,
-                       scalar)
-
-
-class CharData(Record):
-    """Coefficients p_1..p_n and gradients B_0..B_{n-1} of one matrix.
-
-    p[k-1] holds p_k; B[k] holds B_k.  coeff(k) additionally returns 0 for
-    k > n, the convention the bordered identities rely on.
-    """
-
-    __slots__ = ("n", "p", "B")
-
-    def __init__(self, n: int, p: tuple, B: tuple):
-        self._set(n, p, B)
-
-    def coeff(self, k: int) -> Rat:
-        if k < 1:
-            raise ValueError("coefficient index starts at 1")
-        if k > self.n:
-            return Fraction(0)
-        return self.p[k - 1]
+from .exactmat import ExactnessError, Mat, Rat, _exact, _normal, inverse, pfaffian
 
 
 def _packed_mul(a: tuple, rows: list) -> list:
@@ -115,8 +94,10 @@ def _unpack(rows, n: int, s: int) -> tuple:
     return tuple(zip(*[entries] * n))
 
 
-def char_data(x: Mat) -> CharData:
-    """Run the trace recursion on the integer numerator of a square matrix."""
+def char_data(x: Mat) -> tuple:
+    """(p, B) of a square matrix, off the trace recursion on its integer
+    numerator: p[k-1] = p_k(x) for k = 1..n, and B[k] = B_k(x) for
+    k = 0..n-1."""
     if not x.is_square():
         raise ValueError("char_data needs a square matrix")
     n = x.rows
@@ -125,9 +106,9 @@ def char_data(x: Mat) -> CharData:
     # B_0 = I; the other B_k unpacked at once into fresh n-wide tuples:
     # reduced, never copied
     rows = iter(_unpack([r for Bk in B[1:] for r in Bk], n, s))
-    return CharData(n, tuple(Fraction(pk, d ** k) for k, pk in enumerate(p, start=1)),
-                    (Mat.identity(n), *[_normal(n, n, Bk, d ** k)
-                                        for k, Bk in enumerate(zip(*[rows] * n), start=1)]))
+    return (tuple(Fraction(pk, d ** k) for k, pk in enumerate(p, start=1)),
+            (Mat.identity(n), *[_normal(n, n, Bk, d ** k)
+                                for k, Bk in enumerate(zip(*[rows] * n), start=1)]))
 
 
 # -- exact interpolation ----------------------------------------------------
@@ -232,21 +213,3 @@ def _pfaffian_minor(a: tuple, i: int, j: int) -> int:
     keep = [r for r in range(len(a)) if r not in (i, j)]
     rows = [[a[r][c] for c in keep] for r in keep]
     return pfaffian(Mat.from_num_den(rows, 1)).numerator if rows else 1
-
-
-def bordered_char_identities(y: Mat, v: Mat, wstar: Mat, a):
-    """Check the coefficients p_2..p_{n+1} of X = [[y, v], [wstar, a]]
-    against the gradients of y:
-
-        p_{k+2}(X) = p_{k+2}(y) - a p_{k+1}(y) + wstar B_k(y) v
-
-    Returns (True, None) on success, otherwise (False, (j, lhs, rhs)) where
-    j = k + 2 is the index of the first failing coefficient of X.
-    """
-    cx, cy = char_data(bordered(y, v, wstar, a)), char_data(y)
-    for k in range(y.rows):
-        lhs = cx.coeff(k + 2)
-        rhs = cy.coeff(k + 2) - a * cy.coeff(k + 1) + scalar(wstar * cy.B[k] * v)
-        if lhs != rhs:
-            return False, (k + 2, lhs, rhs)
-    return True, None

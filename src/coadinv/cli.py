@@ -33,7 +33,7 @@ def _load_json(path: str):
             return json.load(sys.stdin, parse_int=_str_int)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_int=_str_int)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError("cannot read JSON input: %s" % exc) from exc
 
 

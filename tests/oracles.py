@@ -1,12 +1,13 @@
 """Independent checks kept beside the tests that use them: the group
 product law, the pairing of the dual with the algebra, the adjoint action
-on triples built from the bracket alone, and the Jacobian of the generator
-table by exact interpolation.  The package never calls them."""
+on triples built from the bracket alone, the Jacobian of the generator
+table by exact interpolation, and the bordered coefficients from powers of
+the core.  The package never calls them."""
 
 from fractions import Fraction
 
 from coadinv import invariants as inv
-from coadinv.charpoly import _taylor
+from coadinv.charpoly import _taylor, char_data
 from coadinv.exactmat import Mat, scalar
 from coadinv.liealg import (DualPoint, GroupElem, _g_inverse, algebra_basis, bracket_b,
                             embed_M)
@@ -72,3 +73,21 @@ def interpolated_jacobian(point, dirs) -> list:
         samples = [at_point] + [values(p) for p in nodes]
         rows.append([_taylor([s[i] for s in samples], bound)[1] for i in range(len(at_point))])
     return rows
+
+
+def bordered_coefficients(y: Mat, v: Mat, wstar: Mat, a) -> tuple:
+    """p_2..p_{n+1} of X = [[y, v], [wstar, a]] off y alone, by the bordered
+    identity p_{k+2}(X) = p_{k+2}(y) - a p_{k+1}(y) + wstar B_k(y) v with
+    p_{n+1}(y) = 0.  Each B_k(y) = y^k - p_1 y^(k-1) - ... - p_k I is summed
+    from powers of y: no gradient matrix of the recursion is read."""
+    n = y.rows
+    p = char_data(y)[0] + (Fraction(0),)
+    powers = [Mat.identity(n)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * y)
+    out = []
+    for k in range(n):
+        bk = powers[k] - sum((p[j - 1] * powers[k - j] for j in range(1, k + 1)),
+                             start=Mat.zero(n, n))
+        out.append(p[k + 1] - a * p[k] + scalar(wstar * bk * v))
+    return tuple(out)

@@ -245,6 +245,21 @@ def test_eval_deeply_nested_json(tmp_path, capsys):
     assert err.startswith("error: cannot read JSON input")
 
 
+@pytest.mark.parametrize("encoding", ["latin-1", "utf-16"])
+def test_a_non_utf8_input_is_unreadable_json(tmp_path, capsys, encoding):
+    # the reader decodes UTF-8 only: another encoding is an unreadable
+    # input, named as such, and not a bare codec message
+    path = tmp_path / "point.json"
+    obj = canonical_point_json(2, [1, 2])
+    obj["note"] = "caf\u00e9"
+    path.write_text(json.dumps(obj, ensure_ascii=False), encoding=encoding)
+    for command in ("eval", "orbit"):
+        code, out, err = run_cli(capsys, [command, "--input", str(path)])
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error: cannot read JSON input: ") and "codec" in err, command
+
+
 def test_eval_unwritable_output(tmp_path, capsys):
     path = write_point(tmp_path, canonical_point_json(2, [1, 2]))
     target = tmp_path / "missing" / "x.json"
@@ -687,12 +702,12 @@ def test_eval_reads_integer_entries(tmp_path, capsys):
 # -- a lean cold start ---------------------------------------------------------
 
 PACKAGE_NAMES = [
-    "Algebra", "CanonicalPair", "CharData", "DualPoint", "EXOTIC_SLICE_SIGN",
+    "Algebra", "CanonicalPair", "DualPoint", "EXOTIC_SLICE_SIGN",
     "EXOTIC_SQUARE_SIGN", "ExactnessError", "FAMILIES", "F_SLICE_SIGN", "F_all",
     "F_bordered", "F_bordered_all", "GENERATORS", "GroupElem", "Mat",
     "NotInOpenOrbit",
     "PSI_SLICE_SIGN", "Rat", "Rng", "SUITES", "SuiteConfig", "VerifyReport", "bordered",
-    "bordered_char_identities", "bordered_gradients", "bracket_b", "char_data", "charpoly",
+    "bordered_gradients", "bracket_b", "char_data", "charpoly",
     "coad", "commutator_form", "det", "dual_from_json",
     "dual_to_json", "embed_M", "exactmat", "exotic_phi", "f_bar",
     "f_invariant", "f_krylov", "generators", "group_from_json", "group_to_json", "index_of",
@@ -747,7 +762,7 @@ def test_verify_help_names_every_suite(capsys):
 def test_package_names_are_unchanged():
     from coadinv import SUITES, run_all
     assert run_all is verify.run_all and SUITES is verify.SUITES
-    assert sorted(coadinv.__all__) == PACKAGE_NAMES
+    assert sorted(coadinv.__all__) == PACKAGE_NAMES and len(PACKAGE_NAMES) == 73
     assert all(hasattr(coadinv, name) for name in PACKAGE_NAMES)
     with pytest.raises(AttributeError, match="no attribute 'run_everything'"):
         coadinv.run_everything

@@ -1,5 +1,5 @@
 """Value semantics of the immutable records: Algebra, DualPoint, GroupElem,
-CharData, CanonicalPair, SuiteConfig and the suite registry's _SuiteSpec."""
+CanonicalPair, SuiteConfig and the suite registry's _SuiteSpec."""
 
 import copy
 import pickle
@@ -7,7 +7,6 @@ from functools import cache
 
 import pytest
 
-from coadinv.charpoly import CharData, char_data
 from coadinv.exactmat import Mat
 from coadinv.invariants import CanonicalPair
 from coadinv.liealg import Algebra, DualPoint, GroupElem, Rng, sample_dual, sample_group
@@ -22,7 +21,6 @@ def records():
         sample_dual(Algebra("glvv", 2), rng, 3),
         DualPoint(Mat([[0, 1], [-1, 0]]), Mat([[1, 2]]), family="iso"),  # xi filled
         sample_group(Algebra("glvv", 2), rng, 3),
-        char_data(Mat([[1, 2], [3, 4]])),
         CanonicalPair.of_size(3),
         SuiteConfig(algebra="io", n_lo=2, n_hi=3, samples=4, seed=9),
         SUITES["independence"],
@@ -69,9 +67,6 @@ def test_repr_names_every_field():
     assert repr(Algebra("aff", 2)) == "Algebra(family='aff', n=2)"
     pair = CanonicalPair.of_size(2)
     assert repr(pair) == "CanonicalPair(J=Mat[2x2: 0 0; 1 0], enstar=Mat[1x2: 0 1])"
-    cd = char_data(Mat([[0, 1], [1, 0]]))
-    assert repr(cd) == ("CharData(n=2, p=(Fraction(0, 1), Fraction(1, 1)), "
-                        "B=(Mat[2x2: 1 0; 0 1], Mat[2x2: 0 1; 1 0]))")
 
 
 def test_fields_differ_means_records_differ():
@@ -83,7 +78,6 @@ def test_fields_differ_means_records_differ():
     assert Algebra("io", 3) != Algebra("iso", 3)
     assert GroupElem(Mat.identity(2), zero, Mat.zero(1, 2)) != \
         GroupElem(Mat.identity(2), Mat.col([1, 0]), Mat.zero(1, 2))
-    assert CharData(1, (), ()) != CharData(2, (), ())
 
 
 def test_construction_still_validates():

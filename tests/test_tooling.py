@@ -170,9 +170,58 @@ def test_one_recursion_per_generator_family():
         assert "_covariants" not in _reaches("invariants.py", second)
     for first in ("F_all", "psi_all", "f_invariant", "phi_rows"):
         assert "_covariants" in _reaches("invariants.py", first)
-    # the bordered identity check reads char_data, never the pairings it checks
-    assert "bordered_gradients" not in _reaches("charpoly.py", "bordered_char_identities")
-    assert "char_data" in _reaches("charpoly.py", "bordered_char_identities")
+    # the dual-path statement of the bordered identity reads both sides off
+    # char_data, never the pairings it checks
+    sides = _check_calls("_suite_dual_path", "bordered coefficient identities hold")
+    assert "char_data" in sides
+    assert not sides & {"bordered_gradients", "F_bordered_all", "F_bordered", "F_all"}
+    for name in ("char_data", "bordered"):
+        assert "bordered_gradients" not in _reaches("charpoly.py", name)
+
+
+def _check_calls(body, claim):
+    # the names called by the unit.check of the claim in the property body
+    # and by every assignment of a name its sides read, followed back
+    path = os.path.join(SRC, "verify.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    func = next(top for top in tree.body if getattr(top, "name", None) == body)
+    todo = [node for node in ast.walk(func) if _called(node, "check")
+            and isinstance(node.args[0], ast.BinOp)
+            and node.args[0].left.value.startswith(claim)]
+    assert len(todo) == 1
+    assigns = [node for node in ast.walk(func) if isinstance(node, (ast.Assign, ast.AugAssign))]
+    seen, calls = set(), set()
+    while todo:
+        node = todo.pop()
+        calls |= {getattr(c.func, "id", None) or getattr(c.func, "attr", None)
+                  for c in ast.walk(node) if isinstance(c, ast.Call)}
+        for name in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} - seen:
+            seen.add(name)
+            todo += [a for a in assigns if name in {n.id for n in ast.walk(a)
+                                                    if isinstance(n, ast.Name)
+                                                    and isinstance(n.ctx, ast.Store)}]
+    return calls
+
+
+def test_a_check_is_written_one_way():
+    # a kernel function returns values and a property body compares them
+    # with unit.check: no function returns an (ok, witness) pair headed by a
+    # True/False constant, and only _Unit.check and run_suite (the run-level
+    # claims) record a check
+    found, recorders = [], []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += ["%s:%d" % (module, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
+                  and node.value.elts and isinstance(node.value.elts[0], ast.Constant)
+                  and isinstance(node.value.elts[0].value, bool)]
+        recorders += ["%s:%s" % (module, name) for name, func in _methods(tree)
+                      for node in ast.walk(func) if _called(node, "_record")]
+    assert found == []
+    assert sorted(recorders) == ["verify.py:_Unit.check", "verify.py:run_suite"]
 
 
 def test_the_packed_layout_is_read_in_charpoly_alone():
@@ -629,6 +678,8 @@ def _resolves(module, name):
 # names the tracer traces that the package no longer has, each with its
 # reason: the frozen tracer looks each one up and reads it as 0 calls
 RETIRED = {
+    "charpoly.bordered_char_identities": "the dual-path suite states the identity as its "
+                                         "own check, off char_data",
     "charpoly.directional_coeff": "no caller; each derivative reads _taylor at explicit nodes",
     "invariants.F_invariant": "a single-index view of F_all; callers index F_all(l)",
     "invariants.psi_invariant": "a single-index view of psi_all; callers index psi_all(l)",

@@ -218,6 +218,58 @@ def test_orbit_fibration_witnesses_replay(monkeypatch):
     moved = coad(a, l)
     assert inv.orbit_normalize(moved)[1] == normal and real(moved) == real(l)
 
+
+BORDERED = "bordered coefficient identities hold (corner %s)"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("fault", ["X-coefficient", "B_k(y)-entry"])
+def test_dual_path_catches_a_planted_bordered_fault(monkeypatch, fault, n):
+    # the bordered identity reads both of its sides off char_data: p_3 of
+    # the cornered X, or entry (0, 0) of B_1(y), off by one fails it, with
+    # the point and the corner in the witness, and both sides replay from them
+    real = verify.char_data
+
+    def planted(m):
+        p, B = real(m)
+        if fault == "X-coefficient" and m.rows == n + 1:
+            return p[:2] + (p[2] + 1,) + p[3:], B
+        if fault == "B_k(y)-entry" and m.rows == n:
+            return p, (B[0], B[1] + Mat.unit(n, 0, 0), *B[2:])
+        return p, B
+    monkeypatch.setattr(verify, "char_data", planted)
+    report = run_suite("dual-path", SuiteConfig(algebra="glvv", n_lo=n, n_hi=n,
+                                                samples=6, seed=1))
+    assert report.failures
+    for witness in report.failures:
+        assert sorted(witness["inputs"]) == ["corner", "point"]
+        a = Fraction(witness["inputs"]["corner"])
+        assert witness["check"] == BORDERED % rat_str(a)
+        alg, l = dual_from_json(witness["inputs"]["point"])
+        assert alg == Algebra("glvv", n)
+        lhs = planted(verify.bordered(l.y, l.xi, l.wstar, a))[0][1:]
+        py, B = planted(l.y)
+        py += (Fraction(0),)
+        rhs = tuple(py[k + 1] - a * py[k] + (l.wstar * B[k] * l.xi)[0, 0] for k in range(n))
+        assert lhs != rhs
+        assert (verify._render(lhs), verify._render(rhs)) == (witness["lhs"], witness["rhs"])
+        # the side the fault leaves alone is the oracle's
+        truth = oracles.bordered_coefficients(l.y, l.xi, l.wstar, a)
+        assert (rhs if fault == "X-coefficient" else lhs) == truth
+
+
+def test_dual_path_draws_a_zero_and_a_nonzero_corner(monkeypatch):
+    # the corner a of X = [[y, xi], [wstar, a]] is drawn per sample: a
+    # default glvv run checks the identity both at a = 0, where it reads the
+    # pairings wstar B_k(y) xi straight, and at a != 0
+    corners, real = [], verify.bordered
+    monkeypatch.setattr(verify, "bordered",
+                        lambda y, v, w, a: corners.append(a) or real(y, v, w, a))
+    report = run_suite("dual-path", SuiteConfig(algebra="glvv"))
+    assert report.passed and len(corners) == 5 * 100
+    assert 0 in corners and any(corners)
+
+
 def test_index_suite_reports_values():
     report = run_suite("index", quick_cfg("glvv", n_lo=2, n_hi=3, samples=3))
     assert report.passed
